@@ -15,14 +15,20 @@ from .classical_chain import (
     ConservedSet,
     DegenerateStateError,
     classical_rmatrix,
+    conserved_det_bracket,
+    conserved_gradients,
     conserved_quantities,
+    dense_monodromy,
+    entry_brackets,
     eom_rhs,
     local_lax,
     monodromy,
+    monodromy_det_eval,
     monodromy_matrix,
     poisson_bracket,
     rk4_step,
     rmatrix_relation_residual,
+    trace_bracket,
 )
 from .backlund import (
     BTError,

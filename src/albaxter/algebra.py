@@ -5,6 +5,13 @@ Everything here is immutable after construction and safe to share between
 threads.  The Laurent/matrix classes are generic over their entry ring:
 plain complex numbers, :class:`MultiDual`, and scipy sparse matrices
 (``csr_matrix``, whose ``*`` is the matrix product) all work.
+
+Users: `fock` builds the quantum monodromy as LaurentPoly entries with csr
+coefficients, and `classical_chain.poisson_bracket` differentiates
+user-supplied observables with MultiDual.  The classical checks run on the
+dense transfer kernel of `classical_chain`; its `local_lax`, `monodromy`
+and `observable_*` build the same objects over these generic classes as
+small-N oracles for that kernel.
 """
 
 import numbers

@@ -229,22 +229,21 @@ def intertwining_residual(bt, lam):
 
 def _gamma_least_squares(q, r, rt, mu):
     """Least-squares gamma_k from L_k(mu)|w_k> = gamma_k |w_{k+1}>,
-    with the per-site collinearity defect."""
-    N = len(q)
-    gam = np.zeros(N, dtype=complex)
-    coll = np.zeros(N)
-    u = np.roll(rt, 1)  # r~_{k-1}
-    for k in range(N):
-        wk = np.array([1.0, -mu * u[k]], dtype=complex)
-        wk1 = np.array([1.0, -mu * rt[k]], dtype=complex)
-        Lk = np.array([[mu, q[k]], [r[k], 1.0 / mu]], dtype=complex)
-        v = Lk @ wk
-        nv = np.linalg.norm(v)
-        if np.linalg.norm(wk1) < 1e-300 or nv < 1e-300:
-            raise BTError("degenerate kernel vector in spectrality")
-        g = np.vdot(wk1, v) / np.vdot(wk1, wk1)
-        gam[k] = g
-        coll[k] = float(np.linalg.norm(v - g * wk1) / nv)
+    with the per-site collinearity defect.
+
+    With |w_k> = (1, w0_k) and |w_{k+1}> = (1, w1_k) the projection has the
+    closed form gamma_k = (v0 + conj(w1) v1) / (1 + |w1|^2), where
+    (v0, v1) = L_k(mu)|w_k>.
+    """
+    w0 = -mu * np.roll(rt, 1)  # -mu r~_{k-1}
+    w1 = -mu * rt
+    v0 = mu + q * w0
+    v1 = r + (1.0 / mu) * w0
+    nv = np.hypot(np.abs(v0), np.abs(v1))
+    if np.any(nv < 1e-300):
+        raise BTError("degenerate kernel vector in spectrality")
+    gam = (v0 + np.conj(w1) * v1) / (1.0 + np.abs(w1) ** 2)
+    coll = np.hypot(np.abs(v0 - gam), np.abs(v1 - gam * w1)) / nv
     return gam, coll
 
 

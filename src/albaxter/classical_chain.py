@@ -13,6 +13,25 @@ The Poisson structure is ultralocal:
     {q_k, r_j} = (1 - q_k r_k) delta_kj,   {q, q} = {r, r} = 0,
 
 equivalent to the linear r-matrix relation {L (x) L} = [r, L (x) L].
+
+The checks run on one dense transfer kernel.  The monodromy is a
+(2, 2, 2N+1) complex array of Laurent coefficients (index e + N holds the
+coefficient of lam^e), built in N steps L_k M where multiplying by
+lam^(+-1) is an index shift.  Its coefficients are not pruned: they are
+sums of monomials with no cancellation, and their spread outgrows the
+1e-15 relative pruning of :class:`~albaxter.algebra.LaurentPoly` near
+N = 512, where that rule would zero H_0 and H_1.  The Laurent determinant
+does cancel down to one constant, so its products are pruned by that rule.
+Exact bracket gradients come from prefix and suffix products,
+
+    dL/dq_k = P_{>k} E12 P_{<k},   dL/dr_k = P_{>k} E21 P_{<k},
+
+with P_{<k} = L_{k-1} ... L_1 and P_{>k} = L_N ... L_{k+1}: numeric 2x2
+products at a spectral point for the r-matrix and trace-involution checks,
+dense Laurent arrays for brackets of the H_i.  `local_lax`, `monodromy`
+and the `observable_*` callables build the same objects over the generic
+LaurentPoly/MultiDual arithmetic; they are the small-N oracles the kernel
+is tested against, and `poisson_bracket` takes user-supplied observables.
 """
 
 from dataclasses import dataclass
@@ -144,12 +163,157 @@ def monodromy_matrix(state, lam):
                     dtype=complex).reshape(2, 2)
 
 
+def _prune(a):
+    """Zero, in place, the coefficients (last axis) below 1e-15 times the
+    largest of their polynomial, or below 1e-300: LaurentPoly's rule."""
+    mag = np.abs(a)
+    top = mag.max(axis=-1, keepdims=True)
+    a[(mag < 1e-15 * top) | (mag <= 1e-300)] = 0.0
+    return a
+
+
+def _lax_left(M, qk, rk):
+    """L_k M for a dense (2, 2, 2N+1) monodromy factor; the lam and 1/lam
+    diagonal of L_k shift row 0 up and row 1 down one power."""
+    out = np.zeros_like(M)
+    out[0, :, 1:] = M[0, :, :-1]
+    out[1, :, :-1] = M[1, :, 1:]
+    out[0] += qk * M[1]
+    out[1] += rk * M[0]
+    return out
+
+
+def _lax_right(M, qk, rk):
+    """M L_k for a dense (2, 2, 2N+1) monodromy factor; the diagonal of
+    L_k shifts column 0 up and column 1 down one power."""
+    out = np.zeros_like(M)
+    out[:, 0, 1:] = M[:, 0, :-1]
+    out[:, 1, :-1] = M[:, 1, 1:]
+    out[:, 0] += rk * M[:, 1]
+    out[:, 1] += qk * M[:, 0]
+    return out
+
+
+def _dense_identity(N):
+    M = np.zeros((2, 2, 2 * N + 1), dtype=complex)
+    M[0, 0, N] = M[1, 1, N] = 1.0
+    return M
+
+
+def dense_monodromy(state):
+    """Monodromy L_N ... L_1 as a (2, 2, 2N+1) complex array of Laurent
+    coefficients; index e + N holds the coefficient of lam^e."""
+    M = _dense_identity(state.N)
+    for qk, rk in zip(state.q, state.r):
+        M = _lax_left(M, qk, rk)
+    return M
+
+
 def conserved_quantities(state):
+    """H_0..H_N, the coefficients of lam^(N-2i) in the trace of the dense
+    monodromy, and det L = prod_k (1 - q_k r_k)."""
     N = state.N
-    tr = monodromy(state).trace()
-    H = np.array([tr.coeff(N - 2 * i) for i in range(N + 1)], dtype=complex)
+    M = dense_monodromy(state)
+    tr = M[0, 0] + M[1, 1]
     det = complex(np.prod(1.0 - state.q * state.r))
-    return ConservedSet(H=H, det=det)
+    return ConservedSet(H=tr[2 * N::-2], det=det)
+
+
+def monodromy_det_eval(state, lam):
+    """Laurent determinant of the dense monodromy, evaluated at lam.
+
+    Exactly, the result is prod_k (1 - q_k r_k): every other coefficient
+    cancels.  The products M11 M22 and M12 M21 and their difference are
+    pruned like LaurentPoly arithmetic, which removes most of that
+    cancellation's roundoff before the powers of lam amplify it.
+    """
+    N = state.N
+    M = dense_monodromy(state)
+    det = _prune(_prune(np.convolve(M[0, 0], M[1, 1]))
+                 - _prune(np.convolve(M[0, 1], M[1, 0])))
+    return complex(np.sum(det * lam ** np.arange(-2 * N, 2 * N + 1,
+                                                 dtype=float)))
+
+
+def _bracket(fq, fr, gq, gr, w):
+    """sum_k (df/dq_k dg/dr_k - df/dr_k dg/dq_k)(1 - q_k r_k), last axis."""
+    return np.sum((fq * gr - fr * gq) * w, axis=-1)
+
+
+def _entry_gradients(state, lams):
+    """Exact gradients dL/dq, dL/dr of the monodromy entries at each point
+    of lams, shape (n, 2, 2, N), from dL/dq_k = P_{>k} E12 P_{<k} and
+    dL/dr_k = P_{>k} E21 P_{<k}.
+    """
+    q, r = state.q, state.r
+    N = state.N
+    lams = np.asarray(lams, dtype=complex)
+    L = np.empty((N, lams.size, 2, 2), dtype=complex)
+    L[..., 0, 0] = lams
+    L[..., 0, 1] = q[:, None]
+    L[..., 1, 0] = r[:, None]
+    L[..., 1, 1] = 1.0 / lams
+    pre = np.empty((N + 1, lams.size, 2, 2), dtype=complex)
+    suf = np.empty_like(pre)
+    pre[0] = suf[N] = np.eye(2)
+    for k in range(N):  # pre[k] = L_k ... L_1, suf[k] = L_N ... L_{k+1}
+        pre[k + 1] = L[k] @ pre[k]
+        suf[N - 1 - k] = suf[N - k] @ L[N - 1 - k]
+    S, P = suf[1:], pre[:-1]  # P_{>k}, P_{<k} for sites k = 1..N
+    # (S E12 P)_ab = S_a0 P_1b and (S E21 P)_ab = S_a1 P_0b
+    dq = np.einsum("kna,knb->nabk", S[..., :, 0], P[..., 1, :])
+    dr = np.einsum("kna,knb->nabk", S[..., :, 1], P[..., 0, :])
+    return dq, dr
+
+
+def trace_bracket(state, lam, nu):
+    """{Tr L(lam), Tr L(nu)} from exact prefix/suffix gradients."""
+    dq, dr = _entry_gradients(state, (lam, nu))
+    tq = dq[:, 0, 0] + dq[:, 1, 1]
+    tr = dr[:, 0, 0] + dr[:, 1, 1]
+    w = 1.0 - state.q * state.r
+    return complex(_bracket(tq[0], tr[0], tq[1], tr[1], w))
+
+
+def _coeff_of_product(A, B, e):
+    """Coefficient of lam^e in A(lam) B(lam) for dense Laurent arrays of
+    length 2N+1 (last axis), batched over the leading axes."""
+    n2 = A.shape[-1] - 1
+    lo, hi = max(e, 0), min(e, 0) + n2 + 1
+    return np.sum(A[..., lo:hi] * B[..., lo:hi][..., ::-1], axis=-1)
+
+
+def conserved_gradients(state, i):
+    """Exact (dH_i/dq, dH_i/dr) from dense prefix/suffix products: the
+    coefficient of lam^(N-2i) in Tr(P_{>k} E12 P_{<k}) and with E21."""
+    if not 0 <= i <= state.N:
+        raise IndexError(f"H_{i} out of range 0..{state.N}")
+    q, r = state.q, state.r
+    N = state.N
+    pre = np.empty((N + 1, 2, 2, 2 * N + 1), dtype=complex)
+    suf = np.empty_like(pre)
+    pre[0] = suf[N] = _dense_identity(N)
+    for k in range(N):
+        pre[k + 1] = _lax_left(pre[k], q[k], r[k])
+        suf[N - 1 - k] = _lax_right(suf[N - k], q[N - 1 - k], r[N - 1 - k])
+    S, P = suf[1:], pre[:-1]
+    e = N - 2 * i
+    # Tr(S E12 P) = sum_a S_a0 P_1a and Tr(S E21 P) = sum_a S_a1 P_0a
+    dq = sum(_coeff_of_product(S[:, a, 0], P[:, 1, a], e) for a in (0, 1))
+    dr = sum(_coeff_of_product(S[:, a, 1], P[:, 0, a], e) for a in (0, 1))
+    return dq, dr
+
+
+def conserved_det_bracket(state, i):
+    """{H_i, det L} with exact gradients; d det/dq_k = -r_k prod_{j!=k} w_j
+    and d det/dr_k = -q_k prod_{j!=k} w_j, where w_j = 1 - q_j r_j."""
+    hq, hr = conserved_gradients(state, i)
+    w = 1.0 - state.q * state.r
+    # prod_{j != k} w_j as exclusive prefix times exclusive suffix products
+    before = np.concatenate(([1.0], np.cumprod(w[:-1])))
+    after = np.concatenate((np.cumprod(w[:0:-1])[::-1], [1.0]))
+    excl = before * after
+    return complex(_bracket(hq, hr, -state.r * excl, -state.q * excl, w))
 
 
 def eom_rhs(state):
@@ -203,7 +367,7 @@ def poisson_bracket(f, g, state):
     fp = fd.partials if isinstance(fd, MultiDual) else np.zeros(nv)
     gp = gd.partials if isinstance(gd, MultiDual) else np.zeros(nv)
     w = 1.0 - state.q * state.r
-    return complex(np.sum((fp[:N] * gp[N:] - fp[N:] * gp[:N]) * w))
+    return complex(_bracket(fp[:N], fp[N:], gp[:N], gp[N:], w))
 
 
 def observable_entry(i, j, lam):
@@ -254,42 +418,26 @@ def classical_rmatrix(lam, nu):
     ], dtype=complex)
 
 
-def rmatrix_relation_residual(state, lam, nu):
-    """Max-entry residual of {L(lam) (x) L(nu)} = [r, L(lam) (x) L(nu)].
-
-    The left side is the 4x4 of Poisson brackets between monodromy entries,
-    computed with exact MultiDual gradients; Kronecker indexing follows
-    T_{ab,gd} = A_{ab} B_{gd}.
+def entry_brackets(state, lam, nu):
+    """The 4x4 {L(lam) (x) L(nu)} of Poisson brackets between monodromy
+    entries, from exact prefix/suffix gradients; Kronecker indexing follows
+    T_{ab,gd} = {L(lam)_ab, L(nu)_gd}.
     """
+    dq, dr = _entry_gradients(state, (lam, nu))
+    w = 1.0 - state.q * state.r
+    # br[a, b, g, d] = {L(lam)_ab, L(nu)_gd}
+    br = _bracket(dq[0][:, :, None, None], dr[0][:, :, None, None],
+                  dq[1][None, None], dr[1][None, None], w)
+    return br.transpose(0, 2, 1, 3).reshape(4, 4)
+
+
+def rmatrix_relation_residual(state, lam, nu):
+    """Max-entry residual of {L(lam) (x) L(nu)} = [r, L(lam) (x) L(nu)],
+    with the left side from :func:`entry_brackets`."""
     if lam == 0 or nu == 0 or abs(lam**2 - nu**2) == 0:
         raise ZeroDivisionError("singular spectral parameters")
-    N = state.N
-    nv = 2 * N
-    qd = seed_duals(state.q, 0, nv)
-    rd = seed_duals(state.r, N, nv)
-    Ml = monodromy_entries(qd, rd, lam)
-    Mn = monodromy_entries(qd, rd, nu)
-    w = 1.0 - state.q * state.r
-
-    zero = np.zeros(nv, dtype=complex)
-
-    def parts(e):
-        # N=1 monodromy entries can be plain scalars (no dual content)
-        return e.partials if isinstance(e, MultiDual) else zero
-
-    lhs = np.zeros((4, 4), dtype=complex)
-    for a in range(4):          # a encodes (i, j) of L(lam)
-        for b in range(4):      # b encodes (k, l) of L(nu)
-            p1, p2 = parts(Ml[a]), parts(Mn[b])
-            br = np.sum((p1[:N] * p2[N:] - p1[N:] * p2[:N]) * w)
-            i, j = divmod(a, 2)
-            k, l = divmod(b, 2)
-            lhs[2 * i + k, 2 * j + l] = br
-
-    val = lambda e: e.value if isinstance(e, MultiDual) else complex(e)
-    Mlv = np.array([val(e) for e in Ml]).reshape(2, 2)
-    Mnv = np.array([val(e) for e in Mn]).reshape(2, 2)
-    K = np.kron(Mlv, Mnv)
+    lhs = entry_brackets(state, lam, nu)
+    K = np.kron(monodromy_matrix(state, lam), monodromy_matrix(state, nu))
     rmat = classical_rmatrix(lam, nu)
     rhs = rmat @ K - K @ rmat
     return float(np.abs(lhs - rhs).max())

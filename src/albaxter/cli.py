@@ -7,16 +7,13 @@ Subcommands:
   kernel                                           Baxter kernel grid CSV
 
 Exit status: 0 all checks pass, 1 check failure, 2 configuration error.
-Reports are JSON with a versioned schema; numeric tables are CSV.  The
-environment variable AL_BAXTER_THREADS caps sweep concurrency.
+Reports are JSON with a versioned schema; numeric tables are CSV.
 """
 
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -174,13 +171,8 @@ def cmd_bt(args):
         lo, hi, steps = args.sweep
         mus = list(np.linspace(lo, hi, int(steps)))
 
-    threads = int(os.environ.get("AL_BAXTER_THREADS", "1") or 1)
     try:
-        if threads > 1 and len(mus) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                recs = list(pool.map(lambda m: _bt_record(state, m, cfg), mus))
-        else:
-            recs = [_bt_record(state, m, cfg) for m in mus]
+        recs = [_bt_record(state, m, cfg) for m in mus]
     except backlund.BTError as exc:
         print(f"error: Backlund solve failed: {exc}", file=sys.stderr)
         return 1

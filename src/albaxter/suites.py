@@ -55,8 +55,7 @@ def suite_classical(cfg, rng):
 
     def involution():
         lam, nu = _sample_spectral_pair(rng)
-        return abs(chain.poisson_bracket(chain.observable_trace(lam),
-                                         chain.observable_trace(nu), state))
+        return abs(chain.trace_bracket(state, lam, nu))
 
     _timed(records, "classical.trace_involution", {"N": N}, 1e-10, involution)
 
@@ -70,8 +69,7 @@ def suite_classical(cfg, rng):
     _timed(records, "classical.bracket_weight", {"N": N}, 1e-13, bracket_basic)
 
     def h_det_involution():
-        return abs(chain.poisson_bracket(chain.observable_conserved(1),
-                                         chain.observable_det, state))
+        return abs(chain.conserved_det_bracket(state, 1))
 
     _timed(records, "classical.conserved_involution", {"N": N}, 1e-10,
            h_det_involution)
@@ -86,8 +84,7 @@ def suite_classical(cfg, rng):
 
     def det_vs_eval():
         cons = chain.conserved_quantities(state)
-        M = chain.monodromy(state)
-        return abs(M.det().eval(1.7) - cons.det)
+        return abs(chain.monodromy_det_eval(state, 1.7) - cons.det)
 
     _timed(records, "classical.monodromy_det", {"N": N}, 1e-12, det_vs_eval)
 

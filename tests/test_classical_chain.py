@@ -5,10 +5,14 @@ import pytest
 
 from albaxter import classical_chain as chain
 from albaxter.classical_chain import (ChainState, DegenerateStateError,
-                                      classical_rmatrix, conserved_quantities,
-                                      eom_rhs, local_lax, monodromy,
+                                      classical_rmatrix, conserved_det_bracket,
+                                      conserved_gradients,
+                                      conserved_quantities, dense_monodromy,
+                                      entry_brackets, eom_rhs, local_lax,
+                                      monodromy, monodromy_det_eval,
                                       monodromy_matrix, poisson_bracket,
-                                      rk4_step, rmatrix_relation_residual)
+                                      rk4_step, rmatrix_relation_residual,
+                                      trace_bracket)
 
 N2_STATE = ChainState(np.array([0.2, 0.1]), np.array([0.3, -0.4]))
 
@@ -83,6 +87,125 @@ class TestConserved:
         for shift in range(1, 5):
             rolled = ChainState(np.roll(st.q, shift), np.roll(st.r, shift))
             assert np.abs(conserved_quantities(rolled).H - H).max() < 1e-12
+
+
+def _relative(got, want):
+    return abs(got - want) / max(abs(want), 1.0)
+
+
+KERNEL_SIZES = (1, 2, 3, 5, 8)
+
+
+class TestDenseKernel:
+    """The dense transfer kernel against the LaurentPoly/MultiDual oracles."""
+
+    @pytest.mark.parametrize("N", KERNEL_SIZES)
+    def test_monodromy_coefficients(self, N):
+        st = ChainState.random(N, np.random.default_rng(60 + N))
+        dense = dense_monodromy(st)
+        oracle = monodromy(st)
+        for (i, j), poly in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
+                                (oracle.a11, oracle.a12, oracle.a21,
+                                 oracle.a22)):
+            want = np.zeros(2 * N + 1, dtype=complex)
+            for e, c in poly.coeffs.items():
+                want[e + N] = c
+            assert np.abs(dense[i, j] - want).max() < 1e-14 * max(
+                np.abs(want).max(), 1.0)
+
+    @pytest.mark.parametrize("N", KERNEL_SIZES)
+    def test_conserved_against_laurent_trace(self, N):
+        st = ChainState.random(N, np.random.default_rng(70 + N))
+        tr = monodromy(st).trace()
+        want = np.array([tr.coeff(N - 2 * i) for i in range(N + 1)])
+        H = conserved_quantities(st).H
+        assert H.shape == (N + 1,)
+        assert np.abs(H - want).max() < 1e-14 * max(np.abs(want).max(), 1.0)
+
+    def test_conserved_zero_state(self):
+        H = conserved_quantities(ChainState.zeros(6)).H
+        assert np.array_equal(H, [1, 0, 0, 0, 0, 0, 1])
+
+    def test_h1_closed_form_large_chain(self):
+        # H_1 = sum_k r_k q_{k+1} (cyclic), at a size the LaurentPoly
+        # path could not reach in reasonable time
+        st = ChainState.random(512, np.random.default_rng(80))
+        cons = conserved_quantities(st)
+        want = np.sum(st.r * np.roll(st.q, -1))
+        assert _relative(cons.H[1], want) < 1e-12
+        assert cons.H[0] == 1.0 and cons.H[512] == 1.0
+
+    def test_det_eval_against_laurent_det(self):
+        for N in KERNEL_SIZES:
+            st = ChainState.random(N, np.random.default_rng(90 + N))
+            want = monodromy(st).det().eval(1.7)
+            assert _relative(monodromy_det_eval(st, 1.7), want) < 1e-13
+            assert _relative(monodromy_det_eval(st, 1.7),
+                             np.prod(1 - st.q * st.r)) < 1e-12
+
+    @pytest.mark.parametrize("N", (1, 2, 3, 4, 6))
+    def test_trace_bracket_against_multidual(self, N):
+        rng = np.random.default_rng(100 + N)
+        st = ChainState.random(N, rng)
+        lam, nu = 1.3 + 0.2j, 0.7 - 0.5j
+        want = poisson_bracket(chain.observable_trace(lam),
+                               chain.observable_trace(nu), st)
+        got = trace_bracket(st, lam, nu)
+        # the bracket vanishes; compare on the scale of its gradient terms
+        scale = max(np.abs(monodromy_matrix(st, lam)).max()
+                    * np.abs(monodromy_matrix(st, nu)).max(), 1.0)
+        assert abs(got - want) < 1e-13 * scale
+
+    @pytest.mark.parametrize("N", (1, 2, 3, 4, 6))
+    def test_conserved_det_bracket_against_multidual(self, N):
+        st = ChainState.random(N, np.random.default_rng(110 + N))
+        for i in range(N + 1):
+            want = poisson_bracket(chain.observable_conserved(i),
+                                   chain.observable_det, st)
+            assert abs(conserved_det_bracket(st, i) - want) < 1e-13
+
+    @pytest.mark.parametrize("N", (1, 2, 3, 4, 6))
+    def test_conserved_gradients_against_multidual(self, N):
+        # {H_i, r_k} = dH_i/dq_k w_k and {q_k, H_i} = dH_i/dr_k w_k
+        st = ChainState.random(N, np.random.default_rng(140 + N))
+        w = 1 - st.q * st.r
+        for i in range(N + 1):
+            hq, hr = conserved_gradients(st, i)
+            h = chain.observable_conserved(i)
+            for k in range(N):
+                want_q = poisson_bracket(h, lambda q, r: r[k], st) / w[k]
+                want_r = poisson_bracket(lambda q, r: q[k], h, st) / w[k]
+                assert abs(hq[k] - want_q) < 1e-13
+                assert abs(hr[k] - want_r) < 1e-13
+
+    def test_h1_gradients_closed_form(self):
+        # H_1 = sum_k r_k q_{k+1}: dH_1/dq_k = r_{k-1}, dH_1/dr_k = q_{k+1}
+        st = ChainState.random(64, np.random.default_rng(150))
+        hq, hr = conserved_gradients(st, 1)
+        assert np.abs(hq - np.roll(st.r, 1)).max() < 1e-14
+        assert np.abs(hr - np.roll(st.q, -1)).max() < 1e-14
+
+    def test_conserved_index_range(self):
+        with pytest.raises(IndexError):
+            conserved_det_bracket(N2_STATE, 3)
+        with pytest.raises(IndexError):
+            conserved_gradients(N2_STATE, -1)
+
+    @pytest.mark.parametrize("N", (1, 2, 3, 4, 6))
+    def test_entry_brackets_against_multidual(self, N):
+        st = ChainState.random(N, np.random.default_rng(130 + N))
+        lam, nu = 1.4 - 0.3j, -0.6 + 0.9j
+        got = entry_brackets(st, lam, nu)
+        want = np.zeros((4, 4), dtype=complex)
+        for a in range(4):
+            for b in range(4):
+                i, j = divmod(a, 2)
+                k, l = divmod(b, 2)
+                want[2 * i + k, 2 * j + l] = poisson_bracket(
+                    chain.observable_entry(i + 1, j + 1, lam),
+                    chain.observable_entry(k + 1, l + 1, nu), st)
+        assert np.abs(got - want).max() < 1e-13 * max(np.abs(want).max(),
+                                                       1.0)
 
 
 class TestEquationsOfMotion:
