@@ -60,7 +60,6 @@ from .fock import (
     OperatorMonodromy,
     bethe_state,
     eigen_residual,
-    operator_monodromy,
     quantum_determinant,
     quantum_rmatrix,
     rll_residual,
@@ -77,9 +76,6 @@ from .bethe import (
     transfer_eigenvalue,
 )
 from .funspace import (
-    FuncExpr,
-    OpExpr,
-    apply_opexpr,
     baxter_action_residual,
     rho_product,
     triangular_check,

@@ -285,24 +285,3 @@ def baxter_qdiff_residual(cfg, nu_samples):
                   - delta * nu ** (-N) * ph(nu * sa))
         worst = max(worst, float(r18), float(r19))
     return worst
-
-
-def semiclassical_branches(cfg, mu):
-    """The two branch values whose sum reproduces t(mu):
-
-        b+ = delta mu^N psi(mu/sa)/psi(mu),  b- = mu^-N psi(mu sa)/psi(mu).
-
-    Their product over mu^N mu^-N carries delta = alpha^m, mirroring the
-    classical two-branch trace representation.
-    """
-    qp = cfg.qp
-    sa = qp.sqrt_alpha
-    delta = qp.alpha ** cfg.m
-    psi_c = psi_poly(cfg)
-    psi = lambda z: npoly.polyval(z**2, psi_c)
-    p0 = psi(mu)
-    if abs(p0) < 1e-12:
-        raise ZeroDivisionError("mu collides with a Bethe root")
-    bplus = delta * mu**cfg.N * psi(mu / sa) / p0
-    bminus = mu ** (-cfg.N) * psi(mu * sa) / p0
-    return bplus, bminus

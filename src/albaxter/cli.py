@@ -75,7 +75,6 @@ def _config_from_args(args):
     raw = cfg.to_dict()
     raw.pop("tolerances")
     raw["newton_tol"] = cfg.newton_tol
-    raw["residual_tol"] = cfg.residual_tol
     for key, val in overrides.items():
         if val is not None:
             raw[key] = val

@@ -123,11 +123,6 @@ class OperatorMonodromy:
         return {n: self.entry_at(n, lam) for n in "ABCD"}
 
 
-def operator_monodromy(rep):
-    """Ordered operator product L_N ... L_1 (cached on the representation)."""
-    return rep.monodromy()
-
-
 def restricted_max(M, col_mask):
     """Max matrix-element magnitude over the allowed input columns."""
     sub = M.tocsc()[:, np.nonzero(col_mask)[0]]

@@ -10,8 +10,8 @@ i.e. (1 - alpha) times the Jackson derivative
 
     D_k f = (f(..., alpha r_k, ...) - f(r)) / (alpha r_k - r_k).
 
-Functions are passed in as callables on a coordinate array; anything
-evaluable works (see funspace.FuncExpr for a structured carrier).
+Functions are passed in as callables on a coordinate array (see
+funspace.rho_product for the product kernels of the Baxter equation).
 """
 
 from dataclasses import dataclass, field

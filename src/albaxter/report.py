@@ -29,7 +29,6 @@ class RunConfig:
     n_max: int = 5
     seed: int = 7
     newton_tol: float = 1e-12
-    residual_tol: float = 1e-10
     sample_counts: int = 16
     output_path: str | None = None
     format: str = "json"
@@ -45,8 +44,8 @@ class RunConfig:
             raise ConfigError("mu must be nonzero")
         if self.n_max < 1:
             raise ConfigError("n_max must be >= 1")
-        if self.newton_tol <= 0 or self.residual_tol <= 0:
-            raise ConfigError("tolerances must be positive")
+        if self.newton_tol <= 0:
+            raise ConfigError("tolerances.newton must be positive")
         if self.format not in ("json", "csv"):
             raise ConfigError("format must be 'json' or 'csv'")
 
@@ -71,12 +70,13 @@ class RunConfig:
             kw["mu"] = float(raw["mu"])
         tol = raw.get("tolerances", {})
         if tol:
-            if not isinstance(tol, dict) or set(tol) - {"newton", "residual"}:
-                raise ConfigError("tolerances must be {newton, residual}")
+            if not isinstance(tol, dict):
+                raise ConfigError("tolerances must be {newton}")
+            unknown = sorted(f"tolerances.{k}" for k in set(tol) - {"newton"})
+            if unknown:
+                raise ConfigError(f"unknown config fields: {unknown}")
             if "newton" in tol:
                 kw["newton_tol"] = float(tol["newton"])
-            if "residual" in tol:
-                kw["residual_tol"] = float(tol["residual"])
         if "output_path" in raw:
             kw["output_path"] = raw["output_path"]
         if "format" in raw:
@@ -97,8 +97,7 @@ class RunConfig:
 
     def to_dict(self):
         d = asdict(self)
-        d["tolerances"] = {"newton": d.pop("newton_tol"),
-                           "residual": d.pop("residual_tol")}
+        d["tolerances"] = {"newton": d.pop("newton_tol")}
         return d
 
 
