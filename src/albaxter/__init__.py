@@ -57,7 +57,6 @@ from .qcalc import (
 )
 from .fock import (
     FockRep,
-    OperatorMonodromy,
     bethe_state,
     eigen_residual,
     quantum_determinant,

@@ -3,14 +3,12 @@ and forward-mode multi-derivative numbers.
 
 Everything here is immutable after construction and safe to share between
 threads.  The Laurent/matrix classes are generic over their entry ring:
-plain complex numbers, :class:`MultiDual`, and scipy sparse matrices
-(``csr_matrix``, whose ``*`` is the matrix product) all work.
+plain complex numbers and :class:`MultiDual`.
 
-Users: `fock` builds the quantum monodromy as LaurentPoly entries with csr
-coefficients, and `classical_chain.poisson_bracket` differentiates
-user-supplied observables with MultiDual.  The classical checks run on the
-dense transfer kernel of `classical_chain`; its `local_lax`, `monodromy`
-and `observable_*` build the same objects over these generic classes as
+Users: `classical_chain.poisson_bracket` differentiates user-supplied
+observables with MultiDual.  The classical checks run on the dense
+transfer kernel of `classical_chain`; its `local_lax`, `monodromy` and
+`observable_*` build the same objects over these generic classes as
 small-N oracles for that kernel.
 """
 
@@ -30,10 +28,6 @@ def _magnitude(c):
         return abs(c)
     if isinstance(c, MultiDual):
         return c.magnitude()
-    # scipy sparse matrices
-    nnz = getattr(c, "nnz", None)
-    if nnz is not None:
-        return float(np.abs(c.data).max()) if nnz else 0.0
     return float(abs(c))
 
 
@@ -43,8 +37,8 @@ class LaurentPoly:
     Coefficients live in ``coeffs``, a dict mapping integer exponent to a
     ring element.  Addition and multiplication are exact in the exponents;
     scalar coefficients smaller than 1e-15 times the largest one are pruned
-    after arithmetic (non-scalar coefficients are pruned only when exactly
-    zero, so operator-valued polynomials never lose structure).
+    after arithmetic (MultiDual coefficients only when their magnitude is
+    below 1e-300, so their partials are never dropped).
     """
 
     __slots__ = ("coeffs",)
@@ -114,7 +108,7 @@ class LaurentPoly:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                prod = c1 * c2  # ring product; order matters for operators
+                prod = c1 * c2
                 out[e] = out[e] + prod if e in out else prod
         return LaurentPoly(out)
 
@@ -150,11 +144,8 @@ def laurent_eval(p, lam):
 
 
 class Mat2:
-    """2x2 matrix over an arbitrary ring.
-
-    Entry products are taken strictly left-to-right, so operator-valued
-    entries compose in the correct order.
-    """
+    """2x2 matrix over a commutative ring: complex numbers, MultiDual, or
+    LaurentPoly over either."""
 
     __slots__ = ("a11", "a12", "a21", "a22")
 
@@ -187,14 +178,7 @@ class Mat2:
         return self.a11 + self.a22
 
     def det(self):
-        # valid when the entry ring is commutative
         return self.a11 * self.a22 - self.a12 * self.a21
-
-    def map(self, fn):
-        return Mat2(fn(self.a11), fn(self.a12), fn(self.a21), fn(self.a22))
-
-    def entries(self):
-        return ((self.a11, self.a12), (self.a21, self.a22))
 
     def __repr__(self):
         return f"Mat2({self.a11!r}, {self.a12!r}, {self.a21!r}, {self.a22!r})"
@@ -224,10 +208,6 @@ class MultiDual:
         p = np.zeros(nvars, dtype=complex)
         p[index] = 1.0
         return cls(value, p)
-
-    @classmethod
-    def constant(cls, value, nvars):
-        return cls(value, np.zeros(nvars, dtype=complex))
 
     def magnitude(self):
         pm = float(np.abs(self.partials).max()) if self.partials.size else 0.0

@@ -217,14 +217,14 @@ def intertwining_residual(bt, lam):
     q, r = bt.source.q, bt.source.r
     qt, rt = bt.target.q, bt.target.r
     N = bt.source.N
-    worst = 0.0
+    res = []
     for k in range(N):
         Lk = np.array([[lam, q[k]], [r[k], 1.0 / lam]], dtype=complex)
         Ltk = np.array([[lam, qt[k]], [rt[k], 1.0 / lam]], dtype=complex)
         Dk = dressing_matrix(bt, k + 1, lam)
         Dk1 = dressing_matrix(bt, (k + 1) % N + 1, lam)
-        worst = max(worst, float(np.abs(Ltk @ Dk - Dk1 @ Lk).max()))
-    return worst
+        res.append(np.abs(Ltk @ Dk - Dk1 @ Lk).max())
+    return float(np.max(res, initial=0.0))  # a NaN is returned, not skipped
 
 
 def _gamma_least_squares(q, r, rt, mu):
@@ -370,27 +370,27 @@ def generating_function_check(bt, step=1e-6, rel_tol=1e-11, base_nodes=20):
     def F(rv, rtv, muv):
         return _generating_function_raw(rv, rtv, muv, rel_tol, base_nodes)
 
-    res_rt = 0.0
+    res_rt = []
     for k in range(N):
         hi, lo = rt.copy(), rt.copy()
         hi[k] += step
         lo[k] -= step
         grad = (F(r, hi, mu) - F(r, lo, mu)) / (2 * step)
-        res_rt = max(res_rt, abs(grad - np.log(1.0 - qt[k] * rt[k]) / rt[k]))
+        res_rt.append(abs(grad - np.log(1.0 - qt[k] * rt[k]) / rt[k]))
 
-    res_r = 0.0
+    res_r = []
     for k in range(N):
         hi, lo = r.copy(), r.copy()
         hi[k] += step
         lo[k] -= step
         grad = (F(hi, rt, mu) - F(lo, rt, mu)) / (2 * step)
-        res_r = max(res_r, abs(grad + np.log(1.0 - q[k] * r[k]) / r[k]))
+        res_r.append(abs(grad + np.log(1.0 - q[k] * r[k]) / r[k]))
 
     dmu = (F(r, rt, mu + step) - F(r, rt, mu - step)) / (2 * step)
     res_phi = abs(dmu - conjugate_flow_variable(bt).real)
 
-    return {"grad_residual_rtilde": res_rt,
-            "grad_residual_r": res_r,
+    return {"grad_residual_rtilde": float(np.max(res_rt, initial=0.0)),
+            "grad_residual_r": float(np.max(res_r, initial=0.0)),
             "phi_residual": res_phi}
 
 

@@ -273,7 +273,7 @@ def baxter_qdiff_residual(cfg, nu_samples):
     def psi(nu):
         return npoly.polyval(nu**2, psi_c)
 
-    worst = 0.0
+    res = []
     for nu in np.atleast_1d(nu_samples):
         if nu == 0:
             raise ValueError("nu samples must be nonzero")
@@ -283,5 +283,5 @@ def baxter_qdiff_residual(cfg, nu_samples):
         ph = lambda z: psi(z) * z ** (-2 * m)
         r19 = abs(t * ph(nu) - nu**N * ph(nu / sa)
                   - delta * nu ** (-N) * ph(nu * sa))
-        worst = max(worst, float(r18), float(r19))
-    return worst
+        res += [r18, r19]
+    return float(np.max(res, initial=0.0))  # a NaN is returned, not skipped

@@ -7,10 +7,18 @@ Site operators on the occupation basis |n_1 ... n_N>, 0 <= n_k <= n_max:
 
 On states with headroom below the cutoff this realizes the algebra
 [q_j, r_k] = eta (1 - q_j r_j) delta_jk exactly (the coefficients solve the
-recursion c_{n+1} = alpha (eta + c_n), c_0 = 0).  The truncation edge breaks
-the algebra, so every operator-identity residual here is restricted to input
-columns whose occupations leave enough headroom for the raisings the
-identity performs; each check documents its headroom.
+recursion c_{n+1} = alpha (eta + c_n), c_0 = 0).  The Lax operator of site k
+acts on C^2 (x) H as L_k(lam) = diag(lam, 1/lam) (x) I + Q_k with
+Q_k = [[0, q_k], [r_k, 0]], and every check reads the monodromy
+T(lam) = L_N(lam) ... L_1(lam) = [[A, B], [C, D]] at numeric points only:
+as a sweep diag * X + Q_k @ X over the sites on a stacked vector or column
+block X (C(lam) phi is the lower half of T(lam) [phi; 0]), or as the
+product of the N sparse L_k(lam) where operator products are needed.
+
+The truncation edge breaks the algebra, so every operator-identity residual
+is the largest entry of the identity applied to a selector of the input
+columns whose occupations leave headroom for the raisings it performs,
+X (Y P) rather than (X Y) P; each check documents its headroom.
 """
 
 from dataclasses import dataclass
@@ -18,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .algebra import LaurentPoly, Mat2
 from .bethe import transfer_eigenvalue_roots
 from .qcalc import QParam
 
@@ -28,14 +35,14 @@ DIM_CAP = 200_000
 class FockRep:
     """Multi-site truncated q-boson representation; immutable."""
 
-    def __init__(self, N, n_max, qp, dim_cap=DIM_CAP):
+    def __init__(self, N, n_max, qp):
         if N < 1 or n_max < 1:
             raise ValueError("need N >= 1 and n_max >= 1")
         if not isinstance(qp, QParam):
             qp = QParam(qp)
         dim = (n_max + 1) ** N
-        if dim > dim_cap:
-            raise ValueError(f"basis size {dim} exceeds cap {dim_cap}")
+        if dim > DIM_CAP:
+            raise ValueError(f"basis size {dim} exceeds cap {DIM_CAP}")
         self.N = N
         self.n_max = n_max
         self.qp = qp
@@ -63,7 +70,21 @@ class FockRep:
             self.q_ops.append(sparse.csr_matrix(
                 (data, (dn - stride, dn)), shape=(dim, dim), dtype=complex))
         self.identity = sparse.identity(dim, dtype=complex, format="csr")
-        self._monodromy = None
+
+        # Q_k is stored on the sparsity pattern of L_k, with explicit zeros
+        # in the diagonal slots, so L_k(lam) is Q_k with diag(lam, 1/lam)
+        # written into those slots: one csr build per site and point.
+        self.lax_offdiag = []
+        self._diag_slots = []
+        eye2 = sparse.identity(2 * dim, dtype=complex, format="csr")
+        rows = np.arange(2 * dim)
+        for q, r in zip(self.q_ops, self.r_ops):
+            Q = (eye2 + sparse.bmat([[None, q], [r, None]])).tocsr()
+            Q.sort_indices()
+            slots = np.flatnonzero(Q.indices == np.repeat(rows, np.diff(Q.indptr)))
+            Q.data[slots] = 0.0
+            self.lax_offdiag.append(Q)
+            self._diag_slots.append(slots)
 
     def vacuum(self):
         v = np.zeros(self.dim, dtype=complex)
@@ -77,50 +98,37 @@ class FockRep:
         """Mask of basis states with n_k <= n_max - headroom at every site."""
         return (self.occupations <= self.n_max - headroom).all(axis=1)
 
-    def local_lax(self, k):
-        """L_k with operator entries, as a Laurent polynomial 2x2."""
-        return Mat2(LaurentPoly({1: self.identity}),
-                    LaurentPoly({0: self.q_ops[k - 1]}),
-                    LaurentPoly({0: self.r_ops[k - 1]}),
-                    LaurentPoly({-1: self.identity}))
+    def transfer(self, lam, X=None):
+        """L_N(lam) ... L_1(lam) X on C^2 (x) H.
 
-    def monodromy(self):
-        if self._monodromy is None:
-            M = None
-            for k in range(1, self.N + 1):
-                Lk = self.local_lax(k)
-                M = Lk if M is None else Lk @ M
-            self._monodromy = OperatorMonodromy(rep=self, A=M.a11, B=M.a12,
-                                                C=M.a21, D=M.a22)
-        return self._monodromy
+        X is a dense stacked vector or column block of height 2 dim, swept
+        site by site as diag * X + Q_k @ X; with X=None the monodromy
+        operator itself is returned as a (2 dim) x (2 dim) csr matrix.
+        """
+        if lam == 0:
+            raise ValueError("lam must be nonzero")
+        d = np.repeat(np.array([lam, 1.0 / lam], dtype=complex), self.dim)
+        if X is None:
+            T = None
+            for Q, slots in zip(self.lax_offdiag, self._diag_slots):
+                L = Q.copy()
+                L.data[slots] = d
+                T = L if T is None else L @ T
+            return T
+        X = np.asarray(X, dtype=complex)
+        if X.ndim == 2:
+            d = d[:, None]
+        for Q in self.lax_offdiag:
+            X = d * X + Q @ X
+        return X
 
-
-@dataclass(frozen=True)
-class OperatorMonodromy:
-    """Entries of L(lam) = [[A, B], [C, D]] as Laurent polynomials whose
-    coefficients are sparse operators.  A and D preserve total occupation,
-    B lowers it by one, C raises it by one."""
-
-    rep: FockRep
-    A: LaurentPoly
-    B: LaurentPoly
-    C: LaurentPoly
-    D: LaurentPoly
-
-    def entry(self, name):
-        return getattr(self, name)
-
-    def entry_at(self, name, lam):
-        val = self.entry(name).eval(lam)
-        if not sparse.issparse(val):  # entry degenerated to a scalar zero
-            val = val * self.rep.identity
-        return val
-
-    def trace_at(self, lam):
-        return self.entry_at("A", lam) + self.entry_at("D", lam)
-
-    def at(self, lam):
-        return {n: self.entry_at(n, lam) for n in "ABCD"}
+    def monodromy_at(self, lam):
+        """The dim x dim csr blocks (A, B, C, D) of T(lam) = [[A, B], [C, D]].
+        A and D preserve total occupation, B lowers it by one, C raises it
+        by one."""
+        T = self.transfer(lam)
+        n = self.dim
+        return T[:n, :n], T[:n, n:], T[n:, :n], T[n:, n:]
 
 
 def restricted_max(M, col_mask):
@@ -181,48 +189,50 @@ def ybe_residual(lam, nu, eta):
     return float(np.abs(lhs - rhs).max())
 
 
-def _aux_embed(entries, which):
-    """Embed a 2x2 of operators into aux space C^2 (x) C^2 as a 4x4 block
-    matrix; which=1 acts on the first factor, which=2 on the second."""
-    blocks = [[None] * 4 for _ in range(4)]
-    for i in range(2):
-        for k in range(2):
-            for j in range(2):
-                for l in range(2):
-                    if which == 1 and k == l:
-                        blocks[2 * i + k][2 * j + l] = entries[i][j]
-                    elif which == 2 and i == j:
-                        blocks[2 * i + k][2 * j + l] = entries[k][l]
-    return sparse.bmat(blocks, format="csr")
+_SWAP = sparse.csr_matrix(np.eye(4)[[0, 2, 1, 3]])
+
+
+def _selector(rep, headroom, copies=1):
+    """Columns of the identity on C^(copies) (x) H kept by safe_columns."""
+    cols = np.flatnonzero(np.tile(rep.safe_columns(headroom), copies))
+    n = cols.size
+    return sparse.csr_matrix((np.ones(n), (cols, np.arange(n))),
+                             shape=(copies * rep.dim, n), dtype=complex)
+
+
+def _max_entry(M):
+    return float(np.abs(M.data).max()) if M.nnz else 0.0
 
 
 def rll_residual(rep, lam, nu):
     """Safe-subspace residual of R(lam/nu) L1(lam) L2(nu) = L2(nu) L1(lam) R(lam/nu).
 
+    On C^2 (x) C^2 (x) H, L2(nu) = T(nu) on the second auxiliary factor and
+    L1(lam) = S (I (x) T(lam)) S with S the swap of the two factors.
     Columns are restricted to occupations n_k <= n_max - 2 (two raisings
     per site can occur in the quadratic products).
     """
-    mono = rep.monodromy()
-    Ml = mono.at(lam)
-    Mn = mono.at(nu)
-    El = [[Ml["A"], Ml["B"]], [Ml["C"], Ml["D"]]]
-    En = [[Mn["A"], Mn["B"]], [Mn["C"], Mn["D"]]]
-    L1 = _aux_embed(El, 1)
-    L2 = _aux_embed(En, 2)
-    R = sparse.kron(sparse.csr_matrix(quantum_rmatrix(lam, nu, rep.qp.eta)),
-                    rep.identity, format="csr")
-    res = R @ L1 @ L2 - L2 @ L1 @ R
-    mask = np.tile(rep.safe_columns(2), 4)
-    return restricted_max(res, mask)
+    Tl = rep.transfer(lam)
+    Tn = rep.transfer(nu)
+    S = sparse.kron(_SWAP, rep.identity, format="csr")
+    L1 = S @ sparse.block_diag((Tl, Tl), format="csr") @ S
+    L2 = sparse.block_diag((Tn, Tn), format="csr")
+    R = sparse.kron(quantum_rmatrix(lam, nu, rep.qp.eta), rep.identity,
+                    format="csr")
+    P = _selector(rep, 2, copies=4)
+    return _max_entry(R @ (L1 @ (L2 @ P)) - L2 @ (L1 @ (R @ P)))
+
+
+def _trace(rep, lam):
+    T = rep.transfer(lam)
+    n = rep.dim
+    return T[:n, :n] + T[n:, n:]
 
 
 def trace_commutator_residual(rep, lam, nu):
     """Safe-subspace residual of [Tr L(lam), Tr L(nu)] (headroom 2)."""
-    mono = rep.monodromy()
-    t1 = mono.trace_at(lam)
-    t2 = mono.trace_at(nu)
-    comm = t1 @ t2 - t2 @ t1
-    return restricted_max(comm, rep.safe_columns(2))
+    t1, t2, P = _trace(rep, lam), _trace(rep, nu), _selector(rep, 2)
+    return _max_entry(t1 @ (t2 @ P) - t2 @ (t1 @ P))
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +241,6 @@ def trace_commutator_residual(rep, lam, nu):
 
 @dataclass(frozen=True)
 class QDetReport:
-    forms: tuple
-    product_form: object
     pairwise_residual: float
     product_residual: float
 
@@ -245,39 +253,40 @@ def quantum_determinant(rep, lam):
                               = A(l sa)D(l)/sa - C(l sa)B(l)
                               = D(l sa)A(l)/sa - B(l sa)C(l)/a,
 
-    together with the explicit product form prod_k (1 - r_k q_k).  Residuals
-    are max matrix elements over headroom-2 input columns.
+    compared pairwise and against the explicit product form
+    prod_k (1 - r_k q_k).  Residuals are max matrix elements over
+    headroom-2 input columns.
     """
-    if lam == 0:
-        raise ValueError("lam must be nonzero")
     a = rep.qp.alpha
     sa = rep.qp.sqrt_alpha
-    mono = rep.monodromy()
-    M1 = mono.at(lam)
-    M2 = mono.at(lam * sa)
-    scale = sa ** (rep.N - 1)
+    A1, B1, C1, D1 = rep.monodromy_at(lam)
+    A2, B2, C2, D2 = rep.monodromy_at(lam * sa)
+    # the scalar factors of each term are folded into its column selector
+    P = _selector(rep, 2)
+    P1 = P / sa ** (rep.N - 1)
+    Ps = P1 / sa
+    Pa = P1 / a
     forms = (
-        (M1["A"] @ M2["D"] / sa - M1["B"] @ M2["C"] / a) / scale,
-        (M1["D"] @ M2["A"] / sa - M1["C"] @ M2["B"]) / scale,
-        (M2["A"] @ M1["D"] / sa - M2["C"] @ M1["B"]) / scale,
-        (M2["D"] @ M1["A"] / sa - M2["B"] @ M1["C"] / a) / scale,
+        A1 @ (D2 @ Ps) - B1 @ (C2 @ Pa),
+        D1 @ (A2 @ Ps) - C1 @ (B2 @ P1),
+        A2 @ (D1 @ Ps) - C2 @ (B1 @ P1),
+        D2 @ (A1 @ Ps) - B2 @ (C1 @ Pa),
     )
-    product = delta_product(rep)
-    mask = rep.safe_columns(2)
-    pairwise = max(restricted_max(forms[i] - forms[j], mask)
-                   for i in range(4) for j in range(i + 1, 4))
-    prod_res = max(restricted_max(f - product, mask) for f in forms)
-    return QDetReport(forms=forms, product_form=product,
-                      pairwise_residual=pairwise, product_residual=prod_res)
+    product = delta_product(rep, P)
+    pairwise = np.max([_max_entry(forms[i] - forms[j])
+                       for i in range(4) for j in range(i + 1, 4)])
+    prod_res = np.max([_max_entry(f - product) for f in forms])
+    return QDetReport(pairwise_residual=float(pairwise),
+                      product_residual=float(prod_res))
 
 
-def delta_product(rep):
-    """Quantum determinant in product form prod_k (1 - r_k q_k); exact on the
-    whole truncated space (each factor lowers before raising)."""
-    acc = rep.identity
-    for k in range(rep.N):
-        acc = acc @ (rep.identity - rep.r_ops[k] @ rep.q_ops[k])
-    return acc
+def delta_product(rep, X):
+    """prod_k (1 - r_k q_k) X, the quantum determinant in product form
+    applied to a vector or column block; exact on the whole truncated space
+    (each factor lowers before raising)."""
+    for q, r in zip(rep.q_ops, rep.r_ops):
+        X = X - r @ (q @ X)
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +294,17 @@ def delta_product(rep):
 
 
 def bethe_state(rep, roots):
-    """State prod_k C(lam_k)|0>; requires m <= n_max - 2 so later operator
+    """State prod_k C(lam_k)|0>, each C(lam_k) read off the lower half of a
+    sweep T(lam_k) [phi; 0]; requires m <= n_max - 2 so later operator
     applications stay inside the exact regime."""
     roots = np.asarray(getattr(roots, "roots", roots), dtype=complex)
     m = roots.size
     if m > rep.n_max - 2:
         raise ValueError("need m <= n_max - 2 headroom for Bethe states")
-    mono = rep.monodromy()
+    n = rep.dim
     phi = rep.vacuum()
     for lam in roots:
-        phi = mono.entry_at("C", lam) @ phi
+        phi = rep.transfer(lam, np.concatenate([phi, np.zeros(n)]))[n:]
     if np.linalg.norm(phi) < 1e-300:
         raise ValueError("Bethe state collapsed to the zero vector")
     return phi
@@ -307,13 +317,15 @@ def eigen_residual(rep, state, roots, nu):
     if nu == 0 or np.any(np.abs(roots**2 - nu**2) < 1e-9):
         raise ValueError("nu collides with a Bethe root or zero")
     t = transfer_eigenvalue_roots(roots, rep.N, rep.qp, nu)
-    T = rep.monodromy().trace_at(nu)
-    return float(np.linalg.norm(T @ state - t * state)
+    n = rep.dim
+    # sweep the columns [phi; 0] and [0; phi]: A phi on top, D phi below
+    Y = rep.transfer(nu, np.kron(np.eye(2), np.reshape(state, (n, 1))))
+    return float(np.linalg.norm(Y[:n, 0] + Y[n:, 1] - t * state)
                  / np.linalg.norm(state))
 
 
 def delta_eigen_residual(rep, state, m):
     """Relative residual of Delta phi = alpha^m phi in product form."""
-    D = delta_product(rep)
-    return float(np.linalg.norm(D @ state - rep.qp.alpha**m * state)
+    return float(np.linalg.norm(delta_product(rep, state)
+                                - rep.qp.alpha**m * state)
                  / np.linalg.norm(state))

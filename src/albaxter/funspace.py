@@ -21,28 +21,16 @@ produces it:
     (Tr L(mu) rho)(r) = mu^N rho_{mu/sa}(r) + mu^(-N) rho_{mu sa}(alpha r).
 """
 
+import functools
+
 import numpy as np
 
-from .qcalc import jackson_op, qpochhammer_inf
+from .qcalc import KernelSite, jackson_op, rho_site
 
 
 def _site_rho(mu, qp, rt_k, rt_km1):
-    """rho_k(r_k) = 1/((r_k/r~_{k-1}; a)_inf (-r_k/(mu^2 r~_k); a)_inf); only
-    a vanishing Pochhammer factor raises (no convergence guard on r_k)."""
-    if mu == 0 or rt_k == 0 or rt_km1 == 0:
-        raise ValueError("mu and rtilde parameters must be nonzero")
-    coefs = (complex(1.0 / rt_km1), complex(-1.0 / (mu**2 * rt_k)))
-
-    def rho(r_k):
-        val = 1.0
-        for c in coefs:
-            v = qpochhammer_inf(complex(r_k) * c, qp)
-            if abs(v) < 1e-12:
-                raise ZeroDivisionError("pole of reciprocal q-Pochhammer")
-            val *= 1.0 / v
-        return val
-
-    return rho
+    """rho_k(r_k) = 1/((r_k/r~_{k-1}; a)_inf (-r_k/(mu^2 r~_k); a)_inf)."""
+    return functools.partial(rho_site, KernelSite(mu, rt_k, rt_km1), qp)
 
 
 def _site_rhos(mu, qp, rtilde):

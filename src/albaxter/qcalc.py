@@ -180,13 +180,11 @@ def rho_site(ks, qp, r_k):
 
     with G_k = ks.normalization.  It solves
     rho_k(mu, r_k) = [mu^2 r~_k r~_{k-1} / ((mu^2 r~_k + r_k)(r~_{k-1} - r_k))]
-    rho_k(mu, alpha r_k).
+    rho_k(mu, alpha r_k).  (x; alpha)_inf converges for every x when
+    |alpha| < 1, so any r_k is accepted; only a vanishing factor raises.
     """
     x1 = r_k / ks.rtilde_km1
     x2 = -r_k / (ks.mu**2 * ks.rtilde_k)
-    bound = 1.0 / (1.0 - abs(qp.alpha))
-    if abs(x1) >= bound or abs(x2) >= bound:
-        raise ValueError("Pochhammer argument outside convergence guard")
     return ks.normalization / (_poch_guarded(x1, qp) * _poch_guarded(x2, qp))
 
 

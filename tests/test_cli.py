@@ -46,3 +46,10 @@ def test_config_residual_tolerance_is_rejected(tmp_path, capsys):
                    encoding="utf-8")
     assert cli.main(["verify", "baxter", "--config", str(cfg)]) == 2
     assert "tolerances.residual" in capsys.readouterr().err
+
+
+def test_verify_quantum_and_bethe_exit_zero(capsys):
+    assert cli.main(["verify", "quantum"]) == 0
+    assert "8/8 checks passed" in capsys.readouterr().out
+    assert cli.main(["verify", "bethe", "--N", "4", "--m", "2"]) == 0
+    assert "7/7 checks passed" in capsys.readouterr().out

@@ -163,6 +163,19 @@ class TestRhoSite:
                         normalization=2.5)
         assert rho_site(ks, QP, 0.0) == pytest.approx(2.5)
 
+    def test_accepts_arguments_beyond_one_over_one_minus_alpha(self):
+        # |x1| = 3 and |x2| = 2.2 exceed 1/(1 - alpha) = 2: the products
+        # still converge, so rho_site evaluates them.
+        ks = KernelSite(mu=0.9, rtilde_k=0.75, rtilde_km1=0.5)
+        r = 1.5
+        x1, x2 = r / 0.5, -r / (0.81 * 0.75)
+        want = 1.0
+        for p in range(200):
+            want /= (1.0 - x1 * 0.5**p) * (1.0 - x2 * 0.5**p)
+        got = rho_site(ks, QP, r)
+        assert abs(got - want) <= 1e-13 * abs(want)
+        assert rho_functional_residual(ks, QP, r) < 1e-12
+
     def test_pole_guard(self):
         ks = KernelSite(mu=1.3, rtilde_k=1.4, rtilde_km1=1.0)
         with pytest.raises(ValueError):
