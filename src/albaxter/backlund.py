@@ -17,6 +17,14 @@ matrix
 b_k = q_k, c_k = r~_{k-1}, which is singular at lam = mu with kernel
 (1, -mu r~_{k-1})^T.  That spectrality gives L_k(mu)|w_k> = gamma_k
 |w_{k+1}> and the trace formula Tr L(mu) = det L(mu)/gamma + gamma.
+
+Every solve starts from the shift guess; there is no warm start.  The
+Jacobian of the map comes from the implicit function theorem on the
+denominator-cleared first line P(q, r, r~) = 0: with J = dP/dr~, the
+cyclic lower-bidiagonal matrix Newton solves with, dr~/dr = -J^{-1} and
+dr~/dq = J^{-1} diag(mu^2 r~_k r~_{k-1}); the q~ blocks follow by the
+chain rule through the second line (`map_jacobian`).  Canonicity is
+checked on that exact Jacobian, after one solve of the map.
 """
 
 from dataclasses import dataclass, field
@@ -76,6 +84,19 @@ def _poly_residual(q, r, rt, mu):
     return mu**2 * rt * (1.0 - q * u) - u + r
 
 
+def _poly_jacobian(q, rt, mu):
+    """J = dP/dr~ of the denominator-cleared first line P: cyclic
+    lower-bidiagonal, J_kk = mu^2 (1 - q_k r~_{k-1}) and
+    J_{k,k-1} = -(mu^2 r~_k q_k + 1) (added, so N = 1 folds both in)."""
+    N = len(q)
+    u = np.roll(rt, 1)
+    J = np.zeros((N, N), dtype=complex)
+    idx = np.arange(N)
+    J[idx, idx] = mu**2 * (1.0 - q * u)
+    J[idx, (idx - 1) % N] += -(mu**2 * rt * q + 1.0)
+    return J
+
+
 def _newton(q, r, rt, mu, opts):
     """Damped Newton on the denominator-cleared first line.
 
@@ -84,7 +105,6 @@ def _newton(q, r, rt, mu, opts):
     because the printed form divides by mu^2 and is not evaluable to 1e-12
     at the small-mu continuation rungs.
     """
-    N = len(q)
     floor = 64 * np.finfo(float).eps * (1.0 + np.abs(r).max()
                                         + np.abs(rt).max())
     with np.errstate(all="ignore"):
@@ -97,11 +117,7 @@ def _newton(q, r, rt, mu, opts):
             return rt, it
         if np.any(np.abs(rt) < 1e-12):
             raise BTError("vanishing r~ denominator during Newton")
-        u = np.roll(rt, 1)
-        J = np.zeros((N, N), dtype=complex)
-        idx = np.arange(N)
-        J[idx, idx] = mu**2 * (1.0 - q * u)
-        J[idx, (idx - 1) % N] += -(mu**2 * rt * q + 1.0)
+        J = _poly_jacobian(q, rt, mu)
         try:
             delta = np.linalg.solve(J, F)
         except np.linalg.LinAlgError as exc:
@@ -128,13 +144,14 @@ def _newton(q, r, rt, mu, opts):
     raise BTError(f"Backlund Newton did not converge (residual {err:.3e})")
 
 
-def bt_apply(state, mu, opts=None, initial_guess=None):
+def bt_apply(state, mu, opts=None):
     """Apply the Backlund map at parameter mu.
 
-    With no initial_guess the solver continues in |mu| from opts.mu_seed,
-    starting from the shift guess r~_k = r_{k+1}.  Passing initial_guess
-    (an r~ array) runs a single warm-started Newton at mu, which is what
-    the finite-difference canonicity probes use.
+    The solver continues in |mu| from opts.mu_seed up to |mu| by factors
+    of opts.growth, starting from the shift guess r~_k = r_{k+1}; a rung
+    that fails is bisected geometrically.  There is no warm start: every
+    call solves from the shift guess, so the map is a function of
+    (state, mu, opts) alone.
     """
     if mu == 0:
         raise BTError("Backlund parameter mu must be nonzero")
@@ -145,37 +162,31 @@ def bt_apply(state, mu, opts=None, initial_guess=None):
 
     total_iters = 0
     path = []
-    if initial_guess is not None:
-        rt = np.asarray(initial_guess, dtype=complex).copy()
-        rt, it = _newton(q, r, rt, mu, opts)
+    rt = np.roll(r, -1).astype(complex)
+    scales = []
+    s = min(1.0, opts.mu_seed / abs(mu))
+    while s < 1.0:
+        scales.append(s)
+        s *= opts.growth
+    scales.append(1.0)
+    i = 0
+    prev = None  # last converged (scale, rt)
+    while i < len(scales):
+        s = scales[i]
+        try:
+            rt_new, it = _newton(q, r, rt, s * mu, opts)
+        except BTError:
+            lo = prev[0] if prev is not None else scales[0] * 0.5
+            mid = np.sqrt(lo * s)  # geometric bisection of the mu ladder
+            if s - mid < 1e-6 * s:
+                raise
+            scales.insert(i, mid)
+            continue
         total_iters += it
-        path.append(complex(mu))
-    else:
-        rt = np.roll(r, -1).astype(complex)
-        scales = []
-        s = min(1.0, opts.mu_seed / abs(mu))
-        while s < 1.0:
-            scales.append(s)
-            s *= opts.growth
-        scales.append(1.0)
-        i = 0
-        prev = None  # last converged (scale, rt)
-        while i < len(scales):
-            s = scales[i]
-            try:
-                rt_new, it = _newton(q, r, rt, s * mu, opts)
-            except BTError:
-                lo = prev[0] if prev is not None else scales[0] * 0.5
-                mid = np.sqrt(lo * s)  # geometric bisection of the mu ladder
-                if s - mid < 1e-6 * s:
-                    raise
-                scales.insert(i, mid)
-                continue
-            total_iters += it
-            path.append(complex(s * mu))
-            prev = (s, rt_new.copy())
-            rt = rt_new
-            i += 1
+        path.append(complex(s * mu))
+        prev = (s, rt_new.copy())
+        rt = rt_new
+        i += 1
 
     qt = _line2_qtilde(r, rt, mu)
     res1 = float(np.abs(_line1_residual(q, r, rt, mu)).max())
@@ -413,46 +424,82 @@ def classical_baxter_check(bt):
     return float(abs(tr - lhs))
 
 
-def canonicity_check(state, mu, step=1e-6, opts=None):
-    """Finite-difference check that the map preserves the bracket.
+def map_jacobian(bt):
+    """Exact Jacobian of the converged map (q, r) -> (q~, r~).
 
-    The Jacobian of (q, r) -> (q~, r~) is estimated by central differences
-    (each perturbed solve warm-starts from the base solution), and the
-    transformed brackets are required to satisfy {q~_k, r~_j} =
-    (1 - q~_k r~_k) delta_kj with {q~, q~} = {r~, r~} = 0 under the source
-    bracket.  Returns the max deviation (finite-difference limited).
+    Returns (A, B, C, D) = (dq~/dq, dq~/dr, dr~/dq, dr~/dr), each N x N,
+    by the implicit function theorem on the denominator-cleared first
+    line P_k = mu^2 r~_k (1 - q_k r~_{k-1}) - r~_{k-1} + r_k = 0.  With
+    J = dP/dr~ (the matrix Newton solves with), dP/dr = I and
+    dP_k/dq_k = -mu^2 r~_k r~_{k-1}:
+
+        D = -J^{-1},    C = D diag(-mu^2 r~_k r~_{k-1}).
+
+    q~ = (1 - rhs)/r~ from the second line reads r~_{k-1}, r~_k, r~_{k+1}
+    and r_k, r_{k+1}, so A = G C and B = G D + E with G = dq~/dr~ and
+    E = dq~/dr|_r~ banded; G is applied by row shifts, and at N <= 2 the
+    coinciding neighbours add up.
     """
-    opts = opts or SolverOptions()
+    q, r = bt.source.q, bt.source.r
+    rt, mu = bt.target.r, bt.mu
+    try:
+        D = -np.linalg.inv(_poly_jacobian(q, rt, mu))
+    except np.linalg.LinAlgError as exc:
+        raise BTError("singular Jacobian in the Backlund map") from exc
+    u = np.roll(rt, 1)     # r~_{k-1}
+    rtp = np.roll(rt, -1)  # r~_{k+1}
+    C = D * (-mu**2 * rt * u)
+
+    a = rt - np.roll(r, -1)  # r~_k - r_{k+1}
+    b = mu**2 * rt + r
+    den = mu**2 * rtp * u
+    rhs = a * b / den
+    g0 = (-(1.0 - rhs) / rt - (b + mu**2 * a) / den) / rt
+    gm = rhs / (rt * u)
+    gp = rhs / (rt * rtp)
+
+    def apply_g(X):  # (G X)_k = g0_k X_k + gm_k X_{k-1} + gp_k X_{k+1}
+        return (g0[:, None] * X + gm[:, None] * np.roll(X, 1, axis=0)
+                + gp[:, None] * np.roll(X, -1, axis=0))
+
+    A = apply_g(C)
+    B = apply_g(D)
+    idx = np.arange(len(q))
+    np.add.at(B, (idx, idx), -a / (den * rt))
+    np.add.at(B, (idx, (idx + 1) % len(q)), b / (den * rt))
+    return A, B, C, D
+
+
+def _bracket_deviation(jac, w, wt):
+    """Max deviation of the transformed brackets from the canonical ones.
+
+    jac = (A, B, C, D) as from map_jacobian; w = 1 - q r is the source
+    bracket weight, applied as a column scaling, and wt = 1 - q~ r~ the
+    required {q~_k, r~_k}.  Blocks: A W D^T - B W C^T - diag(wt) and the
+    antisymmetric A W B^T - B W A^T and C W D^T - D W C^T.  A NaN in any
+    block is returned, never skipped.
+    """
+    A, B, C, D = jac
+    Aw, Cw = A * w, C * w
+    qr = Aw @ D.T - (B * w) @ C.T
+    qr[np.diag_indices_from(qr)] -= wt
+    X = Aw @ B.T
+    Y = Cw @ D.T
+    return float(np.max([np.abs(qr).max(), np.abs(X - X.T).max(),
+                         np.abs(Y - Y.T).max()]))
+
+
+def canonicity_check(state, mu, opts=None):
+    """Check that the map preserves the bracket, with the exact Jacobian.
+
+    Solves the map once, takes (A, B, C, D) from map_jacobian, and
+    requires the transformed brackets under the source bracket
+    {q_k, r_j} = (1 - q_k r_k) delta_kj to satisfy {q~_k, r~_j} =
+    (1 - q~_k r~_k) delta_kj and {q~, q~} = {r~, r~} = 0.  Returns the max
+    deviation over the three blocks.  No finite-difference truncation
+    enters: the deviation is limited by how closely the solved r~ meets
+    the first line, as amplified through the second.
+    """
     base = bt_apply(state, mu, opts)
-    N = state.N
-    w = 1.0 - state.q * state.r
-
-    def solved(dq, dr):
-        pert = ChainState(state.q + dq, state.r + dr)
-        res = bt_apply(pert, mu, opts, initial_guess=base.target.r)
-        return res.target.q, res.target.r
-
-    A = np.zeros((N, N), dtype=complex)  # dq~/dq
-    B = np.zeros((N, N), dtype=complex)  # dq~/dr
-    C = np.zeros((N, N), dtype=complex)  # dr~/dq
-    D = np.zeros((N, N), dtype=complex)  # dr~/dr
-    e = np.zeros(N)
-    for n in range(N):
-        e[:] = 0.0
-        e[n] = step
-        qp, rp = solved(e, 0.0)
-        qm, rm = solved(-e, 0.0)
-        A[:, n] = (qp - qm) / (2 * step)
-        C[:, n] = (rp - rm) / (2 * step)
-        qp, rp = solved(0.0, e)
-        qm, rm = solved(0.0, -e)
-        B[:, n] = (qp - qm) / (2 * step)
-        D[:, n] = (rp - rm) / (2 * step)
-
-    W = np.diag(w)
-    qr = A @ W @ D.T - B @ W @ C.T
-    qq = A @ W @ B.T - B @ W @ A.T
-    rr = C @ W @ D.T - D @ W @ C.T
-    target = np.diag(1.0 - base.target.q * base.target.r)
-    dev = max(np.abs(qr - target).max(), np.abs(qq).max(), np.abs(rr).max())
-    return float(dev)
+    return _bracket_deviation(map_jacobian(base), 1.0 - state.q * state.r,
+                              1.0 - base.target.q * base.target.r)

@@ -160,7 +160,7 @@ def suite_bt(cfg, rng):
     _timed(records, "bt.commuting_parameters", {"N": N, "mus": [mu, 0.17]},
            1e-9, commuting)
 
-    _timed(records, "bt.canonicity", {"N": N, "mu": mu, "step": 1e-6}, 1e-5,
+    _timed(records, "bt.canonicity", {"N": N, "mu": mu}, 1e-5,
            lambda: backlund.canonicity_check(state, mu, opts=opts))
 
     def genfun():

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from albaxter import classical_chain as chain
-from albaxter.backlund import (BTError, SolverOptions, bt_apply,
-                               canonicity_check, classical_baxter_check,
+from albaxter.backlund import (BTError, BTResult, SolverOptions,
+                               _bracket_deviation, bt_apply, canonicity_check,
+                               classical_baxter_check,
                                conjugate_flow_variable, dressing_matrix,
                                generating_function, generating_function_check,
                                intertwining_residual, kernel_vector,
-                               spectrality)
+                               map_jacobian, spectrality)
 from albaxter.classical_chain import ChainState, conserved_quantities
+
+from oracles import central_difference_map_jacobian
 
 
 @pytest.fixture(scope="module")
@@ -182,12 +185,52 @@ class TestCanonicity:
         st = ChainState.random(N, rng)
         assert canonicity_check(st, 0.3) < 1e-5
 
-    def test_quadratic_step_order(self):
-        rng = np.random.default_rng(52)
-        st = ChainState.random(2, rng)
-        d1 = canonicity_check(st, 0.3, step=1e-3)
-        d2 = canonicity_check(st, 0.3, step=5e-4)
-        assert 2.5 < d1 / d2 < 6.5  # central differences: ratio ~ 4
+    @pytest.mark.parametrize("N", [1, 2, 3, 5])
+    def test_jacobian_matches_central_differences(self, N):
+        st = ChainState.random(N, np.random.default_rng(60 + N))
+        exact = map_jacobian(bt_apply(st, 0.3))
+        oracle = central_difference_map_jacobian(st, 0.3)
+        for got, want in zip(exact, oracle):
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    @pytest.mark.parametrize("N", [1, 2, 16, 64, 256])
+    def test_exact_deviation(self, N):
+        # the deviation follows how closely Newton's r~ meets the first
+        # line, not the Jacobian: 1e-14 to 1e-13 on these states
+        st = ChainState.random(N, np.random.default_rng(0))
+        assert canonicity_check(st, 0.3) <= 1e-12
+
+    def _base(self):
+        st = ChainState.random(3, np.random.default_rng(70))
+        bt = bt_apply(st, 0.3)
+        return st, bt, 1.0 - st.q * st.r, 1.0 - bt.target.q * bt.target.r
+
+    def test_swapped_blocks_fail(self):
+        _, bt, w, wt = self._base()
+        A, B, C, D = map_jacobian(bt)
+        assert _bracket_deviation((A, B, C, D), w, wt) <= 1e-12
+        assert _bracket_deviation((A, B, D, C), w, wt) >= 1e-3
+
+    def test_jacobian_at_wrong_mu_fails(self):
+        st, _, w, wt = self._base()
+        wrong = map_jacobian(bt_apply(st, 0.35))
+        assert _bracket_deviation(wrong, w, wt) >= 1e-3
+
+    def test_nan_in_one_block_is_returned(self):
+        _, bt, w, wt = self._base()
+        jac = map_jacobian(bt)
+        wt = wt.copy()
+        wt[1] = np.nan  # enters the {q~, r~} block only
+        assert np.isnan(_bracket_deviation(jac, w, wt))
+
+    def test_singular_jacobian_is_bterror(self):
+        # q = 0 and mu = 1 make dP/dr~ = [[1, -1], [-1, 1]] exactly singular
+        src = ChainState(np.zeros(2), np.array([0.3, 0.4]))
+        tgt = ChainState(np.array([0.1, 0.2]), np.array([0.5, 0.6]))
+        fake = BTResult(mu=1.0 + 0j, source=src, target=tgt,
+                        gamma_site=np.ones(2), newton_iters=0, residual=0.0)
+        with pytest.raises(BTError):
+            map_jacobian(fake)
 
 
 class TestResultInvariants:

@@ -24,6 +24,17 @@ def test_bt_sweep_writes_conserving_records(tmp_path, capsys):
     assert f"wrote {out}" in capsys.readouterr().out
 
 
+def test_bt_sweep_canonicity_at_roundoff(tmp_path):
+    # exact-Jacobian deviations on this sweep: 9e-15 to 1.8e-13 (at mu=0.1)
+    out = tmp_path / "sweep.json"
+    assert cli.main(["bt", "--N", "16", "--sweep", "0.1", "0.45", "4",
+                     "--out", str(out)]) == 0
+    recs = json.loads(out.read_text(encoding="utf-8"))["records"]
+    assert len(recs) == 4
+    for rec in recs:
+        assert rec["residuals"]["canonicity"] <= 2e-12
+
+
 def test_verify_baxter_writes_all_checks(tmp_path, capsys):
     out = tmp_path / "baxter.json"
     assert cli.main(["verify", "baxter", "--out", str(out)]) == 0
