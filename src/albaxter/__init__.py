@@ -71,9 +71,7 @@ from .bethe import (
     BetheConvergenceError,
     baxter_qdiff_residual,
     bethe_residuals,
-    psi_poly,
     solve_bethe,
-    transfer_eigenvalue,
 )
 from .funspace import (
     baxter_action_residual,

@@ -215,10 +215,6 @@ def transfer_eigenvalue_roots(roots, N, qp, nu):
             + nu ** (-N) * pref * np.prod(1.0 + eta * lam2 / d))
 
 
-def transfer_eigenvalue(cfg, nu):
-    return transfer_eigenvalue_roots(cfg.roots, cfg.N, cfg.qp, nu)
-
-
 def psi_poly(cfg):
     """Monic polynomial psi in x = nu^2: coefficients (ascending) of
     prod_j (x - lam_j^2)."""

@@ -209,14 +209,20 @@ def dense_monodromy(state):
     return M
 
 
+def lax_det(state):
+    """det L(lam) = prod_k (1 - q_k r_k), the same at every lam.  Taking it
+    from the monodromy entries as M11 M22 - M12 M21 cancels
+    catastrophically once |L| is large."""
+    return complex(np.prod(1.0 - state.q * state.r))
+
+
 def conserved_quantities(state):
     """H_0..H_N, the coefficients of lam^(N-2i) in the trace of the dense
     monodromy, and det L = prod_k (1 - q_k r_k)."""
     N = state.N
     M = dense_monodromy(state)
     tr = M[0, 0] + M[1, 1]
-    det = complex(np.prod(1.0 - state.q * state.r))
-    return ConservedSet(H=tr[2 * N::-2], det=det)
+    return ConservedSet(H=tr[2 * N::-2], det=lax_det(state))
 
 
 def monodromy_det_eval(state, lam):

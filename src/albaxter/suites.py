@@ -138,7 +138,7 @@ def suite_bt(cfg, rng):
         M = chain.monodromy_matrix(state, mu)
         eigs = np.linalg.eigvals(M)
         g = spec.gamma
-        other = np.linalg.det(M) / g
+        other = chain.lax_det(state) / g
         d1 = min(abs(eigs[0] - g) + abs(eigs[1] - other),
                  abs(eigs[1] - g) + abs(eigs[0] - other))
         return d1

@@ -1,5 +1,6 @@
 """Independent reference computations used only by the tests."""
 
+import mpmath
 import numpy as np
 
 from albaxter.backlund import bt_apply
@@ -25,3 +26,28 @@ def central_difference_map_jacobian(state, mu, opts=None, step=1e-4):
             dqt[:, n] = (hi.q - lo.q) / (2 * step)
             drt[:, n] = (hi.r - lo.r) / (2 * step)
     return A, B, C, D
+
+
+def generating_function_mp(bt, dps=30):
+    """F(r, r~) from its defining integrals by mpmath.quad at `dps` digits:
+
+    sum_k [ int_{r_{k+1}+1}^{r~_k} ln(z - r_{k+1})/z dz
+          + int_{1/mu^2}^{r~_k} ln(mu^2 z + r_k)/z dz
+          - ln(r~_k) ln(mu^2 r~_{k-1}) - 2 ln(mu)^2 ]
+
+    on real positive data; returns an mpf.
+    """
+    with mpmath.workdps(dps):
+        r = [mpmath.mpf(float(v.real)) for v in bt.source.r]
+        rt = [mpmath.mpf(float(v.real)) for v in bt.target.r]
+        mu = mpmath.mpf(float(bt.mu.real))
+        total = mpmath.mpf(0)
+        for k in range(len(r)):
+            a, b = r[(k + 1) % len(r)], r[k]
+            x, y = rt[k], rt[k - 1]
+            i1 = mpmath.quad(lambda z: mpmath.log(z - a) / z, [a + 1, x])
+            i2 = mpmath.quad(lambda z: mpmath.log(mu**2 * z + b) / z,
+                             [1 / mu**2, x])
+            total += (i1 + i2 - mpmath.log(x) * mpmath.log(mu**2 * y)
+                      - 2 * mpmath.log(mu) ** 2)
+        return +total

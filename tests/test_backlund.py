@@ -3,15 +3,16 @@ import pytest
 
 from albaxter import classical_chain as chain
 from albaxter.backlund import (BTError, BTResult, SolverOptions,
-                               _bracket_deviation, bt_apply, canonicity_check,
+                               _bracket_deviation, _li2, bt_apply,
+                               canonicity_check,
                                classical_baxter_check,
                                conjugate_flow_variable, dressing_matrix,
                                generating_function, generating_function_check,
-                               intertwining_residual, kernel_vector,
-                               map_jacobian, spectrality)
+                               intertwining_residual, map_jacobian,
+                               spectrality)
 from albaxter.classical_chain import ChainState, conserved_quantities
 
-from oracles import central_difference_map_jacobian
+from oracles import central_difference_map_jacobian, generating_function_mp
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +51,7 @@ class TestDressingMatrix:
     def test_kernel_vector_spans_nullspace(self, bt3):
         for k in range(1, 4):
             D = dressing_matrix(bt3, k, bt3.mu)
-            w = kernel_vector(bt3, k)
+            w = np.array([1.0, -bt3.mu * bt3.target.r[k - 2]])  # r~_{k-1}
             assert np.abs(D @ w).max() < 1e-13
 
 
@@ -124,6 +125,12 @@ class TestSpectrality:
         # gamma * (det/gamma) = det by construction
         assert spec.gamma * (det / spec.gamma) == pytest.approx(det)
 
+    def test_trace_formula_relative_at_n16(self):
+        bt = bt_apply(ChainState.random(16, np.random.default_rng(46)), 0.3)
+        M = chain.monodromy_matrix(bt.source, bt.mu)
+        tr = abs(M[0, 0] + M[1, 1])
+        assert spectrality(bt).trace_residual <= 1e-12 * tr
+
     def test_gamma_pair_are_monodromy_eigenvalues(self, bt3):
         spec = spectrality(bt3)
         M = chain.monodromy_matrix(bt3.source, bt3.mu)
@@ -134,24 +141,57 @@ class TestSpectrality:
         assert d < 1e-10
 
 
+def _real_bt(N, seed, mu=0.3):
+    return bt_apply(ChainState.random_real_positive(
+        N, np.random.default_rng(seed)), mu)
+
+
 class TestGeneratingFunction:
+    @pytest.mark.parametrize("N", [1, 2, 3, 5])
+    def test_closed_form_matches_quadrature_oracle(self, N):
+        bt = _real_bt(N, 80 + N)
+        want = generating_function_mp(bt)
+        assert abs(generating_function(bt) - float(want)) \
+            <= 1e-13 * abs(float(want))
+
     def test_gradients_match_map(self, bt_real):
         out = generating_function_check(bt_real)
-        assert out["grad_residual_rtilde"] < 1e-6
-        assert out["grad_residual_r"] < 1e-6
-
-    def test_node_doubling_stability(self, bt_real):
-        f1 = generating_function(bt_real, base_nodes=20)
-        f2 = generating_function(bt_real, base_nodes=40)
-        assert abs(f1 - f2) < 1e-10
+        assert out["grad_residual_rtilde"] <= 1e-10
+        assert out["grad_residual_r"] <= 1e-10
 
     def test_flow_variable_matches_mu_derivative(self, bt_real):
-        out = generating_function_check(bt_real)
-        assert out["phi_residual"] < 1e-6
+        assert generating_function_check(bt_real)["phi_residual"] <= 1e-10
+
+    @pytest.mark.parametrize("N", [1, 2, 16, 64, 512])
+    def test_residuals_across_sizes(self, N):
+        out = generating_function_check(_real_bt(N, 90 + N))
+        assert max(out.values()) <= 1e-10
+
+    @pytest.mark.parametrize("x", [-3.7382627542514157, -0.27007002334111263,
+                                   0.3, 0.95])
+    def test_li2_complex_step_derivative(self, x):
+        # scipy's complex spence alone is off by 1.1e-11 and 3.8e-12
+        # relative at the two negative points
+        got = _li2(np.array(x + 1e-30j)).imag / 1e-30
+        want = -np.log1p(-x) / x
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_target_from_other_mu_fails(self):
+        # r~ and q~ solved at mu = 0.35, checked as if at mu = 0.3
+        st = ChainState.random_real_positive(4, np.random.default_rng(95))
+        other = bt_apply(st, 0.35)
+        fake = BTResult(mu=0.3 + 0j, source=st, target=other.target,
+                        gamma_site=other.gamma_site, newton_iters=0,
+                        residual=np.inf)
+        out = generating_function_check(fake)
+        assert out["grad_residual_rtilde"] >= 1e-2
+        assert out["grad_residual_r"] >= 1e-2
 
     def test_complex_data_rejected(self, bt3):
         with pytest.raises(ValueError):
             generating_function(bt3)
+        with pytest.raises(ValueError):
+            generating_function_check(bt3)
 
     def test_phi_sum_form(self, bt_real):
         # explicit display: (2/mu) sum ln((mu^2 r~ + r)/(mu^2 r~))

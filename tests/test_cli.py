@@ -35,6 +35,17 @@ def test_bt_sweep_canonicity_at_roundoff(tmp_path):
         assert rec["residuals"]["canonicity"] <= 2e-12
 
 
+def test_verify_bt_n16_generating_function_passes(tmp_path):
+    # only this record: trace_formula, gamma_eigenvalues and
+    # classical_baxter still fail their absolute bounds at N=16
+    out = tmp_path / "bt.json"
+    cli.main(["verify", "bt", "--N", "16", "--out", str(out)])
+    checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    [rec] = [c for c in checks if c["check_id"] == "bt.generating_function"]
+    assert rec["pass"] and rec["params"] == {"N": 16, "mu": 0.3}
+    assert rec["residual"] <= 1e-11 and rec["tolerance"] == 1e-6
+
+
 def test_verify_baxter_writes_all_checks(tmp_path, capsys):
     out = tmp_path / "baxter.json"
     assert cli.main(["verify", "baxter", "--out", str(out)]) == 0
