@@ -12,11 +12,32 @@ i.e. (1 - alpha) times the Jackson derivative
 
 Functions are passed in as callables on a coordinate array (see
 funspace.rho_product for the product kernels of the Baxter equation).
+
+Every Baxter kernel goes through one scalar kernel, qpochhammer_inf for
+(x; alpha)_inf.  It multiplies out the factors 1 - x alpha^p with
+|x alpha^p| >= THETA = 1/4 and takes the rest as the exponential of the
+log series -sum_j y^j / (j (1 - alpha^j)), |y| < THETA, which needs at
+most 27 terms at any real alpha.  Its cost is therefore
+O(ln(|x|/THETA) / ln(1/|alpha|)) factors plus a bounded number of terms,
+so arguments |x| < THETA cost the same at alpha -> 1 as at alpha = 1/2.
+Its error is a few eps per factor plus eps times |y / (1 - alpha)|.  The
+kernel itself never tests for a pole; rho_site and the slot form of F_k
+raise QPochhammerPoleError where a factor |1 - x alpha^p| < POLE_TOL.
 """
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# (x; alpha)_inf: factors with |x alpha^p| >= THETA are multiplied out, the
+# rest is summed as a log series in powers of |y| < THETA.
+THETA = 0.25
+MAX_FACTORS = 5_000_000
+_EPS = 2.0**-53
+# A factor |1 - x alpha^p| below this counts as a pole of 1/(x; alpha)_inf.
+POLE_TOL = 1e-12
 
 
 class QPochhammerPoleError(ValueError):
@@ -64,25 +85,64 @@ class QParam:
         return cls(1.0 / (1.0 + eta), **kw)
 
 
-def qpochhammer_inf(x, qp, tail=1e-17, max_terms=5_000_000):
-    """Infinite q-Pochhammer product (x; alpha)_inf = prod_p (1 - x alpha^p).
+def qpochhammer_inf(x, qp):
+    """Infinite q-Pochhammer product (x; alpha)_inf = prod_{p>=0} (1 - x alpha^p).
 
-    Truncated once |x alpha^p| < tail, giving relative error below 1e-15.
+    Evaluated in two parts that split at |x alpha^p| = THETA:
+
+    * the factors with |x alpha^p| >= THETA are multiplied out.  There are
+      n = ceil(ln(|x|/THETA) / ln(1/|alpha|)) of them (none when
+      |x| < THETA); above MAX_FACTORS the call raises ValueError before
+      any work is done;
+    * the rest, (y; alpha)_inf with y = x alpha^n and |y| < THETA, is
+      exp(-sum_{j>=1} y^j / (j (1 - alpha^j))) (Gasper & Rahman, Basic
+      Hypergeometric Series, 1.3).  Each 1 - alpha^j is taken as
+      (1 - alpha)(1 + alpha + ... + alpha^(j-1)) with the sum built by
+      recurrence, so it keeps full relative precision as alpha -> 1, where
+      1 - alpha^j taken directly would cancel.  The series stops after J
+      terms, the least J with |y|^J <= eps (1 - |alpha|) / |1 - alpha|;
+      J <= 27 for real alpha.
+
+    Error model: the cut-off tail is below eps times the first series term
+    |y / (1 - alpha)|, i.e. below the rounding of the sum itself.  What
+    remains is rounding: about eps per multiplied factor plus eps times
+    that first term, which grows like 1/(1 - alpha) as alpha -> 1.
+    A value beyond the double range comes back as 0 or with an infinite
+    modulus; a NaN or infinite argument raises ValueError or OverflowError,
+    as the plain product did.  No factor is tested for a zero here; the
+    kernel callers raise QPochhammerPoleError for that (_poch_guarded).
     """
     a = qp.alpha
     if not abs(a) < 1:
         raise ValueError("(x; alpha)_inf requires |alpha| < 1")
     x = complex(x)
+    prod = 1.0 + 0.0j
+    if abs(x) >= THETA:
+        n = math.ceil(math.log(abs(x) / THETA) / -math.log(abs(a)))
+        if n > MAX_FACTORS:
+            raise ValueError("q-Pochhammer truncation exceeds term cap")
+        for _ in range(n):
+            prod *= 1.0 - x
+            x *= a
     if x == 0:
-        return 1.0 + 0.0j
-    # number of factors until |x| |a|^p < tail
-    n = int(np.ceil((np.log(tail) - np.log(abs(x))) / np.log(abs(a)))) + 1
-    if n > max_terms:
-        raise ValueError("q-Pochhammer truncation exceeds term cap")
-    if n <= 0:
-        return 1.0 + 0.0j
-    factors = 1.0 - x * np.power(complex(a), np.arange(n))
-    return complex(np.prod(factors))
+        return prod
+    terms = math.ceil(math.log(_EPS * (1.0 - abs(a)) / abs(1.0 - a))
+                      / math.log(abs(x)))
+    s, xj, aj, g = 0.0, 1.0, 1.0, 0.0
+    for j in range(1, terms + 1):
+        xj *= x
+        g += aj  # 1 + a + ... + a^(j-1) = (1 - a^j) / (1 - a)
+        aj *= a
+        s += xj / (j * g)
+    e = -s / (1.0 - a)
+    try:
+        return prod * cmath.exp(e)
+    except OverflowError:
+        # exp(e) overflows only for alpha near 1 and y on or left of the
+        # imaginary axis; for real alpha the factors multiplied out lie at
+        # the same phase, have modulus > 1 there, and the value overflows
+        # too: an infinite modulus with the phase carried on
+        return cmath.rect(math.inf, cmath.phase(prod) + e.imag)
 
 
 def qexp(x, qp):
@@ -167,9 +227,21 @@ class KernelSite:
 
 
 def _poch_guarded(x, qp):
+    """(x; alpha)_inf, raising QPochhammerPoleError where a factor vanishes.
+
+    A factor counts as vanishing when |1 - x alpha^p| < POLE_TOL.  Only the
+    factors with |x alpha^p| near 1 can do so, so the two integers p >= 0
+    on either side of p* = -ln|x| / ln|alpha| are tested.  A value that is
+    merely small, with no factor near zero, is returned as it is.
+    """
     v = qpochhammer_inf(x, qp)
-    if abs(v) < 1e-12:
-        raise QPochhammerPoleError(f"vanishing Pochhammer factor at x={x}")
+    if x != 0:
+        a = qp.alpha
+        p_star = -math.log(abs(x)) / math.log(abs(a))
+        for p in (math.floor(p_star), math.ceil(p_star)):
+            if p >= 0 and abs(1.0 - x * a**p) < POLE_TOL:
+                raise QPochhammerPoleError(
+                    f"vanishing Pochhammer factor 1 - x alpha^{p} at x={x}")
     return v
 
 

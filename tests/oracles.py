@@ -51,3 +51,34 @@ def generating_function_mp(bt, dps=30):
             total += (i1 + i2 - mpmath.log(x) * mpmath.log(mu**2 * y)
                       - 2 * mpmath.log(mu) ** 2)
         return +total
+
+
+def qpochhammer_mp(x, alpha):
+    """(x; alpha)_inf as an mpc, from sources independent of the log series
+    of qcalc.qpochhammer_inf; x and alpha are taken as exact doubles.
+
+    - |alpha| <= 0.9: mpmath's own qp at 40 digits (it raises NoConvergence
+      from alpha = 0.99 up);
+    - otherwise, at 60 digits: the product of the factors 1 - x alpha^p
+      with |x alpha^p| > 1 - |alpha|, times Euler's series
+      (y; alpha)_inf = sum_n (-1)^n alpha^(n(n-1)/2) y^n / (alpha; alpha)_n
+      for the rest, y = x alpha^p.  Its terms fall at least like 1/n!,
+      since |y| <= 1 - |alpha|.
+    """
+    x, alpha = complex(x), complex(alpha)
+    if abs(alpha) <= 0.9:
+        with mpmath.workdps(40):
+            return +mpmath.qp(mpmath.mpc(x), mpmath.mpc(alpha))
+    with mpmath.workdps(60):
+        y, a = mpmath.mpc(x), mpmath.mpc(alpha)
+        prod = mpmath.mpc(1)
+        while abs(y) > 1 - abs(a):
+            prod *= 1 - y
+            y *= a
+        total, term, n = mpmath.mpc(1), mpmath.mpc(1), 0
+        while abs(term) > mpmath.mpf("1e-50") * abs(total):
+            # term_{n+1} / term_n = -alpha^n y / (1 - alpha^(n+1))
+            term *= -a**n * y / (1 - a ** (n + 1))
+            total += term
+            n += 1
+        return prod * total

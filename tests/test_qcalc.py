@@ -1,10 +1,16 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from albaxter.qcalc import (KernelSite, QParam, feq_residuals, ghat,
-                            jackson_derivative, jackson_integral, jackson_op,
-                            kernel_F, kernel_G, qexp, qhat_kernel,
-                            qpochhammer_inf, rho_functional_residual, rho_site)
+from albaxter.qcalc import (THETA, KernelSite, QParam, QPochhammerPoleError,
+                            feq_residuals, ghat, jackson_derivative,
+                            jackson_integral, jackson_op, kernel_F, kernel_G,
+                            qexp, qhat_kernel, qpochhammer_inf,
+                            rho_functional_residual, rho_site)
+from oracles import qpochhammer_mp
 
 QP = QParam(0.5)
 
@@ -67,6 +73,69 @@ class TestQPochhammer:
         qp = QParam(1.0 - 1e-4)
         for x in (-1.0, -0.3, 0.5, 1.0):
             assert abs(qexp(x, qp) - np.exp(x)) < 1e-3
+
+    # Arguments on both sides of THETA = 1/4, real, imaginary and complex,
+    # up to |x| ~ 3, where the product takes ~250 factors at alpha = 0.99.
+    XS = (0.1, -0.2, 0.2 + 0.1j, 0.24, 0.26, -0.3j, 0.5, -0.6, 0.9, 1.7j,
+          3 - 1j, -2.5)
+    # Relative error bound against the oracle over XS, >= 10x the worst
+    # measured error (in the comment).
+    ORACLE_BOUNDS = {
+        1e-18: 1e-15,  # 3.4e-17
+        0.2: 1e-14,  # 2.3e-16
+        0.5: 1e-14,  # 2.4e-16
+        0.9: 1e-13,  # 3.1e-15
+        0.99: 2e-12,  # 1.2e-13
+        math.exp(-0.01): 2e-12,  # 9.6e-14
+        0.9 + 0.43j: 5e-12,  # 2.4e-13
+    }
+
+    @pytest.mark.parametrize("alpha", list(ORACLE_BOUNDS))
+    def test_matches_mp_oracle(self, alpha):
+        qp = QParam(alpha, allow_complex=isinstance(alpha, complex))
+        worst = max(abs(qpochhammer_inf(x, qp) / complex(
+            qpochhammer_mp(x, qp.alpha)) - 1) for x in self.XS)
+        assert worst <= self.ORACLE_BOUNDS[alpha]
+
+    def test_matches_mp_oracle_near_one(self):
+        # alpha = 1 - 1e-4 with |x| <= 1e-4, the arguments qexp passes on;
+        # measured worst 1.1e-16
+        qp = QParam(1.0 - 1e-4)
+        for x in (1e-4, -1e-4, 5e-5j, 1e-6, -7e-5 + 7e-5j, 2e-5):
+            want = complex(qpochhammer_mp(x, qp.alpha))
+            assert abs(qpochhammer_inf(x, qp) / want - 1) <= 2e-15
+
+    def test_qexp_matches_mp_oracle(self):
+        # the nine points of the baxter.qexp_limit check; measured worst
+        # 1.8e-16 (the factor-by-factor product had 1.4e-12)
+        qp = QParam(1.0 - 1e-4)
+        for x in np.linspace(-1.0, 1.0, 9):
+            want = 1 / complex(qpochhammer_mp(x * (1.0 - qp.alpha),
+                                              qp.alpha))
+            assert abs(qexp(x, qp) / want - 1) <= 2e-15
+
+    def test_term_cap(self):
+        # ~1.3e9 factors would be multiplied out: refused before any loop
+        with pytest.raises(ValueError, match="term cap"):
+            qpochhammer_inf(0.9, QParam(1.0 - 1e-9))
+
+    # >= 10x the worst relative error of the recurrence below, 1.4e-12 over
+    # 15,000 random draws of its domain
+    SEAM_BOUND = 2e-11
+
+    @given(modulus=st.floats(THETA / 2, 2 * THETA),
+           phase=st.floats(-math.pi, math.pi),
+           log_gap=st.floats(math.log10(1 / 0.95), 4.0))
+    def test_seam_recurrence(self, modulus, phase, log_gap):
+        # (x; a)_inf = (1 - x)(a x; a)_inf across |x| = THETA, where one
+        # side multiplies out a factor that the other sums in its series
+        qp = QParam(1.0 - 10.0**-log_gap)
+        x = cmath.rect(modulus, phase)
+        lhs = qpochhammer_inf(x, qp)
+        rhs = (1 - x) * qpochhammer_inf(qp.alpha * x, qp)
+        # near alpha = 1 the value can leave the double range
+        assume(1e-300 < abs(lhs) < 1e300)
+        assert abs(lhs - rhs) <= self.SEAM_BOUND * abs(lhs)
 
 
 class TestJackson:
@@ -180,6 +249,24 @@ class TestRhoSite:
         ks = KernelSite(mu=1.3, rtilde_k=1.4, rtilde_km1=1.0)
         with pytest.raises(ValueError):
             rho_site(ks, QP, 1.0)  # r/rtilde_{k-1} = 1 kills a factor
+
+    def test_pole_guard_inner_factor(self):
+        # r/rtilde_{k-1} = alpha^-3 kills the factor p = 3
+        qp = QParam(math.exp(-0.01))
+        ks = KernelSite(mu=1.3, rtilde_k=1.4, rtilde_km1=1.0)
+        with pytest.raises(QPochhammerPoleError):
+            rho_site(ks, qp, qp.alpha**-3)
+
+    def test_small_product_is_not_a_pole(self):
+        # (0.5; e^-0.01)_inf ~ 5e-26 with no factor near zero; the bound is
+        # >= 10x the worst measured error, 4.2e-14
+        qp = QParam(math.exp(-0.01))
+        ks = KernelSite(mu=1.0, rtilde_k=1.0, rtilde_km1=1.0)
+        for r in (0.5, 0.863):
+            want = 1 / complex(qpochhammer_mp(r, qp.alpha)
+                               * qpochhammer_mp(-r, qp.alpha))
+            got = rho_site(ks, qp, r)
+            assert abs(got / want - 1) <= 1e-12
 
     def test_kernel_site_validation(self):
         with pytest.raises(ValueError):
