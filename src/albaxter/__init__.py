@@ -3,10 +3,10 @@
 Classical layer: Lax/monodromy construction, conserved quantities, exact
 Poisson brackets, the r-matrix relation, and one-parameter Backlund maps
 with spectrality and generating-function checks.  Quantum layer: the
-truncated q-boson representation with RLL/Yang-Baxter and quantum
-determinant identities, Bethe roots by homotopy continuation, and the
-q-difference Baxter equation verified at the eigenvalue level and
-pointwise on product kernels.
+q-boson representation on the Fock states of total occupation <= n_max,
+with RLL/Yang-Baxter and quantum determinant identities, Bethe roots by
+homotopy continuation, and the q-difference Baxter equation verified at
+the eigenvalue level and pointwise on product kernels.
 """
 
 from .algebra import LaurentPoly, Mat2, MultiDual, laurent_eval, laurent_mul, mat2_mul

@@ -40,13 +40,17 @@ class BTError(RuntimeError):
     """Newton non-convergence, singular Jacobian, or vanishing denominator."""
 
 
+# Newton iterations per rung, step halvings per iteration, and the |mu|
+# ladder: from MU_SEED up to |mu| by factors of MU_GROWTH.
+MAX_ITER = 100
+MAX_DAMPING = 30
+MU_SEED = 1e-3
+MU_GROWTH = 2.0
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-12
-    max_iter: int = 100
-    mu_seed: float = 1e-3
-    growth: float = 2.0
-    max_damping: int = 30
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,7 @@ def _poly_jacobian(q, rt, mu):
     return J
 
 
-def _newton(q, r, rt, mu, opts):
+def _newton(q, r, rt, mu):
     """Damped Newton on the denominator-cleared first line.
 
     Converges to the floating-point floor of the residual; the as-printed
@@ -112,7 +116,7 @@ def _newton(q, r, rt, mu, opts):
     err = np.abs(F).max()
     if not np.isfinite(err):
         raise BTError("non-finite residual at Newton start")
-    for it in range(opts.max_iter):
+    for it in range(MAX_ITER):
         if err < floor:
             return rt, it
         if np.any(np.abs(rt) < 1e-12):
@@ -124,7 +128,7 @@ def _newton(q, r, rt, mu, opts):
             raise BTError("singular Jacobian in Backlund Newton") from exc
         step = 1.0
         improved = False
-        for _ in range(opts.max_damping):
+        for _ in range(MAX_DAMPING):
             cand = rt - step * delta
             if not np.any(np.abs(cand) < 1e-12):
                 with np.errstate(all="ignore"):
@@ -140,18 +144,19 @@ def _newton(q, r, rt, mu, opts):
                 return rt, it + 1
             raise BTError("Newton damping failed to reduce the residual")
     if err < 1e3 * floor:
-        return rt, opts.max_iter
+        return rt, MAX_ITER
     raise BTError(f"Backlund Newton did not converge (residual {err:.3e})")
 
 
 def bt_apply(state, mu, opts=None):
     """Apply the Backlund map at parameter mu.
 
-    The solver continues in |mu| from opts.mu_seed up to |mu| by factors
-    of opts.growth, starting from the shift guess r~_k = r_{k+1}; a rung
-    that fails is bisected geometrically.  There is no warm start: every
-    call solves from the shift guess, so the map is a function of
-    (state, mu, opts) alone.
+    The solver continues in |mu| from MU_SEED up to |mu| by factors of
+    MU_GROWTH, starting from the shift guess r~_k = r_{k+1}; a rung that
+    fails is bisected geometrically.  There is no warm start: every call
+    solves from the shift guess, so the map is a function of
+    (state, mu, opts.tol) alone.  BTError is raised when the as-printed
+    residual of either line is not below opts.tol.
     """
     if mu == 0:
         raise BTError("Backlund parameter mu must be nonzero")
@@ -164,17 +169,17 @@ def bt_apply(state, mu, opts=None):
     path = []
     rt = np.roll(r, -1).astype(complex)
     scales = []
-    s = min(1.0, opts.mu_seed / abs(mu))
+    s = min(1.0, MU_SEED / abs(mu))
     while s < 1.0:
         scales.append(s)
-        s *= opts.growth
+        s *= MU_GROWTH
     scales.append(1.0)
     i = 0
     prev = None  # last converged (scale, rt)
     while i < len(scales):
         s = scales[i]
         try:
-            rt_new, it = _newton(q, r, rt, s * mu, opts)
+            rt_new, it = _newton(q, r, rt, s * mu)
         except BTError:
             lo = prev[0] if prev is not None else scales[0] * 0.5
             mid = np.sqrt(lo * s)  # geometric bisection of the mu ladder

@@ -34,6 +34,8 @@ from numpy.polynomial import polynomial as npoly
 
 from .qcalc import QParam
 
+TOL = 1e-13  # Newton stopping residual of the logarithmic Bethe equations
+
 
 class BetheConvergenceError(RuntimeError):
     """Newton divergence, root collision, or singular-denominator approach."""
@@ -47,22 +49,6 @@ class BetheConfig:
     roots: np.ndarray
     residual: float
     homotopy_path: tuple = ()
-
-
-def default_seed_selection(N, m):
-    """First m of the 2N unit-circle seeds; squares pairwise distinct."""
-    if m > N:
-        raise ValueError("need m <= N for pairwise-distinct seed squares")
-    return tuple(range(m))
-
-
-def _seed_roots(N, selection):
-    sel = tuple(int(s) for s in selection)
-    if len(set(sel)) != len(sel) or not all(0 <= s < 2 * N for s in sel):
-        raise ValueError("seed_selection must pick distinct indices in [0, 2N)")
-    if len(set(s % N for s in sel)) != len(sel):
-        raise ValueError("seed squares collide (indices equal mod N)")
-    return np.exp(1j * np.pi * np.array(sel) / N)
 
 
 def _log_residual(roots, N, one_plus_eta, branch):
@@ -100,11 +86,11 @@ def _log_jacobian(roots, N, one_plus_eta):
     return J
 
 
-def _newton_polish(roots, N, one_plus_eta, branch, tol, max_iter=100):
+def _newton_polish(roots, N, one_plus_eta, branch, max_iter=100):
     F = _log_residual(roots, N, one_plus_eta, branch)
     err = np.abs(F).max()
     for it in range(max_iter):
-        if err < tol:
+        if err < TOL:
             return roots, it
         J = _log_jacobian(roots, N, one_plus_eta)
         try:
@@ -121,36 +107,38 @@ def _newton_polish(roots, N, one_plus_eta, branch, tol, max_iter=100):
                     Fc = None
                 if Fc is not None:
                     errc = np.abs(Fc).max()
-                    if errc < err or errc < tol:
+                    if errc < err or errc < TOL:
                         roots, F, err = cand, Fc, errc
                         break
             step *= 0.5
         else:
             raise BetheConvergenceError("Bethe Newton damping stalled")
-    if err < tol:
+    if err < TOL:
         return roots, max_iter
     raise BetheConvergenceError(f"Bethe Newton stalled at residual {err:.3e}")
 
 
-def solve_bethe(N, m, qp, seed_selection=None, tol=1e-13):
+def solve_bethe(N, m, qp):
     """Solve the Bethe system by eta-homotopy from the free point.
 
-    Branch integers of the unwrapped logarithmic form are fixed by the
-    eta = 0 seed (m distinct 2N-th roots of unity with distinct squares)
-    and held constant along the path; the step starts at eta/10 and halves
-    on divergence, aborting below a 1e-6 relative floor.
+    The eta = 0 seeds are exp(i pi j/N), j < m: 2N-th roots of unity whose
+    squares are distinct for m <= N.  They fix the branch integers of the
+    unwrapped logarithmic form, which are held constant along the path;
+    the step starts at eta/10 and halves on divergence, aborting below a
+    1e-6 relative floor.  Newton stops below a residual of TOL.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if m > N:
+        raise ValueError("need m <= N for pairwise-distinct seed squares")
     if not isinstance(qp, QParam):
         qp = QParam(qp)
-    sel = default_seed_selection(N, m) if seed_selection is None else seed_selection
-    roots = _seed_roots(N, sel)
+    roots = np.exp(1j * np.pi * np.arange(m) / N)
     branch = np.array([round(-N * np.angle(z) / np.pi) for z in roots])
 
     eta_target = qp.eta
     path = []
-    roots, it0 = _newton_polish(roots, N, 1.0, branch, tol)
+    roots, it0 = _newton_polish(roots, N, 1.0, branch)
     path.append((0.0, it0))
     s, step = 0.0, 0.1  # path fraction along eta = s * eta_target
     guard = 0
@@ -161,7 +149,7 @@ def solve_bethe(N, m, qp, seed_selection=None, tol=1e-13):
         s_next = min(s + step, 1.0)
         eta = s_next * eta_target
         try:
-            cand, iters = _newton_polish(roots, N, 1.0 + eta, branch, tol)
+            cand, iters = _newton_polish(roots, N, 1.0 + eta, branch)
             lam2 = cand**2
             for j in range(m):
                 for k in range(m):

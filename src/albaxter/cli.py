@@ -36,7 +36,8 @@ def _build_parser():
         sp.add_argument("--m", type=int)
         sp.add_argument("--alpha", type=float)
         sp.add_argument("--mu", type=float)
-        sp.add_argument("--nmax", type=int)
+        sp.add_argument("--nmax", type=int,
+                        help="cap on the total Fock occupation")
         sp.add_argument("--seed", type=int)
         sp.add_argument("--tol", type=float, help="Newton tolerance")
         sp.add_argument("--out", metavar="PATH")

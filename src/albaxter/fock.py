@@ -1,11 +1,13 @@
-"""Truncated q-boson Fock representation of the quantum chain.
+"""Graded q-boson Fock representation of the quantum chain.
 
-Site operators on the occupation basis |n_1 ... n_N>, 0 <= n_k <= n_max:
+The basis is the occupation vectors |n_1 ... n_N> with total occupation
+n_1 + ... + n_N <= n_max, ordered by total occupation; it has
+C(N + n_max, N) states.  Site operators:
 
-    r_k |.. n_k ..> = |.. n_k+1 ..>          (zero at the cutoff edge)
+    r_k |.. n_k ..> = |.. n_k+1 ..>          (zero on the top sector)
     q_k |.. n_k ..> = (1 - alpha^{n_k}) |.. n_k-1 ..>
 
-On states with headroom below the cutoff this realizes the algebra
+Below the top sector this realizes the algebra
 [q_j, r_k] = eta (1 - q_j r_j) delta_jk exactly (the coefficients solve the
 recursion c_{n+1} = alpha (eta + c_n), c_0 = 0).  The Lax operator of site k
 acts on C^2 (x) H as L_k(lam) = diag(lam, 1/lam) (x) I + Q_k with
@@ -15,13 +17,16 @@ as a sweep diag * X + Q_k @ X over the sites on a stacked vector or column
 block X (C(lam) phi is the lower half of T(lam) [phi; 0]), or as the
 product of the N sparse L_k(lam) where operator products are needed.
 
-The truncation edge breaks the algebra, so every operator-identity residual
-is the largest entry of the identity applied to a selector of the input
-columns whose occupations leave headroom for the raisings it performs,
-X (Y P) rather than (X Y) P; each check documents its headroom.
+L_k conserves the occupation minus the number of auxiliary spaces in their
+second state, so T(lam) raises the occupation by at most one per auxiliary
+space.  An identity that carries h raisings is therefore exact on the first
+exact_dim(h) = C(N + n_max - h, N) basis states, and its residual is the
+largest entry of the identity applied to that prefix of the input columns,
+X (Y P) rather than (X Y) P, with h = HEADROOM[check].
 """
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 from scipy import sparse
@@ -31,16 +36,21 @@ from .qcalc import QParam
 
 DIM_CAP = 200_000
 
+# Raisings each identity carries.  One step lower every identity but the
+# trace commutator is off by O(1) (tests/test_fock.py holds the controls).
+HEADROOM = dict(rll=2, qdet=1, trace_commutator=1, qboson=1, bethe_state=1)
+
 
 class FockRep:
-    """Multi-site truncated q-boson representation; immutable."""
+    """Multi-site q-boson representation truncated at total occupation
+    n_max; immutable."""
 
     def __init__(self, N, n_max, qp):
         if N < 1 or n_max < 1:
             raise ValueError("need N >= 1 and n_max >= 1")
         if not isinstance(qp, QParam):
             qp = QParam(qp)
-        dim = (n_max + 1) ** N
+        dim = comb(N + n_max, N)
         if dim > DIM_CAP:
             raise ValueError(f"basis size {dim} exceeds cap {DIM_CAP}")
         self.N = N
@@ -48,27 +58,32 @@ class FockRep:
         self.qp = qp
         self.dim = dim
 
-        occ = np.zeros((dim, N), dtype=np.int64)
-        tmp = np.arange(dim)
-        for k in range(N):
-            occ[:, k] = tmp % (n_max + 1)
-            tmp //= (n_max + 1)
-        self.occupations = occ
+        # |n> has index sum_i C(i + S_i - 1, i), S_i = n_1 + ... + n_i: the
+        # combinatorial number system, sorted by the total S_N; unrank greedily
+        sites = np.arange(N)
+        terms = np.array([[comb(i + s, i + 1) for s in range(n_max + 2)]
+                          for i in sites])
+        S = np.empty((dim, N), dtype=np.int64)
+        rem = np.arange(dim)
+        for i in reversed(sites):
+            S[:, i] = np.searchsorted(terms[i], rem, side="right") - 1
+            rem = rem - terms[i, S[:, i]]
+        self.occupations = np.diff(S, axis=1, prepend=0)
         self.occupations.setflags(write=False)
 
-        alpha = qp.alpha
-        self.r_ops = []
-        self.q_ops = []
-        for k in range(N):
-            stride = (n_max + 1) ** k
-            up = np.nonzero(occ[:, k] < n_max)[0]
+        # raising n_k adds one to S_i for i >= k; r_k is zero on the top
+        # sector, so only the first exact_dim(1) states are raised
+        below = np.arange(self.exact_dim(1))
+        step = terms[sites, S[below] + 1] - terms[sites, S[below]]
+        raised = below[:, None] + np.cumsum(step[:, ::-1], axis=1)[:, ::-1]
+        self.r_ops, self.q_ops = [], []
+        for up, n_k in zip(raised.T, self.occupations[below].T):
             self.r_ops.append(sparse.csr_matrix(
-                (np.ones(up.size), (up + stride, up)),
-                shape=(dim, dim), dtype=complex))
-            dn = np.nonzero(occ[:, k] > 0)[0]
-            data = 1.0 - np.power(alpha, occ[dn, k]).astype(complex)
+                (np.ones(below.size), (up, below)), shape=(dim, dim),
+                dtype=complex))
             self.q_ops.append(sparse.csr_matrix(
-                (data, (dn - stride, dn)), shape=(dim, dim), dtype=complex))
+                (1.0 - qp.alpha ** (n_k + 1), (below, up)), shape=(dim, dim),
+                dtype=complex))
         self.identity = sparse.identity(dim, dtype=complex, format="csr")
 
         # Q_k is stored on the sparsity pattern of L_k, with explicit zeros
@@ -86,17 +101,9 @@ class FockRep:
             self.lax_offdiag.append(Q)
             self._diag_slots.append(slots)
 
-    def vacuum(self):
-        v = np.zeros(self.dim, dtype=complex)
-        v[0] = 1.0
-        return v
-
-    def total_occupation(self):
-        return self.occupations.sum(axis=1)
-
-    def safe_columns(self, headroom):
-        """Mask of basis states with n_k <= n_max - headroom at every site."""
-        return (self.occupations <= self.n_max - headroom).all(axis=1)
+    def exact_dim(self, headroom):
+        """Number of basis states with total occupation <= n_max - headroom."""
+        return comb(self.N + self.n_max - headroom, self.N)
 
     def transfer(self, lam, X=None):
         """L_N(lam) ... L_1(lam) X on C^2 (x) H.
@@ -131,17 +138,11 @@ class FockRep:
         return T[:n, :n], T[:n, n:], T[n:, :n], T[n:, n:]
 
 
-def restricted_max(M, col_mask):
-    """Max matrix-element magnitude over the allowed input columns."""
-    sub = M.tocsc()[:, np.nonzero(col_mask)[0]]
-    return float(np.abs(sub.data).max()) if sub.nnz else 0.0
-
-
 def grading_offsets(rep, M, tol=1e-14):
     """Total-occupation changes present in the sparsity pattern of M."""
     coo = M.tocoo()
     keep = np.abs(coo.data) > tol
-    tot = rep.total_occupation()
+    tot = rep.occupations.sum(axis=1)
     return sorted(set((tot[coo.row[keep]] - tot[coo.col[keep]]).tolist()))
 
 
@@ -192,12 +193,13 @@ def ybe_residual(lam, nu, eta):
 _SWAP = sparse.csr_matrix(np.eye(4)[[0, 2, 1, 3]])
 
 
-def _selector(rep, headroom, copies=1):
-    """Columns of the identity on C^(copies) (x) H kept by safe_columns."""
-    cols = np.flatnonzero(np.tile(rep.safe_columns(headroom), copies))
-    n = cols.size
-    return sparse.csr_matrix((np.ones(n), (cols, np.arange(n))),
-                             shape=(copies * rep.dim, n), dtype=complex)
+def _selector(rep, check, copies=1):
+    """Columns of the identity on C^(copies) (x) H keeping, in each copy,
+    the basis states on which `check` is exact (its HEADROOM prefix)."""
+    n = rep.exact_dim(HEADROOM[check])
+    rows = (rep.dim * np.arange(copies)[:, None] + np.arange(n)).ravel()
+    return sparse.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))),
+                             shape=(copies * rep.dim, rows.size), dtype=complex)
 
 
 def _max_entry(M):
@@ -205,12 +207,11 @@ def _max_entry(M):
 
 
 def rll_residual(rep, lam, nu):
-    """Safe-subspace residual of R(lam/nu) L1(lam) L2(nu) = L2(nu) L1(lam) R(lam/nu).
+    """Residual of R(lam/nu) L1(lam) L2(nu) = L2(nu) L1(lam) R(lam/nu).
 
     On C^2 (x) C^2 (x) H, L2(nu) = T(nu) on the second auxiliary factor and
-    L1(lam) = S (I (x) T(lam)) S with S the swap of the two factors.
-    Columns are restricted to occupations n_k <= n_max - 2 (two raisings
-    per site can occur in the quadratic products).
+    L1(lam) = S (I (x) T(lam)) S with S the swap of the two factors.  Each
+    auxiliary space raises once: headroom 2.
     """
     Tl = rep.transfer(lam)
     Tn = rep.transfer(nu)
@@ -219,19 +220,18 @@ def rll_residual(rep, lam, nu):
     L2 = sparse.block_diag((Tn, Tn), format="csr")
     R = sparse.kron(quantum_rmatrix(lam, nu, rep.qp.eta), rep.identity,
                     format="csr")
-    P = _selector(rep, 2, copies=4)
+    P = _selector(rep, "rll", copies=4)
     return _max_entry(R @ (L1 @ (L2 @ P)) - L2 @ (L1 @ (R @ P)))
 
 
-def _trace(rep, lam):
-    T = rep.transfer(lam)
-    n = rep.dim
-    return T[:n, :n] + T[n:, n:]
-
-
 def trace_commutator_residual(rep, lam, nu):
-    """Safe-subspace residual of [Tr L(lam), Tr L(nu)] (headroom 2)."""
-    t1, t2, P = _trace(rep, lam), _trace(rep, nu), _selector(rep, 2)
+    """Residual of [Tr L(lam), Tr L(nu)]; each trace raises once inside its
+    own product: headroom 1.  It has no negative control: the truncation
+    errors of the two orders cancel, and the residual stays at roundoff
+    even on the top sector (headroom 0)."""
+    n = rep.dim
+    t1, t2 = (T[:n, :n] + T[n:, n:] for T in map(rep.transfer, (lam, nu)))
+    P = _selector(rep, "trace_commutator")
     return _max_entry(t1 @ (t2 @ P) - t2 @ (t1 @ P))
 
 
@@ -254,15 +254,15 @@ def quantum_determinant(rep, lam):
                               = D(l sa)A(l)/sa - B(l sa)C(l)/a,
 
     compared pairwise and against the explicit product form
-    prod_k (1 - r_k q_k).  Residuals are max matrix elements over
-    headroom-2 input columns.
+    prod_k (1 - r_k q_k).  Residuals are max matrix elements over the
+    headroom-1 input columns: in each product one factor raises once.
     """
     a = rep.qp.alpha
     sa = rep.qp.sqrt_alpha
     A1, B1, C1, D1 = rep.monodromy_at(lam)
     A2, B2, C2, D2 = rep.monodromy_at(lam * sa)
     # the scalar factors of each term are folded into its column selector
-    P = _selector(rep, 2)
+    P = _selector(rep, "qdet")
     P1 = P / sa ** (rep.N - 1)
     Ps = P1 / sa
     Pa = P1 / a
@@ -282,7 +282,7 @@ def quantum_determinant(rep, lam):
 
 def delta_product(rep, X):
     """prod_k (1 - r_k q_k) X, the quantum determinant in product form
-    applied to a vector or column block; exact on the whole truncated space
+    applied to a vector or column block; exact on the whole graded space
     (each factor lowers before raising)."""
     for q, r in zip(rep.q_ops, rep.r_ops):
         X = X - r @ (q @ X)
@@ -295,14 +295,14 @@ def delta_product(rep, X):
 
 def bethe_state(rep, roots):
     """State prod_k C(lam_k)|0>, each C(lam_k) read off the lower half of a
-    sweep T(lam_k) [phi; 0]; requires m <= n_max - 2 so later operator
-    applications stay inside the exact regime."""
+    sweep T(lam_k) [phi; 0].  The state has total occupation m and a sweep
+    of it raises once, so exactness needs m <= n_max - 1 (headroom 1)."""
     roots = np.asarray(getattr(roots, "roots", roots), dtype=complex)
     m = roots.size
-    if m > rep.n_max - 2:
-        raise ValueError("need m <= n_max - 2 headroom for Bethe states")
+    if m > rep.n_max - HEADROOM["bethe_state"]:
+        raise ValueError(f"need n_max >= m + {HEADROOM['bethe_state']}")
     n = rep.dim
-    phi = rep.vacuum()
+    phi = np.eye(1, n, dtype=complex)[0]  # the vacuum
     for lam in roots:
         phi = rep.transfer(lam, np.concatenate([phi, np.zeros(n)]))[n:]
     if np.linalg.norm(phi) < 1e-300:

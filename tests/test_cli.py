@@ -75,3 +75,18 @@ def test_verify_quantum_and_bethe_exit_zero(capsys):
     assert "8/8 checks passed" in capsys.readouterr().out
     assert cli.main(["verify", "bethe", "--N", "4", "--m", "2"]) == 0
     assert "7/7 checks passed" in capsys.readouterr().out
+
+
+def test_verify_all_reaches_n8(capsys):
+    # the graded Fock space at N=8, n_max=5 has C(13, 5) = 1287 states
+    assert cli.main(["verify", "all", "--N", "8"]) == 0
+    assert "42/42 checks passed" in capsys.readouterr().out
+
+
+def test_verify_bethe_n16_m3_completes(tmp_path):
+    out = tmp_path / "bethe.json"
+    cli.main(["verify", "bethe", "--N", "16", "--m", "3", "--out", str(out)])
+    checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    assert len(checks) == 7
+    [rec] = [c for c in checks if c["check_id"] == "bethe.fock_eigen_residual"]
+    assert rec["pass"] and rec["params"] == {"N": 16, "m": 3, "n_max": 5}

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from albaxter import fock
+from albaxter import fock, suites
 from albaxter.bethe import BetheConfig, solve_bethe
 from albaxter.qcalc import QParam
+from albaxter.report import RunConfig
 
 QP = QParam(0.5)
 LAM, NU = 1.37 * np.exp(0.6j), 1.21 * np.exp(2.3j)
@@ -12,8 +14,8 @@ LAM, NU = 1.37 * np.exp(0.6j), 1.21 * np.exp(2.3j)
 def _site_ops(n_max, alpha):
     """Single-site truncated r (raise) and q (lower, 1 - alpha^n) as dense."""
     n = np.arange(n_max + 1)
-    r = np.diag(np.ones(n_max), -1).astype(complex)
-    q = np.diag(1.0 - alpha ** n[1:], 1).astype(complex)
+    r = np.diag(np.ones(n_max), -1)
+    q = np.diag(1.0 - alpha ** n[1:], 1)
     return q, r
 
 
@@ -44,6 +46,28 @@ def _oracle_monodromy(N, n_max, alpha, lam):
     return A, B, C, D
 
 
+def _oracle_sweep(N, n_max, alpha, lam, X):
+    """(A X, B X, C X, D X) by sweeping the columns [X; 0] and [0; X]
+    through the explicit 2x2 block Lax operators."""
+    qs, rs = _oracle_ops(N, n_max, alpha)
+    out = []
+    for u, v in ((X, 0 * X), (0 * X, X)):
+        for q, r in zip(qs, rs):
+            u, v = lam * u + q @ v, r @ u + v / lam
+        out.append((u, v))
+    (AX, CX), (BX, DX) = out
+    return AX, BX, CX, DX
+
+
+def _embedding(rep):
+    """Hypercube-by-graded 0/1 matrix placing each graded basis state at
+    its oracle index (site 1 fastest)."""
+    base = rep.n_max + 1
+    E = np.zeros((base ** rep.N, rep.dim))
+    E[rep.occupations @ base ** np.arange(rep.N), np.arange(rep.dim)] = 1.0
+    return E
+
+
 def _oracle_delta(N, n_max, alpha):
     """prod_k (1 - r_k q_k) as a dense matrix."""
     qs, rs = _oracle_ops(N, n_max, alpha)
@@ -57,13 +81,33 @@ def _oracle_delta(N, n_max, alpha):
 class TestMonodromy:
     @pytest.mark.parametrize("N, n_max", [(1, 3), (2, 3), (3, 3), (2, 5)])
     def test_blocks_match_dense_oracle(self, N, n_max):
+        # on the headroom-1 columns the oracle's columns lie inside the
+        # graded space and equal the graded blocks' columns there
         rep = fock.FockRep(N, n_max, QP)
+        E = _embedding(rep)
+        n = rep.exact_dim(1)
         for lam in (LAM, NU, 0.8):
             got = rep.monodromy_at(lam)
             want = _oracle_monodromy(N, n_max, QP.alpha, lam)
             for g, w in zip(got, want):
                 assert g.shape == (rep.dim, rep.dim)
-                assert np.abs(g.toarray() - w).max() <= 1e-13
+                assert np.abs(E @ g[:, :n].toarray() - w @ E[:, :n]).max() \
+                    <= 1e-13
+
+    @settings(max_examples=30)
+    @given(N=st.integers(1, 4), n_max=st.integers(1, 5),
+           modulus=st.floats(0.5, 2.0), phase=st.floats(0.0, 2 * np.pi))
+    def test_graded_blocks_equal_oracle_on_exact_columns(self, N, n_max,
+                                                         modulus, phase):
+        rep = fock.FockRep(N, n_max, QP)
+        lam = modulus * np.exp(1j * phase)
+        E = _embedding(rep)
+        cols = E[:, :rep.exact_dim(1)]
+        got = rep.monodromy_at(lam)
+        want = _oracle_sweep(N, n_max, QP.alpha, lam, cols)
+        for g, w in zip(got, want):
+            assert np.abs(E @ g[:, :cols.shape[1]].toarray() - w).max() \
+                <= 1e-13 * max(1.0, modulus, 1 / modulus) ** N
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_sweep_equals_operator(self, N):
@@ -87,9 +131,18 @@ class TestMonodromy:
                    for M in rep.monodromy_at(1.23)]
         assert offsets == [{0}, {-1}, {1}, {0}]
 
+    def test_graded_dimension(self):
+        rep = fock.FockRep(3, 4, QP)
+        tot = rep.occupations.sum(axis=1)
+        assert rep.dim == 35 and np.all(np.diff(tot) >= 0) and tot[-1] == 4
+        assert len({tuple(n) for n in rep.occupations}) == rep.dim
+        assert rep.exact_dim(1) == np.count_nonzero(tot <= 3) == 20
+        assert fock.FockRep(8, 5, QP).dim == 1287
+
     def test_dim_cap(self):
+        # C(45, 5) = 1,221,759 graded states
         with pytest.raises(ValueError):
-            fock.FockRep(8, 5, QP)
+            fock.FockRep(40, 5, QP)
 
 
 class TestOperatorIdentities:
@@ -103,23 +156,57 @@ class TestOperatorIdentities:
         assert qd.product_residual < 1e-12
 
     def test_delta_product_matches_oracle(self):
+        # each factor lowers before it raises: exact on every column
         rep = fock.FockRep(2, 3, QP)
+        E = _embedding(rep)
         X = np.random.default_rng(5).standard_normal((rep.dim, 4))
-        want = _oracle_delta(2, 3, QP.alpha) @ X
-        assert np.abs(fock.delta_product(rep, X) - want).max() <= 1e-14
+        want = _oracle_delta(2, 3, QP.alpha) @ E @ X
+        assert np.abs(E @ fock.delta_product(rep, X) - want).max() <= 1e-14
 
     def test_headroom_restriction_does_the_work(self):
-        # Control: the oracle's first qdet form misses the product form by
-        # O(1) on columns at the cutoff, and matches it on headroom-2 ones.
+        # Control: the first qdet form misses the product form by O(1) on
+        # the top sector, and matches it on the headroom-1 prefix.
         N, n_max, lam = 2, 4, 1.1 + 0.3j
         rep = fock.FockRep(N, n_max, QP)
         sa, a = QP.sqrt_alpha, QP.alpha
-        A1, B1, _, _ = _oracle_monodromy(N, n_max, a, lam)
-        _, _, C2, D2 = _oracle_monodromy(N, n_max, a, lam * sa)
-        form = (A1 @ D2 / sa - B1 @ C2 / a) / sa ** (N - 1)
-        diff = np.abs(form - _oracle_delta(N, n_max, a))
+        A1, B1, _, _ = rep.monodromy_at(lam)
+        _, _, C2, D2 = rep.monodromy_at(lam * sa)
+        form = ((A1 @ D2 / sa - B1 @ C2 / a) / sa ** (N - 1)).toarray()
+        diff = np.abs(form - fock.delta_product(rep, np.eye(rep.dim)))
         assert diff.max() > 0.1
-        assert diff[:, rep.safe_columns(2)].max() < 1e-12
+        assert diff[:, :rep.exact_dim(1)].max() < 1e-12
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize("check", ["rll", "qdet"])
+    def test_headroom_is_tight(self, N, check, monkeypatch):
+        # negative control: one raising fewer than HEADROOM lets the top
+        # sector's truncation into the compared columns
+        residual = {
+            "rll": lambda rep: fock.rll_residual(rep, LAM, NU),
+            "qdet": lambda rep: fock.quantum_determinant(
+                rep, 1.1 + 0.3j).product_residual,
+        }[check]
+        rep = fock.FockRep(N, 4, QP)
+        assert residual(rep) < 1e-12
+        monkeypatch.setitem(fock.HEADROOM, check, fock.HEADROOM[check] - 1)
+        assert residual(rep) > 0.5
+
+    def test_qboson_headroom_is_tight(self, monkeypatch):
+        # the same control for the suite's q-boson commutator (N=2, n_max=5)
+        def residual():
+            records = suites.suite_quantum(RunConfig(seed=0),
+                                           np.random.default_rng(0))
+            return next(r.residual for r in records
+                        if r.check_id == "quantum.qboson_algebra")
+
+        assert residual() < 1e-13
+        monkeypatch.setitem(fock.HEADROOM, "qboson", 0)
+        assert residual() > 0.5
+
+    def test_trace_commutator_has_no_control(self, monkeypatch):
+        rep = fock.FockRep(3, 4, QP)
+        monkeypatch.setitem(fock.HEADROOM, "trace_commutator", 0)
+        assert fock.trace_commutator_residual(rep, LAM, NU) < 1e-12
 
 
 class TestBetheStates:
@@ -136,11 +223,12 @@ class TestBetheStates:
         N, n_max = 3, 4
         cfg = solve_bethe(N, 2, QP)
         rep = fock.FockRep(N, n_max, QP)
-        want = np.zeros(rep.dim, dtype=complex)
+        want = np.zeros((n_max + 1) ** N, dtype=complex)
         want[0] = 1.0
         for lam in cfg.roots:
             want = _oracle_monodromy(N, n_max, QP.alpha, lam)[2] @ want
-        assert np.abs(fock.bethe_state(rep, cfg) - want).max() <= 1e-13
+        got = _embedding(rep) @ fock.bethe_state(rep, cfg)
+        assert np.abs(got - want).max() <= 1e-13
 
     def test_off_shell_state_is_not_an_eigenvector(self):
         N, m = 3, 1
@@ -152,6 +240,16 @@ class TestBetheStates:
         assert fock.eigen_residual(rep, phi, bad, 1.3 * np.exp(0.4j)) > 1e-3
 
     def test_headroom_required(self):
-        rep = fock.FockRep(2, 3, QP)
+        rep = fock.FockRep(2, 2, QP)
         with pytest.raises(ValueError):
             fock.bethe_state(rep, [1.0, 1j])
+
+    @pytest.mark.parametrize("N, m", [(2, 1), (3, 1), (4, 2)])
+    def test_headroom_is_tight(self, N, m, monkeypatch):
+        # negative control: at n_max = m the sweep of Tr L(nu) over the
+        # state leaves the graded space
+        cfg = solve_bethe(N, m, QP)
+        monkeypatch.setitem(fock.HEADROOM, "bethe_state", 0)
+        rep = fock.FockRep(N, m, QP)
+        phi = fock.bethe_state(rep, cfg)
+        assert fock.eigen_residual(rep, phi, cfg, 1.3 * np.exp(0.4j)) > 0.1
