@@ -12,6 +12,17 @@ i.e. (1 - alpha) times the Jackson derivative
 
 Functions are passed in as callables on a coordinate array (see
 funspace.rho_product for the product kernels of the Baxter equation).
+jackson_op and jackson_derivative also take stacked points, a
+(len(point), n) array whose columns are n points; f then returns n values.
+jackson_integral evaluates its integrand this way, once per block of nodes
+alpha^n b instead of once per node: f takes a (len(point), B) array and
+returns B values, or a scalar (lambda r: 1.0) that broadcasts; the bounds
+are scalars.  The first block has ceil(ln(JACKSON_TAIL) / ln|alpha|) + 2
+nodes (one block for a polynomial at alpha = 1/2), each next block twice
+as many, JACKSON_MAX_NODES in all.  The stop rule is the node-by-node one:
+the sum ends at the first term below JACKSON_TAIL max(1, |partial sum|),
+and the terms are added in node order, so the result is the same bit for
+bit.
 
 Every Baxter kernel goes through one scalar kernel, qpochhammer_inf for
 (x; alpha)_inf.  It multiplies out the factors 1 - x alpha^p with
@@ -38,6 +49,10 @@ MAX_FACTORS = 5_000_000
 _EPS = 2.0**-53
 # A factor |1 - x alpha^p| below this counts as a pole of 1/(x; alpha)_inf.
 POLE_TOL = 1e-12
+# Jackson integral: the sum stops at the first term below JACKSON_TAIL times
+# max(1, |partial sum|); no stop within JACKSON_MAX_NODES nodes raises.
+JACKSON_TAIL = 1e-16
+JACKSON_MAX_NODES = 10_000
 
 
 class QPochhammerPoleError(ValueError):
@@ -156,52 +171,88 @@ def _scaled(point, k, factor):
     return pt
 
 
-def jackson_derivative(f, k, qp, point):
-    """Jackson derivative of f in direction r_k (1-based) at a point."""
-    point = np.asarray(point, dtype=complex)
-    rk = point[k - 1]
-    if rk == 0:
-        raise ZeroDivisionError("Jackson derivative needs r_k != 0")
-    return (f(_scaled(point, k, qp.alpha)) - f(point)) / (qp.alpha * rk - rk)
-
-
 def jackson_op(f, k, qp, point):
-    """Operator action q_k f = (f(r) - f(alpha r_k)) / r_k at a point."""
+    """Operator action q_k f = (f(r) - f(alpha r_k)) / r_k at a point, or
+    at each column of a stacked (len(point), n) array of points."""
     point = np.asarray(point, dtype=complex)
     rk = point[k - 1]
-    if rk == 0:
-        raise ZeroDivisionError("operator q_k needs r_k != 0")
+    if np.any(rk == 0):
+        raise ZeroDivisionError("Jackson difference q_k needs r_k != 0")
     return (f(point) - f(_scaled(point, k, qp.alpha))) / rk
 
 
-def jackson_integral(f, k, qp, b, a=None, point=None, terms=10_000,
-                     tail=1e-16):
+def jackson_derivative(f, k, qp, point):
+    """Jackson derivative D_k f = q_k f / (1 - alpha) in direction r_k
+    (1-based), at a point or at stacked points as jackson_op."""
+    return jackson_op(f, k, qp, point) / (1.0 - qp.alpha)
+
+
+def _mul_unfused(x, y):
+    """x * y on complex arrays, rounded as a scalar complex product is.
+
+    numpy may fuse the multiply-adds of a vector complex product (FMA) but
+    not those of a scalar one; taking the product in real parts keeps a
+    blocked sum bit-identical to a node-by-node one.
+    """
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def jackson_integral(f, k, qp, b, a=None, point=None):
     """Definite Jackson integral of f in direction r_k.
 
     One-point form: int_0^b d_alpha r_k f = sum_{n>=0} alpha^n b f(.., alpha^n b, ..);
-    two-point form over [a, b] by subtraction.  The surrounding coordinates
-    are taken from `point` (defaults to zeros away from site k).
+    two-point form over [a, b] by subtraction.  This is the standard
+    Jackson integral without its factor 1 - alpha, so that q_k inverts it.
+    The surrounding coordinates are taken from `point` (defaults to zeros
+    away from site k).
+
+    f is called on blocks of nodes: a (len(point), B) array whose row k-1
+    holds alpha^n b for B consecutive n, the other rows `point`.  It returns
+    B values, or one scalar that stands for all of them; the bounds are
+    scalars.  The first block has ceil(ln(JACKSON_TAIL) / ln|alpha|) + 2
+    nodes and each next one twice as many, so a polynomial integrand at
+    alpha = 1/2 takes one call per bound.  The sum stops at the first n
+    with |term_n| < JACKSON_TAIL max(1, |sum_{m<=n} term_m|) and adds the
+    terms in node order, so it equals the node-by-node sum bit for bit;
+    f may be evaluated at nodes of the last block beyond that n.  With no
+    stop within JACKSON_MAX_NODES nodes it raises ValueError.
     """
-    if abs(qp.alpha) >= 1:
+    alpha = qp.alpha
+    if abs(alpha) >= 1:
         raise ValueError("Jackson integral requires |alpha| < 1")
     if point is None:
         point = np.zeros(k, dtype=complex)
     point = np.asarray(point, dtype=complex)
+    first = math.ceil(math.log(JACKSON_TAIL) / math.log(abs(alpha))) + 2
 
     def one_point(bound):
         if bound == 0:
             return 0.0 + 0.0j
         acc = 0.0 + 0.0j
-        w = complex(bound)
-        for n in range(terms):
-            pt = np.array(point, dtype=complex)
-            pt[k - 1] = w
-            term = w * f(pt)
-            acc += term
-            if abs(term) < tail * max(1.0, abs(acc)):
-                return acc
-            w *= qp.alpha
-        raise ValueError("Jackson integral tail not decaying within term cap")
+        w = complex(bound)  # first node of the next block
+        done, size = 0, first
+        while done < JACKSON_MAX_NODES:
+            size = min(size, JACKSON_MAX_NODES - done)
+            # w, w alpha, w alpha^2, ...: the products of a running w *= alpha
+            chain = np.cumprod(np.r_[w, np.full(size, alpha, dtype=complex)])
+            nodes, w = chain[:-1], chain[-1]
+            pts = np.repeat(point[:, None], size, axis=1)
+            pts[k - 1] = nodes
+            terms = _mul_unfused(nodes, np.broadcast_to(f(pts), size))
+            sums = np.cumsum(np.r_[acc, terms])[1:]  # sequential, in order
+            # np.hypot rounds as scalar abs() does; np.abs of a complex
+            # vector need not
+            small = (np.hypot(terms.real, terms.imag) < JACKSON_TAIL
+                     * np.maximum(1.0, np.hypot(sums.real, sums.imag)))
+            if small.any():
+                return sums[small.argmax()]
+            acc = sums[-1]
+            done += size
+            size *= 2
+        raise ValueError("Jackson integral tail not decaying within node cap")
 
     upper = one_point(b)
     return upper if a is None else upper - one_point(a)

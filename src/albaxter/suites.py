@@ -150,8 +150,7 @@ def suite_bt(cfg, rng):
 
     def commuting():
         mu2 = 0.17
-        ab = backlund.bt_apply(backlund.bt_apply(state, mu, opts).target,
-                               mu2, opts).target
+        ab = backlund.bt_apply(bt.target, mu2, opts).target
         ba = backlund.bt_apply(backlund.bt_apply(state, mu2, opts).target,
                                mu, opts).target
         return chain.conserved_quantities(ab).max_relative_drift(

@@ -5,6 +5,7 @@ import numpy as np
 
 from albaxter.backlund import bt_apply
 from albaxter.classical_chain import ChainState
+from albaxter.qcalc import JACKSON_MAX_NODES, JACKSON_TAIL
 
 
 def central_difference_map_jacobian(state, mu, opts=None, step=1e-4):
@@ -82,3 +83,35 @@ def qpochhammer_mp(x, alpha):
             total += term
             n += 1
         return prod * total
+
+
+def jackson_integral_loop(f, k, qp, b, a=None, point=None):
+    """Jackson integral by the node-by-node loop that qcalc.jackson_integral
+    replaces: one integrand call on a (len(point),) point per node
+    alpha^n b, the terms summed in node order, stopping at the first term
+    below JACKSON_TAIL * max(1, |partial sum|), at most JACKSON_MAX_NODES
+    nodes.
+    """
+    if abs(qp.alpha) >= 1:
+        raise ValueError("Jackson integral requires |alpha| < 1")
+    if point is None:
+        point = np.zeros(k, dtype=complex)
+    point = np.asarray(point, dtype=complex)
+
+    def one_point(bound):
+        if bound == 0:
+            return 0.0 + 0.0j
+        acc = 0.0 + 0.0j
+        w = complex(bound)
+        for _ in range(JACKSON_MAX_NODES):
+            pt = np.array(point, dtype=complex)
+            pt[k - 1] = w
+            term = w * f(pt)
+            acc += term
+            if abs(term) < JACKSON_TAIL * max(1.0, abs(acc)):
+                return acc
+            w *= qp.alpha
+        raise ValueError("Jackson integral tail not decaying within term cap")
+
+    upper = one_point(b)
+    return upper if a is None else upper - one_point(a)
