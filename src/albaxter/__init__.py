@@ -9,7 +9,6 @@ homotopy continuation, and the q-difference Baxter equation verified at
 the eigenvalue level and pointwise on product kernels.
 """
 
-from .algebra import LaurentPoly, Mat2, MultiDual, laurent_eval, laurent_mul, mat2_mul
 from .classical_chain import (
     ChainState,
     ConservedSet,
@@ -21,11 +20,8 @@ from .classical_chain import (
     dense_monodromy,
     entry_brackets,
     eom_rhs,
-    local_lax,
-    monodromy,
     monodromy_det_eval,
     monodromy_matrix,
-    poisson_bracket,
     rk4_step,
     rmatrix_relation_residual,
     trace_bracket,
@@ -70,7 +66,6 @@ from .bethe import (
     BetheConfig,
     BetheConvergenceError,
     baxter_qdiff_residual,
-    bethe_residuals,
     solve_bethe,
 )
 from .funspace import (

@@ -1,15 +1,15 @@
-"""Core arithmetic: sparse Laurent polynomials, 2x2 matrices over a ring,
-and forward-mode multi-derivative numbers.
+"""Generic ring arithmetic: sparse Laurent polynomials and forward-mode
+multi-derivative numbers.
 
-Everything here is immutable after construction and safe to share between
-threads.  The Laurent/matrix classes are generic over their entry ring:
-plain complex numbers and :class:`MultiDual`.
+Nothing in the verification suites uses these classes any more: the
+classical checks run on the dense transfer kernel of `classical_chain`.
+They stay in the package because the benchmark's tracer and harness
+(`perfbench/`) name `albaxter.algebra.LaurentPoly` and `MultiDual` and
+trace their arithmetic; the test oracles build the generic-ring Lax
+matrices, monodromy and Poisson brackets on them (`tests/oracles.py`).
+No module of the package imports this one.
 
-Users: `classical_chain.poisson_bracket` differentiates user-supplied
-observables with MultiDual.  The classical checks run on the dense
-transfer kernel of `classical_chain`; its `local_lax`, `monodromy` and
-`observable_*` build the same objects over these generic classes as
-small-N oracles for that kernel.
+Both classes are immutable after construction.
 """
 
 import numbers
@@ -135,66 +135,12 @@ class LaurentPoly:
         return f"LaurentPoly({{{terms}}})"
 
 
-def laurent_mul(p, q):
-    return p * q
-
-
-def laurent_eval(p, lam):
-    return p.eval(lam)
-
-
-class Mat2:
-    """2x2 matrix over a commutative ring: complex numbers, MultiDual, or
-    LaurentPoly over either."""
-
-    __slots__ = ("a11", "a12", "a21", "a22")
-
-    def __init__(self, a11, a12, a21, a22):
-        self.a11, self.a12, self.a21, self.a22 = a11, a12, a21, a22
-
-    def __matmul__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return Mat2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return Mat2(self.a11 + other.a11, self.a12 + other.a12,
-                    self.a21 + other.a21, self.a22 + other.a22)
-
-    def __sub__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return Mat2(self.a11 - other.a11, self.a12 - other.a12,
-                    self.a21 - other.a21, self.a22 - other.a22)
-
-    def trace(self):
-        return self.a11 + self.a22
-
-    def det(self):
-        return self.a11 * self.a22 - self.a12 * self.a21
-
-    def __repr__(self):
-        return f"Mat2({self.a11!r}, {self.a12!r}, {self.a21!r}, {self.a22!r})"
-
-
-def mat2_mul(a, b):
-    return a @ b
-
-
 class MultiDual:
     """Complex number carrying exact first partials w.r.t. a variable list.
 
     Arithmetic propagates the chain rule, so polynomial and rational
-    expressions built from seeded variables yield machine-exact gradients.
-    That is what makes the Poisson-bracket checks 1e-12-class instead of
-    finite-difference-class.
+    expressions built from seeded variables yield machine-exact gradients,
+    not finite-difference ones.
     """
 
     __slots__ = ("value", "partials")
@@ -286,7 +232,3 @@ class MultiDual:
     def __repr__(self):
         return f"MultiDual({self.value!r}, {self.partials!r})"
 
-
-def seed_duals(values, offset, nvars):
-    """Seed an array of values as independent variables offset..offset+len-1."""
-    return [MultiDual.variable(v, offset + i, nvars) for i, v in enumerate(values)]

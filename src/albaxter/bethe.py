@@ -35,6 +35,7 @@ from numpy.polynomial import polynomial as npoly
 from .qcalc import QParam
 
 TOL = 1e-13  # Newton stopping residual of the logarithmic Bethe equations
+MAX_ITER = 100  # Newton iterations per homotopy step
 
 
 class BetheConvergenceError(RuntimeError):
@@ -86,10 +87,10 @@ def _log_jacobian(roots, N, one_plus_eta):
     return J
 
 
-def _newton_polish(roots, N, one_plus_eta, branch, max_iter=100):
+def _newton_polish(roots, N, one_plus_eta, branch):
     F = _log_residual(roots, N, one_plus_eta, branch)
     err = np.abs(F).max()
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         if err < TOL:
             return roots, it
         J = _log_jacobian(roots, N, one_plus_eta)
@@ -114,12 +115,13 @@ def _newton_polish(roots, N, one_plus_eta, branch, max_iter=100):
         else:
             raise BetheConvergenceError("Bethe Newton damping stalled")
     if err < TOL:
-        return roots, max_iter
+        return roots, MAX_ITER
     raise BetheConvergenceError(f"Bethe Newton stalled at residual {err:.3e}")
 
 
 def solve_bethe(N, m, qp):
-    """Solve the Bethe system by eta-homotopy from the free point.
+    """Solve the Bethe system at the deformation qp (a QParam) by
+    eta-homotopy from the free point.
 
     The eta = 0 seeds are exp(i pi j/N), j < m: 2N-th roots of unity whose
     squares are distinct for m <= N.  They fix the branch integers of the
@@ -131,8 +133,6 @@ def solve_bethe(N, m, qp):
         raise ValueError("m must be >= 1")
     if m > N:
         raise ValueError("need m <= N for pairwise-distinct seed squares")
-    if not isinstance(qp, QParam):
-        qp = QParam(qp)
     roots = np.exp(1j * np.pi * np.arange(m) / N)
     branch = np.array([round(-N * np.angle(z) / np.pi) for z in roots])
 
@@ -185,10 +185,6 @@ def bethe_residuals_roots(roots, N, qp):
     return out
 
 
-def bethe_residuals(cfg):
-    return bethe_residuals_roots(cfg.roots, cfg.N, cfg.qp)
-
-
 def transfer_eigenvalue_roots(roots, N, qp, nu):
     """Transfer eigenvalue t(nu) from the product formula."""
     roots = np.asarray(roots, dtype=complex)
@@ -203,19 +199,11 @@ def transfer_eigenvalue_roots(roots, N, qp, nu):
             + nu ** (-N) * pref * np.prod(1.0 + eta * lam2 / d))
 
 
-def psi_poly(cfg):
-    """Monic polynomial psi in x = nu^2: coefficients (ascending) of
-    prod_j (x - lam_j^2)."""
-    if cfg.m == 0 or len(cfg.roots) == 0:
-        return np.array([1.0 + 0.0j])
-    return npoly.polyfromroots(np.asarray(cfg.roots, dtype=complex) ** 2)
-
-
 def transfer_poly_roots(roots, N, qp):
-    """Polynomial part P(x) of t(nu) nu^N in x = nu^2, by long division.
-
-    Returns (coefficients of P ascending, max |remainder coefficient|).
-    The remainder vanishes exactly when the roots are on shell.
+    """Polynomial part P(x) of t(nu) nu^N in x = nu^2, by long division
+    by the monic psi(x) = prod_j (x - lam_j^2); returns the ascending
+    coefficients of P and of psi.  The remainder, dropped here, vanishes
+    exactly when the roots are on shell.
     """
     roots = np.asarray(roots, dtype=complex)
     a = qp.alpha
@@ -227,9 +215,8 @@ def transfer_poly_roots(roots, N, qp):
     rhs = np.zeros(N + m + 1, dtype=complex)
     rhs[N:N + m + 1] += psi_minus
     rhs[:m + 1] += a**m * psi_plus
-    quo, rem = npoly.polydiv(rhs, psi)
-    rem_mag = float(np.abs(rem).max()) if rem.size else 0.0
-    return quo, rem_mag
+    quo, _ = npoly.polydiv(rhs, psi)
+    return quo, psi
 
 
 def baxter_qdiff_residual(cfg, nu_samples):
@@ -251,8 +238,7 @@ def baxter_qdiff_residual(cfg, nu_samples):
     sa = qp.sqrt_alpha
     delta = qp.alpha ** cfg.m
     N, m = cfg.N, cfg.m
-    quo, _ = transfer_poly_roots(cfg.roots, N, qp)
-    psi_c = psi_poly(cfg)
+    quo, psi_c = transfer_poly_roots(cfg.roots, N, qp)
 
     def psi(nu):
         return npoly.polyval(nu**2, psi_c)

@@ -28,17 +28,15 @@ Exact bracket gradients come from prefix and suffix products,
 
 with P_{<k} = L_{k-1} ... L_1 and P_{>k} = L_N ... L_{k+1}: numeric 2x2
 products at a spectral point for the r-matrix and trace-involution checks,
-dense Laurent arrays for brackets of the H_i.  `local_lax`, `monodromy`
-and the `observable_*` callables build the same objects over the generic
-LaurentPoly/MultiDual arithmetic; they are the small-N oracles the kernel
-is tested against, and `poisson_bracket` takes user-supplied observables.
+dense Laurent arrays for brackets of the H_i.  Every bracket is the one
+weighted sum `_bracket` over such gradients.  The tests check the kernel
+against the same objects built over generic LaurentPoly/MultiDual
+arithmetic (`tests/oracles.py`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .algebra import LaurentPoly, Mat2, MultiDual, seed_duals
 
 DEGENERACY_TOL = 1e-10
 
@@ -75,9 +73,10 @@ class ChainState:
         return cls(np.zeros(N), np.zeros(N))
 
     @classmethod
-    def random(cls, N, rng, scale=0.35):
+    def random(cls, N, rng):
         """Moderate-amplitude complex state, safely nondegenerate, with all
         |r_k| bounded away from zero (Backlund denominators)."""
+        scale = 0.35
         q = scale * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
         r = scale * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
         small = np.abs(r) < 0.3 * scale
@@ -125,42 +124,16 @@ class ConservedSet:
         return max(dh, dd)
 
 
-def local_lax(state, k):
-    """Lax matrix at site k (1-based) over Laurent polynomials."""
-    if not 1 <= k <= state.N:
-        raise IndexError(f"site {k} out of range 1..{state.N}")
-    return Mat2(LaurentPoly.x(1), LaurentPoly.const(state.q[k - 1]),
-                LaurentPoly.const(state.r[k - 1]), LaurentPoly.x(-1))
-
-
-def monodromy(state):
-    """Ordered product L_N ... L_1 over Laurent polynomials."""
-    M = None
-    for k in range(1, state.N + 1):
-        Lk = local_lax(state, k)
-        M = Lk if M is None else Lk @ M
-    return M
-
-
-def monodromy_entries(qs, rs, lam):
-    """Numeric monodromy at a fixed spectral point.
-
-    Generic over the element arithmetic: complex or MultiDual values both
-    work, which is how exact bracket gradients of the entries are obtained.
-    """
+def monodromy_matrix(state, lam):
+    """Numeric 2x2 monodromy L_N(lam) ... L_1(lam) as a numpy array."""
+    qs, rs = state.q, state.r
     inv = 1.0 / lam
     m11, m12, m21, m22 = lam, qs[0], rs[0], inv
     for k in range(1, len(qs)):
         a11, a12, a21, a22 = lam, qs[k], rs[k], inv
         m11, m12, m21, m22 = (a11 * m11 + a12 * m21, a11 * m12 + a12 * m22,
                               a21 * m11 + a22 * m21, a21 * m12 + a22 * m22)
-    return m11, m12, m21, m22
-
-
-def monodromy_matrix(state, lam):
-    """Numeric 2x2 monodromy as a numpy array."""
-    return np.array(monodromy_entries(state.q, state.r, lam),
-                    dtype=complex).reshape(2, 2)
+    return np.array([[m11, m12], [m21, m22]], dtype=complex)
 
 
 def _prune(a):
@@ -352,61 +325,6 @@ def rk4_step(state, dt):
     qn = q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
     rn = r + dt / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
     return ChainState(qn, rn)
-
-
-def poisson_bracket(f, g, state):
-    """Exact bracket of two observables.
-
-    f and g are callables taking (q, r) where the entries support ring
-    arithmetic; they are evaluated once on MultiDual-seeded variables, so
-    the gradients entering
-
-        {f, g} = sum_k (df/dq_k dg/dr_k - df/dr_k dg/dq_k)(1 - q_k r_k)
-
-    are exact, not finite differences.
-    """
-    N = state.N
-    nv = 2 * N
-    qd = seed_duals(state.q, 0, nv)
-    rd = seed_duals(state.r, N, nv)
-    fd, gd = f(qd, rd), g(qd, rd)
-    fp = fd.partials if isinstance(fd, MultiDual) else np.zeros(nv)
-    gp = gd.partials if isinstance(gd, MultiDual) else np.zeros(nv)
-    w = 1.0 - state.q * state.r
-    return complex(_bracket(fp[:N], fp[N:], gp[:N], gp[N:], w))
-
-
-def observable_entry(i, j, lam):
-    """Monodromy entry L(lam)_{ij} (1-based) as a bracket observable."""
-    def f(q, r):
-        return monodromy_entries(q, r, lam)[2 * (i - 1) + (j - 1)]
-    return f
-
-
-def observable_trace(lam):
-    def f(q, r):
-        e = monodromy_entries(q, r, lam)
-        return e[0] + e[3]
-    return f
-
-
-def observable_conserved(i):
-    """H_i extracted from the Laurent trace, as a bracket observable."""
-    def f(q, r):
-        M = None
-        for k in range(len(q)):
-            Lk = Mat2(LaurentPoly.x(1), LaurentPoly.const(q[k]),
-                      LaurentPoly.const(r[k]), LaurentPoly.x(-1))
-            M = Lk if M is None else Lk @ M
-        return M.trace().coeff(len(q) - 2 * i)
-    return f
-
-
-def observable_det(q, r):
-    acc = 1.0
-    for qk, rk in zip(q, r):
-        acc = acc * (1.0 - qk * rk)
-    return acc
 
 
 def classical_rmatrix(lam, nu):

@@ -119,7 +119,7 @@ def _write_roots_csv(cfg):
     if out.endswith(".json"):
         out = out[:-5] + "_roots.csv"
     bcfg = bethe.solve_bethe(cfg.N, max(cfg.m, 1), qcalc.QParam(cfg.alpha))
-    per_root = bethe.bethe_residuals(bcfg)
+    per_root = bethe.bethe_residuals_roots(bcfg.roots, bcfg.N, bcfg.qp)
     with open(out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "re_lambda", "im_lambda", "residual"])

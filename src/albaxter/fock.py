@@ -29,10 +29,8 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy import sparse
 
 from .bethe import transfer_eigenvalue_roots
-from .qcalc import QParam
 
 DIM_CAP = 200_000
 
@@ -43,13 +41,14 @@ HEADROOM = dict(rll=2, qdet=1, trace_commutator=1, qboson=1, bethe_state=1)
 
 class FockRep:
     """Multi-site q-boson representation truncated at total occupation
-    n_max; immutable."""
+    n_max, at the deformation qp (a QParam); immutable."""
 
     def __init__(self, N, n_max, qp):
+        # deferred: a module-level scipy.sparse import adds ~0.3 s to
+        # `import albaxter`
+        from scipy import sparse
         if N < 1 or n_max < 1:
             raise ValueError("need N >= 1 and n_max >= 1")
-        if not isinstance(qp, QParam):
-            qp = QParam(qp)
         dim = comb(N + n_max, N)
         if dim > DIM_CAP:
             raise ValueError(f"basis size {dim} exceeds cap {DIM_CAP}")
@@ -138,10 +137,10 @@ class FockRep:
         return T[:n, :n], T[:n, n:], T[n:, :n], T[n:, n:]
 
 
-def grading_offsets(rep, M, tol=1e-14):
-    """Total-occupation changes present in the sparsity pattern of M."""
+def grading_offsets(rep, M):
+    """Total-occupation changes carried by the entries of M above 1e-14."""
     coo = M.tocoo()
-    keep = np.abs(coo.data) > tol
+    keep = np.abs(coo.data) > 1e-14
     tot = rep.occupations.sum(axis=1)
     return sorted(set((tot[coo.row[keep]] - tot[coo.col[keep]]).tolist()))
 
@@ -190,12 +189,13 @@ def ybe_residual(lam, nu, eta):
     return float(np.abs(lhs - rhs).max())
 
 
-_SWAP = sparse.csr_matrix(np.eye(4)[[0, 2, 1, 3]])
+_SWAP = np.eye(4)[[0, 2, 1, 3]]  # swap of the factors of C^2 (x) C^2
 
 
 def _selector(rep, check, copies=1):
     """Columns of the identity on C^(copies) (x) H keeping, in each copy,
     the basis states on which `check` is exact (its HEADROOM prefix)."""
+    from scipy import sparse  # deferred, as in FockRep.__init__
     n = rep.exact_dim(HEADROOM[check])
     rows = (rep.dim * np.arange(copies)[:, None] + np.arange(n)).ravel()
     return sparse.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))),
@@ -213,6 +213,7 @@ def rll_residual(rep, lam, nu):
     L1(lam) = S (I (x) T(lam)) S with S the swap of the two factors.  Each
     auxiliary space raises once: headroom 2.
     """
+    from scipy import sparse  # deferred, as in FockRep.__init__
     Tl = rep.transfer(lam)
     Tn = rep.transfer(nu)
     S = sparse.kron(_SWAP, rep.identity, format="csr")

@@ -95,10 +95,6 @@ class QParam:
         # principal branch, used consistently for all mu -> mu*sqrt(alpha) shifts
         return complex(np.sqrt(complex(self.alpha)))
 
-    @classmethod
-    def from_eta(cls, eta, **kw):
-        return cls(1.0 / (1.0 + eta), **kw)
-
 
 def qpochhammer_inf(x, qp):
     """Infinite q-Pochhammer product (x; alpha)_inf = prod_{p>=0} (1 - x alpha^p).
@@ -270,7 +266,6 @@ class KernelSite:
     mu: complex
     rtilde_k: complex
     rtilde_km1: complex
-    normalization: complex = 1.0
 
     def __post_init__(self):
         if self.mu == 0 or self.rtilde_k == 0 or self.rtilde_km1 == 0:
@@ -299,16 +294,16 @@ def _poch_guarded(x, qp):
 def rho_site(ks, qp, r_k):
     """Site kernel factor
 
-        rho_k(mu, r_k) = G_k / ((r_k/r~_{k-1}; a)_inf (-r_k/(mu^2 r~_k); a)_inf)
+        rho_k(mu, r_k) = 1 / ((r_k/r~_{k-1}; a)_inf (-r_k/(mu^2 r~_k); a)_inf),
 
-    with G_k = ks.normalization.  It solves
+    normalized to rho_k(mu, 0) = 1.  It solves
     rho_k(mu, r_k) = [mu^2 r~_k r~_{k-1} / ((mu^2 r~_k + r_k)(r~_{k-1} - r_k))]
     rho_k(mu, alpha r_k).  (x; alpha)_inf converges for every x when
     |alpha| < 1, so any r_k is accepted; only a vanishing factor raises.
     """
     x1 = r_k / ks.rtilde_km1
     x2 = -r_k / (ks.mu**2 * ks.rtilde_k)
-    return ks.normalization / (_poch_guarded(x1, qp) * _poch_guarded(x2, qp))
+    return 1.0 / (_poch_guarded(x1, qp) * _poch_guarded(x2, qp))
 
 
 def rho_functional_residual(ks, qp, r_k):
@@ -348,27 +343,28 @@ def kernel_G(c, cp, mu, qp):
     return (1.0 / cp) * z ** (2.0 * np.log(complex(mu)) / la) * ghat(z, qp)
 
 
-def kernel_F(c_k, c_k1, r_k, mu, qp, amplitude=1.0):
+def kernel_F(c_k, c_k1, r_k, mu, qp):
     """Closed-form site kernel F_k(alpha c_k, c_{k+1}, r_k).
 
-    In slot form F(u, v, w) = A G(u, v) / ((-w/(mu^2 v); a)_inf (a w/u; a)_inf)
-    evaluated at u = alpha c_k, v = c_{k+1}, w = r_k.
+    In slot form F(u, v, w) = G(u, v) / ((-w/(mu^2 v); a)_inf (a w/u; a)_inf)
+    evaluated at u = alpha c_k, v = c_{k+1}, w = r_k.  Every relation it is
+    checked by is linear in F, so a constant factor would be immaterial.
     """
-    return _kernel_F_slots(qp.alpha * c_k, c_k1, r_k, mu, qp, amplitude)
+    return _kernel_F_slots(qp.alpha * c_k, c_k1, r_k, mu, qp)
 
 
-def _kernel_F_slots(u, v, w, mu, qp, amplitude=1.0):
+def _kernel_F_slots(u, v, w, mu, qp):
     p1 = _poch_guarded(-w / (mu**2 * v), qp)
     p2 = _poch_guarded(qp.alpha * w / u, qp)
-    return amplitude * kernel_G(u, v, mu, qp) / (p1 * p2)
+    return kernel_G(u, v, mu, qp) / (p1 * p2)
 
 
-def feq_residuals(c_k, c_k1, r_k, mu, qp, amplitude=1.0):
+def feq_residuals(c_k, c_k1, r_k, mu, qp):
     """Relative residuals of the four functional equations tying F_k to the
     dressing-matrix exchange relations, evaluated at one point.
     """
     a = qp.alpha
-    F = lambda u, v, w: _kernel_F_slots(u, v, w, mu, qp, amplitude)
+    F = lambda u, v, w: _kernel_F_slots(u, v, w, mu, qp)
     c, cp, r = c_k, c_k1, r_k
     scale = abs(F(a * c, cp, r))
     e1 = (r * F(a * c, cp, r) + mu**2 * a * cp * F(a * c, a * cp, a * r)
@@ -380,14 +376,13 @@ def feq_residuals(c_k, c_k1, r_k, mu, qp, amplitude=1.0):
     return np.abs([e1, e2, e3, e4]) / max(scale, 1e-30)
 
 
-def qhat_kernel(mu, qp, rtilde, r, amplitude=1.0):
+def qhat_kernel(mu, qp, rtilde, r):
     """Full Baxter kernel
 
-        Qhat_mu(alpha r~ | r) = A prod_k [ r~_k (r_k/r~_{k-1}; a)_inf
-                                           (-r_k/(mu^2 r~_k); a)_inf ]^(-1)
+        Qhat_mu(alpha r~ | r) = prod_k [ r~_k (r_k/r~_{k-1}; a)_inf
+                                         (-r_k/(mu^2 r~_k); a)_inf ]^(-1)
 
-    with periodic site indexing.  The normalization A cancels from every
-    residual contract.
+    with periodic site indexing, normalized to prod_k 1/r~_k at r = 0.
     """
     rtilde = np.asarray(rtilde, dtype=complex)
     r = np.asarray(r, dtype=complex)
@@ -395,7 +390,7 @@ def qhat_kernel(mu, qp, rtilde, r, amplitude=1.0):
         raise ValueError("rtilde and r must have equal length")
     if np.any(rtilde == 0):
         raise ValueError("all rtilde_k must be nonzero")
-    acc = complex(amplitude)
+    acc = 1.0 + 0.0j
     N = r.size
     for k in range(N):
         ks = KernelSite(mu=mu, rtilde_k=rtilde[k], rtilde_km1=rtilde[k - 1])

@@ -135,9 +135,6 @@ class Report:
     config: dict
     checks: list = field(default_factory=list)
 
-    def add(self, record):
-        self.checks.append(record)
-
     def extend(self, records):
         self.checks.extend(records)
 

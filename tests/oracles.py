@@ -3,9 +3,133 @@
 import mpmath
 import numpy as np
 
+from albaxter.algebra import LaurentPoly, MultiDual
 from albaxter.backlund import bt_apply
 from albaxter.classical_chain import ChainState
 from albaxter.qcalc import JACKSON_MAX_NODES, JACKSON_TAIL
+
+
+# ---------------------------------------------------------------------------
+# Generic-ring classical chain: the Lax matrices, monodromy and brackets
+# over LaurentPoly and MultiDual arithmetic that the dense transfer kernel
+# of classical_chain is tested against.
+
+
+class Mat2:
+    """2x2 matrix over a ring: complex numbers, MultiDual, or LaurentPoly
+    over either.  Products keep the factor order, so entries from a
+    non-commutative ring multiply correctly too."""
+
+    __slots__ = ("a11", "a12", "a21", "a22")
+
+    def __init__(self, a11, a12, a21, a22):
+        self.a11, self.a12, self.a21, self.a22 = a11, a12, a21, a22
+
+    def __matmul__(self, other):
+        if not isinstance(other, Mat2):
+            return NotImplemented
+        return Mat2(
+            self.a11 * other.a11 + self.a12 * other.a21,
+            self.a11 * other.a12 + self.a12 * other.a22,
+            self.a21 * other.a11 + self.a22 * other.a21,
+            self.a21 * other.a12 + self.a22 * other.a22,
+        )
+
+    def trace(self):
+        return self.a11 + self.a22
+
+    def det(self):
+        return self.a11 * self.a22 - self.a12 * self.a21
+
+
+def seed_duals(values, offset, nvars):
+    """Seed an array of values as independent variables offset..offset+len-1."""
+    return [MultiDual.variable(v, offset + i, nvars) for i, v in enumerate(values)]
+
+
+def _ordered_product(factors):
+    """F_N ... F_1 for factors listed F_1 first."""
+    M = None
+    for F in factors:
+        M = F if M is None else F @ M
+    return M
+
+
+def _laurent_lax(qk, rk):
+    return Mat2(LaurentPoly.x(1), LaurentPoly.const(qk),
+                LaurentPoly.const(rk), LaurentPoly.x(-1))
+
+
+def local_lax(state, k):
+    """Lax matrix [[lam, q_k], [r_k, 1/lam]] at site k (1-based) over
+    Laurent polynomials."""
+    if not 1 <= k <= state.N:
+        raise IndexError(f"site {k} out of range 1..{state.N}")
+    return _laurent_lax(state.q[k - 1], state.r[k - 1])
+
+
+def monodromy(state):
+    """Ordered product L_N ... L_1 over Laurent polynomials."""
+    return _ordered_product(local_lax(state, k) for k in range(1, state.N + 1))
+
+
+def _numeric_monodromy(q, r, lam):
+    """L_N(lam) ... L_1(lam) at a numeric point, entries in q's ring."""
+    return _ordered_product(Mat2(lam, qk, rk, 1.0 / lam)
+                            for qk, rk in zip(q, r))
+
+
+def poisson_bracket(f, g, state):
+    """Exact bracket of two observables.
+
+    f and g are callables taking (q, r) where the entries support ring
+    arithmetic; they are evaluated once on MultiDual-seeded variables, so
+    the gradients entering
+
+        {f, g} = sum_k (df/dq_k dg/dr_k - df/dr_k dg/dq_k)(1 - q_k r_k)
+
+    are exact, not finite differences.
+    """
+    N = state.N
+    nv = 2 * N
+    qd = seed_duals(state.q, 0, nv)
+    rd = seed_duals(state.r, N, nv)
+    fd, gd = f(qd, rd), g(qd, rd)
+    fp = fd.partials if isinstance(fd, MultiDual) else np.zeros(nv)
+    gp = gd.partials if isinstance(gd, MultiDual) else np.zeros(nv)
+    w = 1.0 - state.q * state.r
+    return complex(np.sum((fp[:N] * gp[N:] - fp[N:] * gp[:N]) * w))
+
+
+def observable_entry(i, j, lam):
+    """Monodromy entry L(lam)_{ij} (1-based) as a bracket observable."""
+    def f(q, r):
+        M = _numeric_monodromy(q, r, lam)
+        return (M.a11, M.a12, M.a21, M.a22)[2 * (i - 1) + (j - 1)]
+    return f
+
+
+def observable_trace(lam):
+    """Tr L(lam) as a bracket observable."""
+    def f(q, r):
+        return _numeric_monodromy(q, r, lam).trace()
+    return f
+
+
+def observable_conserved(i):
+    """H_i extracted from the Laurent trace, as a bracket observable."""
+    def f(q, r):
+        M = _ordered_product(_laurent_lax(qk, rk) for qk, rk in zip(q, r))
+        return M.trace().coeff(len(q) - 2 * i)
+    return f
+
+
+def observable_det(q, r):
+    """det L = prod_k (1 - q_k r_k) as a bracket observable."""
+    acc = 1.0
+    for qk, rk in zip(q, r):
+        acc = acc * (1.0 - qk * rk)
+    return acc
 
 
 def central_difference_map_jacobian(state, mu, opts=None, step=1e-4):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from albaxter.algebra import (LaurentPoly, Mat2, MultiDual, laurent_eval,
-                              laurent_mul, mat2_mul, seed_duals)
+from albaxter.algebra import LaurentPoly, MultiDual
+
+from oracles import Mat2, seed_duals
 
 
 def lp(d):
@@ -16,7 +17,7 @@ class TestLaurent:
 
     def test_hand_convolution(self):
         # (lam + 2 lam^-1) (3 lam) = 3 lam^2 + 6
-        p = laurent_mul(lp({1: 1.0, -1: 2.0}), lp({1: 3.0}))
+        p = lp({1: 1.0, -1: 2.0}) * lp({1: 3.0})
         assert p.support == [0, 2]
         assert p.coeff(2) == pytest.approx(3.0)
         assert p.coeff(0) == pytest.approx(6.0)
@@ -26,9 +27,9 @@ class TestLaurent:
         assert p.coeffs == {}
 
     def test_eval_values(self):
-        assert laurent_eval(lp({1: 1.0, -1: 1.0}), 1.0) == pytest.approx(2.0)
-        assert laurent_eval(lp({2: 1.0}), 3.0) == pytest.approx(9.0)
-        assert laurent_eval(lp({1: 1.0, -1: -1.0}), 1j) == pytest.approx(2j)
+        assert lp({1: 1.0, -1: 1.0}).eval(1.0) == pytest.approx(2.0)
+        assert lp({2: 1.0}).eval(3.0) == pytest.approx(9.0)
+        assert lp({1: 1.0, -1: -1.0}).eval(1j) == pytest.approx(2j)
 
     def test_eval_zero_with_negative_exponent(self):
         with pytest.raises(ZeroDivisionError):
@@ -77,7 +78,7 @@ class TestMat2:
     def test_identity_both_sides(self):
         I = Mat2(1.0, 0.0, 0.0, 1.0)
         A = Mat2(1.0 + 2j, 3.0, -1j, 0.5)
-        for prod in (mat2_mul(A, I), mat2_mul(I, A)):
+        for prod in (A @ I, I @ A):
             assert prod.a11 == A.a11 and prod.a12 == A.a12
             assert prod.a21 == A.a21 and prod.a22 == A.a22
 

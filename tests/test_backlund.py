@@ -278,6 +278,15 @@ class TestResultInvariants:
         assert abs(bt3.gamma) > 0
         assert np.all(np.abs(bt3.gamma_site) > 0)
 
+    def test_underflowing_gamma_product_is_accepted(self):
+        # the state `verify bt --N 512` draws: every |gamma_k| >= 0.04 at
+        # mu = 0.17, yet their product, 10^-397.6, underflows to zero
+        st = ChainState.random(512, np.random.default_rng(7))
+        bt = bt_apply(st, 0.17)
+        assert np.abs(bt.gamma_site).min() > 0.04
+        assert bt.gamma == 0
+        assert spectrality(bt).collinearity.max() < 1e-10
+
     def test_mu_path_monotone(self, bt3):
         mags = [abs(m) for m in bt3.mu_path]
         assert mags == sorted(mags)

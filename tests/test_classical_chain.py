@@ -8,11 +8,14 @@ from albaxter.classical_chain import (ChainState, DegenerateStateError,
                                       classical_rmatrix, conserved_det_bracket,
                                       conserved_gradients,
                                       conserved_quantities, dense_monodromy,
-                                      entry_brackets, eom_rhs, local_lax,
-                                      monodromy, monodromy_det_eval,
-                                      monodromy_matrix, poisson_bracket,
+                                      entry_brackets, eom_rhs,
+                                      monodromy_det_eval, monodromy_matrix,
                                       rk4_step, rmatrix_relation_residual,
                                       trace_bracket)
+
+from oracles import (local_lax, monodromy, observable_conserved,
+                     observable_det, observable_entry, observable_trace,
+                     poisson_bracket)
 
 N2_STATE = ChainState(np.array([0.2, 0.1]), np.array([0.3, -0.4]))
 
@@ -148,8 +151,8 @@ class TestDenseKernel:
         rng = np.random.default_rng(100 + N)
         st = ChainState.random(N, rng)
         lam, nu = 1.3 + 0.2j, 0.7 - 0.5j
-        want = poisson_bracket(chain.observable_trace(lam),
-                               chain.observable_trace(nu), st)
+        want = poisson_bracket(observable_trace(lam),
+                               observable_trace(nu), st)
         got = trace_bracket(st, lam, nu)
         # the bracket vanishes; compare on the scale of its gradient terms
         scale = max(np.abs(monodromy_matrix(st, lam)).max()
@@ -160,8 +163,8 @@ class TestDenseKernel:
     def test_conserved_det_bracket_against_multidual(self, N):
         st = ChainState.random(N, np.random.default_rng(110 + N))
         for i in range(N + 1):
-            want = poisson_bracket(chain.observable_conserved(i),
-                                   chain.observable_det, st)
+            want = poisson_bracket(observable_conserved(i),
+                                   observable_det, st)
             assert abs(conserved_det_bracket(st, i) - want) < 1e-13
 
     @pytest.mark.parametrize("N", (1, 2, 3, 4, 6))
@@ -171,7 +174,7 @@ class TestDenseKernel:
         w = 1 - st.q * st.r
         for i in range(N + 1):
             hq, hr = conserved_gradients(st, i)
-            h = chain.observable_conserved(i)
+            h = observable_conserved(i)
             for k in range(N):
                 want_q = poisson_bracket(h, lambda q, r: r[k], st) / w[k]
                 want_r = poisson_bracket(lambda q, r: q[k], h, st) / w[k]
@@ -202,8 +205,8 @@ class TestDenseKernel:
                 i, j = divmod(a, 2)
                 k, l = divmod(b, 2)
                 want[2 * i + k, 2 * j + l] = poisson_bracket(
-                    chain.observable_entry(i + 1, j + 1, lam),
-                    chain.observable_entry(k + 1, l + 1, nu), st)
+                    observable_entry(i + 1, j + 1, lam),
+                    observable_entry(k + 1, l + 1, nu), st)
         assert np.abs(got - want).max() < 1e-13 * max(np.abs(want).max(),
                                                        1.0)
 
@@ -270,6 +273,18 @@ class TestRK4:
 
 
 class TestPoissonBrackets:
+    @pytest.mark.parametrize("N", (2, 16, 128))
+    def test_kernel_coordinate_bracket_against_oracle(self, N):
+        # {q_k, r_k} for every site from the kernel's bracket sum on the
+        # coordinate gradients, as the classical.bracket_weight check takes it
+        st = ChainState.random(N, np.random.default_rng(160 + N))
+        eye = np.eye(N)
+        got = chain._bracket(eye, 0.0, 0.0, eye, 1.0 - st.q * st.r)
+        want = [poisson_bracket(lambda q, r, k=k: q[k],
+                                lambda q, r, k=k: r[k], st)
+                for k in range(N)]
+        assert np.array_equal(got, want)
+
     def test_weighted_canonical_pair(self):
         rng = np.random.default_rng(7)
         st = ChainState.random(3, rng)
@@ -287,15 +302,15 @@ class TestPoissonBrackets:
     def test_h1_det_involution(self):
         rng = np.random.default_rng(9)
         st = ChainState.random(3, rng)
-        br = poisson_bracket(chain.observable_conserved(1),
-                             chain.observable_det, st)
+        br = poisson_bracket(observable_conserved(1),
+                             observable_det, st)
         assert abs(br) < 1e-10
 
     def test_trace_involution(self):
         rng = np.random.default_rng(10)
         st = ChainState.random(4, rng)
-        br = poisson_bracket(chain.observable_trace(1.3 + 0.2j),
-                             chain.observable_trace(0.7 - 0.5j), st)
+        br = poisson_bracket(observable_trace(1.3 + 0.2j),
+                             observable_trace(0.7 - 0.5j), st)
         assert abs(br) < 1e-10
 
 

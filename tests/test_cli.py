@@ -1,7 +1,12 @@
+import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import albaxter
 from albaxter import cli
 
 
@@ -90,3 +95,67 @@ def test_verify_bethe_n16_m3_completes(tmp_path):
     assert len(checks) == 7
     [rec] = [c for c in checks if c["check_id"] == "bethe.fock_eigen_residual"]
     assert rec["pass"] and rec["params"] == {"N": 16, "m": 3, "n_max": 5}
+
+
+def test_cli_import_loads_no_scipy_and_no_algebra():
+    # scipy loads on first use (FockRep, the dilogarithm); the generic-ring
+    # algebra serves the test oracles and the benchmark only
+    code = ("import sys, albaxter.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m == 'albaxter.algebra'))")
+    src = Path(albaxter.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={"PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
+
+
+def test_verify_bt_n512_reports_every_check(tmp_path):
+    # prod_k gamma_k and mu^N gamma underflow at N=512; the three absolute
+    # residuals fail as at N=16, and no error escapes
+    out = tmp_path / "bt.json"
+    assert cli.main(["verify", "bt", "--N", "512", "--out", str(out)]) == 1
+    checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    assert len(checks) == 10
+    assert {c["check_id"] for c in checks if not c["pass"]} == {
+        "bt.trace_formula", "bt.gamma_eigenvalues", "bt.classical_baxter"}
+
+
+def test_bt_n512_small_mu_writes_a_record(tmp_path):
+    out = tmp_path / "bt.json"
+    assert cli.main(["bt", "--N", "512", "--mu", "0.17",
+                     "--out", str(out)]) == 0
+    [rec] = json.loads(out.read_text(encoding="utf-8"))["records"]
+    assert rec["mu"] == [0.17, 0.0] and rec["residuals"]["bt"] < 1e-12
+
+
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    return header, np.array(rows, dtype=float)
+
+
+def test_evolve_writes_conserving_trajectory(tmp_path):
+    out = tmp_path / "t.csv"
+    assert cli.main(["evolve", "--N", "4", "--steps", "5",
+                     "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    # t, q and r as (re, im) pairs, H_0..H_4 and det as pairs, drift
+    assert len(header) == 30 and rows.shape == (6, 30)
+    assert header[-1] == "drift" and rows[:, -1].max() < 1e-12
+
+
+def test_kernel_writes_finite_grid(tmp_path):
+    out = tmp_path / "k.csv"
+    assert cli.main(["kernel", "--N", "2", "--grid", "4",
+                     "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    assert header == ["r1", "r2", "qhat_re", "qhat_im"]
+    assert rows.shape == (4, 4) and np.isfinite(rows).all()
+
+
+def test_verify_bethe_csv_writes_roots(tmp_path):
+    out = tmp_path / "b.json"
+    assert cli.main(["verify", "bethe", "--N", "4", "--m", "2",
+                     "--format", "csv", "--out", str(out)]) == 0
+    header, rows = _read_csv(tmp_path / "b_roots.csv")
+    assert header == ["k", "re_lambda", "im_lambda", "residual"]
+    assert rows.shape == (2, 4) and rows[:, 3].max() < 1e-12

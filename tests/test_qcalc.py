@@ -28,9 +28,6 @@ class TestQParam:
         qp = QParam(0.37)
         assert qp.alpha * (1.0 + qp.eta) == pytest.approx(1.0, abs=1e-15)
 
-    def test_from_eta(self):
-        assert QParam.from_eta(1.0).alpha == pytest.approx(0.5)
-
     def test_real_range_enforced(self):
         for bad in (0.0, 1.0, 1.5, -0.2):
             with pytest.raises(ValueError):
@@ -396,9 +393,7 @@ class TestRhoSite:
             assert rho_functional_residual(self.KS, QP, r) < 1e-12
 
     def test_zero_argument_is_normalization(self):
-        ks = KernelSite(mu=1.3, rtilde_k=1.4, rtilde_km1=1.7,
-                        normalization=2.5)
-        assert rho_site(ks, QP, 0.0) == pytest.approx(2.5)
+        assert rho_site(self.KS, QP, 0.0) == 1.0
 
     def test_accepts_arguments_beyond_one_over_one_minus_alpha(self):
         # |x1| = 3 and |x2| = 2.2 exceed 1/(1 - alpha) = 2: the products
@@ -473,19 +468,14 @@ class TestKernelF:
         with pytest.raises(ValueError):
             kernel_F(-0.5, 0.8, 0.2, self.MU, QP)
 
-    def test_amplitude_scales_linearly(self):
-        v1 = kernel_F(0.6, 0.8, 0.3, self.MU, QP, amplitude=1.0)
-        v2 = kernel_F(0.6, 0.8, 0.3, self.MU, QP, amplitude=3.0)
-        assert v2 == pytest.approx(3.0 * v1)
-
 
 class TestQhatKernel:
     MU = 1.3
 
     def test_zero_r_vector(self):
         rt = np.array([1.2, 1.5, 1.8])
-        got = qhat_kernel(self.MU, QP, rt, np.zeros(3), amplitude=2.0)
-        assert got == pytest.approx(2.0 / np.prod(rt))
+        got = qhat_kernel(self.MU, QP, rt, np.zeros(3))
+        assert got == pytest.approx(1.0 / np.prod(rt))
 
     def test_matches_rho_product(self):
         rng = np.random.default_rng(35)
@@ -497,15 +487,6 @@ class TestQhatKernel:
             want *= rho_site(ks, QP, r[k]) / rt[k]
         assert qhat_kernel(self.MU, QP, rt, r) == pytest.approx(want,
                                                                 rel=1e-13)
-
-    def test_amplitude_cancels_in_ratios(self):
-        rt = np.array([1.2, 1.5])
-        r1, r2 = np.array([0.2, 0.3]), np.array([0.4, 0.1])
-        ratio_1 = (qhat_kernel(self.MU, QP, rt, r1, amplitude=1.0)
-                   / qhat_kernel(self.MU, QP, rt, r2, amplitude=1.0))
-        ratio_7 = (qhat_kernel(self.MU, QP, rt, r1, amplitude=7.0)
-                   / qhat_kernel(self.MU, QP, rt, r2, amplitude=7.0))
-        assert ratio_1 == pytest.approx(ratio_7, rel=1e-14)
 
     def test_rejects_zero_rtilde(self):
         with pytest.raises(ValueError):
