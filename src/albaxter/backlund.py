@@ -6,11 +6,12 @@ relations (periodic in k):
     1 - q_k r_k   = (r~_{k-1} - r_k)(mu^2 r~_k + r_k) / (mu^2 r~_k r~_{k-1})
     1 - q~_k r~_k = (r~_k - r_{k+1})(mu^2 r~_k + r_k) / (mu^2 r~_{k+1} r~_{k-1})
 
-The first line is solved for r~ by damped Newton with continuation in |mu|
-from a small seed (the mu -> 0 balance forces r~_k -> r_{k+1}, which seeds
-the iteration); q~ is then read off the second line.  The map is generated
-by the intertwining relation L~_k D_k = D_{k+1} L_k with the dressing
-matrix
+The first line is solved for r~ by one damped Newton solve at mu, from
+the attracting fixed point of that line solved backward around the ring
+(the shift guess r~_k = r_{k+1} at mu -> 0), ended by a polish step; there
+is no continuation in |mu| and no warm start.  q~ is then read off the
+second line.  The map is generated by the intertwining relation
+L~_k D_k = D_{k+1} L_k with the dressing matrix
 
     D_k(lam) = [[lam^2 - mu^2 (1 - b_k c_k), lam b_k], [lam c_k, 1]],
 
@@ -18,8 +19,7 @@ b_k = q_k, c_k = r~_{k-1}, which is singular at lam = mu with kernel
 (1, -mu r~_{k-1})^T.  That spectrality gives L_k(mu)|w_k> = gamma_k
 |w_{k+1}> and the trace formula Tr L(mu) = det L(mu)/gamma + gamma.
 
-Every solve starts from the shift guess; there is no warm start.  The
-Jacobian of the map comes from the implicit function theorem on the
+The Jacobian of the map comes from the implicit function theorem on the
 denominator-cleared first line P(q, r, r~) = 0: with J = dP/dr~, the
 cyclic lower-bidiagonal matrix Newton solves with, dr~/dr = -J^{-1} and
 dr~/dq = J^{-1} diag(mu^2 r~_k r~_{k-1}); the q~ blocks follow by the
@@ -27,7 +27,8 @@ chain rule through the second line (`map_jacobian`).  Canonicity is
 checked on that exact Jacobian, after one solve of the map.
 """
 
-from dataclasses import dataclass, field
+import cmath
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,12 +41,9 @@ class BTError(RuntimeError):
     """Newton non-convergence, singular Jacobian, or vanishing denominator."""
 
 
-# Newton iterations per rung, step halvings per iteration, and the |mu|
-# ladder: from MU_SEED up to |mu| by factors of MU_GROWTH.
+# Newton iterations per solve, and step halvings per iteration.
 MAX_ITER = 100
 MAX_DAMPING = 30
-MU_SEED = 1e-3
-MU_GROWTH = 2.0
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,6 @@ class BTResult:
     gamma_site: np.ndarray
     newton_iters: int
     residual: float
-    mu_path: tuple = field(default=(), repr=False)
 
     @property
     def gamma(self):
@@ -74,11 +71,12 @@ def _line1_residual(q, r, rt, mu):
 
 
 def _line2_qtilde(r, rt, mu):
+    """q~ from the second line, with that line's right-hand side."""
     u = np.roll(rt, 1)        # r~_{k-1}
     rtp = np.roll(rt, -1)     # r~_{k+1}
     rp = np.roll(r, -1)       # r_{k+1}
     rhs = (rt - rp) * (mu**2 * rt + r) / (mu**2 * rtp * u)
-    return (1.0 - rhs) / rt
+    return (1.0 - rhs) / rt, rhs
 
 
 def _poly_residual(q, r, rt, mu):
@@ -101,13 +99,47 @@ def _poly_jacobian(q, rt, mu):
     return J
 
 
-def _newton(q, r, rt, mu):
-    """Damped Newton on the denominator-cleared first line.
+def _backward_start(q, r, mu):
+    """Newton's start: the first line solved backward around the ring.
 
-    Converges to the floating-point floor of the residual; the as-printed
-    residual contract is enforced by the caller at the target mu only,
-    because the printed form divides by mu^2 and is not evaluable to 1e-12
-    at the small-mu continuation rungs.
+    Solved for r~_{k-1}, the first line is the Moebius map
+    r~_{k-1} = (mu^2 r~_k + r_k) / (mu^2 q_k r~_k + 1), with matrix
+    B_k = [[mu^2, r_k], [mu^2 q_k, 1]], so r~_{N-1} is a fixed point of
+    B_0 B_1 ... B_{N-1}.  Its two fixed points are the two branches of
+    the map.  The start is the attracting one (the larger eigenvalue),
+    along which the backward recursion is stable, carried back site by
+    site.  At mu -> 0 the product is [[0, r_0], [0, 1]], and the start is
+    the shift guess r~_k = r_{k+1}.
+    """
+    m2 = mu**2
+    qs, rs = q.tolist(), r.tolist()
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    try:
+        for qk, rk in zip(qs, rs):  # Moebius maps ignore scale: normalise
+            a, b, c, d = (a * m2 + b * m2 * qk, a * rk + b,
+                          c * m2 + d * m2 * qk, c * rk + d)
+            s = max(abs(a), abs(b), abs(c), abs(d))
+            a, b, c, d = a / s, b / s, c / s, d / s
+        disc = cmath.sqrt((a - d) ** 2 + 4.0 * b * c)
+        lam = max(0.5 * (a + d + disc), 0.5 * (a + d - disc), key=abs)
+        x = b / (lam - a) if abs(lam - a) >= abs(c) else (lam - d) / c
+        rt = [x]
+        for k in range(len(rs) - 1, 0, -1):
+            x = (m2 * x + rs[k]) / (m2 * qs[k] * x + 1.0)
+            rt.append(x)
+    except ZeroDivisionError as exc:
+        raise BTError("vanishing denominator in the backward start") from exc
+    return np.array(rt[::-1], dtype=complex)
+
+
+def _newton(q, r, rt, mu):
+    """Damped Newton on the denominator-cleared first line, then a polish.
+
+    Each step is halved until |P| falls.  Once |P| is below the roundoff
+    floor 64 eps (1 + |r| + |r~|), one more full step is kept if |P| falls:
+    q~ is read off r~ with an amplification of ~100 at mu = 0.3, so what r~
+    keeps of the floor shows in the as-printed residuals and in canonicity.
+    Returns r~ and the Newton step count, the polish included.
     """
     floor = 64 * np.finfo(float).eps * (1.0 + np.abs(r).max()
                                         + np.abs(rt).max())
@@ -116,46 +148,41 @@ def _newton(q, r, rt, mu):
     err = np.abs(F).max()
     if not np.isfinite(err):
         raise BTError("non-finite residual at Newton start")
-    for it in range(MAX_ITER):
-        if err < floor:
-            return rt, it
+    for it in range(1, MAX_ITER + 1):
         if np.any(np.abs(rt) < 1e-12):
             raise BTError("vanishing r~ denominator during Newton")
-        J = _poly_jacobian(q, rt, mu)
         try:
-            delta = np.linalg.solve(J, F)
+            delta = np.linalg.solve(_poly_jacobian(q, rt, mu), F)
         except np.linalg.LinAlgError as exc:
             raise BTError("singular Jacobian in Backlund Newton") from exc
-        step = 1.0
-        improved = False
-        for _ in range(MAX_DAMPING):
+        if err < floor:  # polish
+            cand = rt - delta
+            with np.errstate(all="ignore"):
+                errc = np.abs(_poly_residual(q, r, cand, mu)).max()
+            return (cand if errc < err else rt), it
+        for step in 0.5 ** np.arange(MAX_DAMPING):
             cand = rt - step * delta
-            if not np.any(np.abs(cand) < 1e-12):
-                with np.errstate(all="ignore"):
-                    Fc = _poly_residual(q, r, cand, mu)
-                errc = np.abs(Fc).max()
-                if np.isfinite(errc) and (errc < err or errc < floor):
-                    rt, F, err = cand, Fc, errc
-                    improved = True
-                    break
-            step *= 0.5
-        if not improved:
-            if err < 1e3 * floor:  # stagnated at the float floor
-                return rt, it + 1
-            raise BTError("Newton damping failed to reduce the residual")
-    if err < 1e3 * floor:
-        return rt, MAX_ITER
+            with np.errstate(all="ignore"):
+                Fc = _poly_residual(q, r, cand, mu)
+            errc = np.abs(Fc).max()
+            if (np.isfinite(errc) and (errc < err or errc < floor)
+                    and not np.any(np.abs(cand) < 1e-12)):
+                rt, F, err = cand, Fc, errc
+                break
+        else:
+            break  # no halving reduced |P|
+    if err < 1e3 * floor:  # stagnated at the float floor
+        return rt, it
     raise BTError(f"Backlund Newton did not converge (residual {err:.3e})")
 
 
 def bt_apply(state, mu, opts=None):
     """Apply the Backlund map at parameter mu.
 
-    The solver continues in |mu| from MU_SEED up to |mu| by factors of
-    MU_GROWTH, starting from the shift guess r~_k = r_{k+1}; a rung that
-    fails is bisected geometrically.  There is no warm start: every call
-    solves from the shift guess, so the map is a function of
-    (state, mu, opts.tol) alone.  BTError is raised when the as-printed
+    One damped Newton solve of the first line at mu from `_backward_start`,
+    ended by a polish step (`_newton`); q~ is read off the second line.
+    With no warm start and no continuation in |mu|, the map is a function
+    of (state, mu, opts.tol) alone.  BTError is raised when the as-printed
     residual of either line is not below opts.tol.
     """
     if mu == 0:
@@ -165,39 +192,10 @@ def bt_apply(state, mu, opts=None):
     if np.any(np.abs(r) < 1e-12):
         raise BTError("state has r_k ~ 0; Backlund denominators vanish")
 
-    total_iters = 0
-    path = []
-    rt = np.roll(r, -1).astype(complex)
-    scales = []
-    s = min(1.0, MU_SEED / abs(mu))
-    while s < 1.0:
-        scales.append(s)
-        s *= MU_GROWTH
-    scales.append(1.0)
-    i = 0
-    prev = None  # last converged (scale, rt)
-    while i < len(scales):
-        s = scales[i]
-        try:
-            rt_new, it = _newton(q, r, rt, s * mu)
-        except BTError:
-            lo = prev[0] if prev is not None else scales[0] * 0.5
-            mid = np.sqrt(lo * s)  # geometric bisection of the mu ladder
-            if s - mid < 1e-6 * s:
-                raise
-            scales.insert(i, mid)
-            continue
-        total_iters += it
-        path.append(complex(s * mu))
-        prev = (s, rt_new.copy())
-        rt = rt_new
-        i += 1
-
-    qt = _line2_qtilde(r, rt, mu)
+    rt, iters = _newton(q, r, _backward_start(q, r, mu), mu)
+    qt, rhs2 = _line2_qtilde(r, rt, mu)
     res1 = float(np.abs(_line1_residual(q, r, rt, mu)).max())
-    res2 = float(np.abs((1.0 - qt * rt)
-                        - (rt - np.roll(r, -1)) * (mu**2 * rt + r)
-                        / (mu**2 * np.roll(rt, -1) * np.roll(rt, 1))).max())
+    res2 = float(np.abs((1.0 - qt * rt) - rhs2).max())
     if max(res1, res2) >= opts.tol:
         raise BTError(f"transformation residual {max(res1, res2):.3e} "
                       f"above tolerance {opts.tol:.1e} at mu={mu}")
@@ -206,8 +204,8 @@ def bt_apply(state, mu, opts=None):
     if np.any(gam == 0):  # each factor: their product underflows at large N
         raise BTError("vanishing spectrality factor gamma")
     return BTResult(mu=complex(mu), source=state, target=target,
-                    gamma_site=gam, newton_iters=total_iters,
-                    residual=max(res1, res2), mu_path=tuple(path))
+                    gamma_site=gam, newton_iters=iters,
+                    residual=max(res1, res2))
 
 
 def dressing_matrix(bt, k, lam):

@@ -111,9 +111,13 @@ def suite_classical(cfg, rng):
 
 
 def suite_bt(cfg, rng):
+    # generating_function_check loads scipy.special on first use; load it
+    # before any timer starts, so that no record's wall_time carries it
+    import scipy.special  # noqa: F401
     records = []
     N = cfg.N
-    mu = 0.3 if abs(cfg.mu) > 0.5 else cfg.mu  # keep continuation short
+    # |mu| > 0.5 runs at 0.3; the golden report's params record this clamp
+    mu = 0.3 if abs(cfg.mu) > 0.5 else cfg.mu
     opts = backlund.SolverOptions(tol=cfg.newton_tol)
     state = chain.ChainState.random(N, rng)
     bt = backlund.bt_apply(state, mu, opts)
@@ -162,7 +166,9 @@ def suite_bt(cfg, rng):
     _timed(records, "bt.commuting_parameters", {"N": N, "mus": [mu, 0.17]},
            1e-9, commuting)
 
-    _timed(records, "bt.canonicity", {"N": N, "mu": mu}, 1e-5,
+    # the exact-Jacobian deviation sits at <= 1.5e-13 up to N = 512 and
+    # <= 5e-13 at N = 1024
+    _timed(records, "bt.canonicity", {"N": N, "mu": mu}, 1e-11,
            lambda: backlund.canonicity_check(state, mu, opts=opts))
 
     def genfun():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from albaxter import classical_chain as chain
 from albaxter.backlund import (BTError, BTResult, SolverOptions,
@@ -287,7 +288,32 @@ class TestResultInvariants:
         assert bt.gamma == 0
         assert spectrality(bt).collinearity.max() < 1e-10
 
-    def test_mu_path_monotone(self, bt3):
-        mags = [abs(m) for m in bt3.mu_path]
-        assert mags == sorted(mags)
-        assert mags[-1] == pytest.approx(abs(bt3.mu))
+
+class TestDirectSolve:
+    @pytest.mark.parametrize("N, seed, mu", [
+        # a point of `albaxter bt --N 16 --sweep 0.1 0.45 40` that ended at
+        # 1.3e-12 after a continuation in |mu|
+        (16, 7, np.linspace(0.1, 0.45, 40)[9]),
+        # Newton from the shift guess r~_k = r_{k+1} stalls here
+        (22, 2, 1.0),
+    ])
+    def test_map_and_canonicity(self, N, seed, mu):
+        state = ChainState.random(N, np.random.default_rng(seed))
+        assert bt_apply(state, mu).residual < 1e-12
+        assert canonicity_check(state, mu) <= 1e-11
+
+    @pytest.mark.parametrize("seed", [52, 71, 74])
+    def test_canonicity_at_roundoff(self, seed):
+        # 5.9e-12, 2.5e-12 and 1.2e-11 when Newton stops at the floor of P
+        # without the polish step
+        state = ChainState.random(2, np.random.default_rng(seed))
+        assert canonicity_check(state, 0.3) < 1e-12
+
+    @settings(max_examples=40)
+    @given(N=st.integers(2, 64), mu=st.floats(0.1, 1.3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_solves_and_conserves(self, N, mu, seed):
+        state = ChainState.random(N, np.random.default_rng(seed))
+        bt = bt_apply(state, mu)  # a BTError fails the property
+        assert conserved_quantities(state).max_relative_drift(
+            conserved_quantities(bt.target)) < 1e-10

@@ -51,6 +51,15 @@ def test_verify_bt_n16_generating_function_passes(tmp_path):
     assert rec["residual"] <= 1e-11 and rec["tolerance"] == 1e-6
 
 
+def test_verify_bt_n64_prints_every_record(capsys):
+    # the map residual there was 2.06e-12, above the 1e-12 acceptance
+    cli.main(["verify", "bt", "--N", "64"])
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith(("PASS ", "FAIL "))]
+    assert len(lines) == 10
+    assert lines[0].split()[:2] == ["PASS", "bt.map_residual"]
+
+
 def test_verify_baxter_writes_all_checks(tmp_path, capsys):
     out = tmp_path / "baxter.json"
     assert cli.main(["verify", "baxter", "--out", str(out)]) == 0

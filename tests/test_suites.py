@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from albaxter import backlund, bethe, classical_chain as chain, fock, suites
 from albaxter.qcalc import QParam
@@ -36,3 +37,13 @@ def test_qdiff_residual_propagates_nan():
     with np.errstate(invalid="ignore"):
         res = bethe.baxter_qdiff_residual(cfg, [1.2 + 0.1j, np.nan])
     assert np.isnan(res)
+
+
+@pytest.mark.parametrize("seed", [3, 13, 21, 37])
+def test_bt_suite_passes_at_default_config(seed):
+    # a continuation in |mu| ended these maps at 1.1-3.5e-12, above the
+    # 1e-12 acceptance
+    records = suites.suite_bt(RunConfig(seed=seed),
+                              np.random.default_rng(seed))
+    assert len(records) == 10
+    assert all(r.passed for r in records)
