@@ -6,9 +6,14 @@ The roots lam_1..lam_m satisfy
     prod_{j != k} (lam_j^2 (1+eta) - lam_k^2) / (lam_j^2 - (1+eta) lam_k^2)
         = lam_k^{2N},   k = 1..m,
 
-solved in logarithmic form by Newton with homotopy from eta = 0, where the
-left product degenerates to 1 and the roots are 2N-th roots of unity.  The
-associated transfer eigenvalue is
+which the solver takes in polynomial form in x_k = lam_k^2, free of
+branch cuts,
+
+    F_k(x) = a_k - x_k^N b_k,   a_k = prod_{j != k} (x_j (1+eta) - x_k),
+                                b_k = prod_{j != k} (x_j - (1+eta) x_k),
+
+continued in eta from eta = 0, where F_k = a_k (1 - x_k^N) and the roots
+are 2N-th roots of unity.  The associated transfer eigenvalue is
 
     t(nu) = nu^N/(1+eta)^m prod_j (1 - eta nu^2/(lam_j^2 - nu^2))
           + nu^-N/(1+eta)^m prod_j (1 + eta lam_j^2/(lam_j^2 - nu^2)),
@@ -34,12 +39,13 @@ from numpy.polynomial import polynomial as npoly
 
 from .qcalc import QParam
 
-TOL = 1e-13  # Newton stopping residual of the logarithmic Bethe equations
+# Newton stopping residual max_k |a_k - x_k^N b_k| / (|a_k| + |x_k^N b_k|)
+TOL = 1e-13
 MAX_ITER = 100  # Newton iterations per homotopy step
 
 
 class BetheConvergenceError(RuntimeError):
-    """Newton divergence, root collision, or singular-denominator approach."""
+    """Newton divergence or root collision along the eta-homotopy."""
 
 
 @dataclass(frozen=True)
@@ -52,137 +58,128 @@ class BetheConfig:
     homotopy_path: tuple = ()
 
 
-def _log_residual(roots, N, one_plus_eta, branch):
-    m = roots.size
-    F = np.zeros(m, dtype=complex)
-    lam2 = roots**2
-    for k in range(m):
-        acc = 0.0 + 0.0j
-        for j in range(m):
-            if j == k:
-                continue
-            num = lam2[j] * one_plus_eta - lam2[k]
-            den = lam2[j] - one_plus_eta * lam2[k]
-            if min(abs(num), abs(den)) < 1e-12:
-                raise BetheConvergenceError("singular denominator approach")
-            acc += np.log(num) - np.log(den)
-        F[k] = acc - 2 * N * np.log(roots[k]) - 2j * np.pi * branch[k]
-    return F
+def _pairs(x, ope):
+    """D[k, j] = x_j - (1+eta) x_k off the diagonal and 1 on it.  Its row
+    products are b_k, and since x_j (1+eta) - x_k = -D[j, k], its column
+    products are (-1)^(m-1) a_k."""
+    D = x - ope * x[:, None]
+    D.flat[::x.size + 1] = 1.0
+    return D
 
 
-def _log_jacobian(roots, N, one_plus_eta):
-    m = roots.size
-    J = np.zeros((m, m), dtype=complex)
-    lam2 = roots**2
-    for k in range(m):
-        diag = -2.0 * N / roots[k]
-        for j in range(m):
-            if j == k:
-                continue
-            num = lam2[j] * one_plus_eta - lam2[k]
-            den = lam2[j] - one_plus_eta * lam2[k]
-            diag += -2.0 * roots[k] / num + 2.0 * one_plus_eta * roots[k] / den
-            J[k, j] = 2.0 * roots[j] * one_plus_eta / num - 2.0 * roots[j] / den
-        J[k, k] = diag
+def _residual(x, N, ope):
+    """F = a - x^N b, its size relative to the terms, max_k
+    |F_k| / (|a_k| + |x_k^N b_k|), and the pair array."""
+    D = _pairs(x, ope)
+    a = (-1) ** (x.size - 1) * D.prod(axis=0)
+    xb = x**N * D.prod(axis=1)
+    F = a - xb
+    return F, float((np.abs(F) / (np.abs(a) + np.abs(xb))).max()), D
+
+
+def _jacobian(x, N, ope, D):
+    """dF/dx from the row cofactors prod_{l != j} of D.T and D, which are
+    the derivatives of a_k and b_k in their j-th factor (no division)."""
+    m = x.size
+    off = ~np.eye(m, dtype=bool)
+    C = np.where(off, np.array([D.T, D])[:, :, None, :], 1.0).prod(axis=3)
+    Ca, Cb = C * off
+    sign = (-1) ** (m - 1)
+    xN = x**N
+    J = -ope * sign * Ca - xN[:, None] * Cb
+    J.flat[::m + 1] = (sign * Ca.sum(axis=1) + ope * xN * Cb.sum(axis=1)
+                       - N * x ** (N - 1) * D.prod(axis=1))
     return J
 
 
-def _newton_polish(roots, N, one_plus_eta, branch):
-    F = _log_residual(roots, N, one_plus_eta, branch)
-    err = np.abs(F).max()
-    for it in range(MAX_ITER):
-        if err < TOL:
-            return roots, it
-        J = _log_jacobian(roots, N, one_plus_eta)
+def _newton(x, N, ope):
+    """Damped Newton on F at fixed 1+eta, stopped below a relative residual
+    of TOL; returns the solution and the iteration count.  A solution with
+    x_j, x_k or x_j, (1+eta) x_k within 1e-9 (j != k) is refused as a
+    collision."""
+    F, rel, D = _residual(x, N, ope)
+    it = 0
+    while not rel < TOL:  # a NaN residual never counts as converged
+        if it == MAX_ITER:
+            raise BetheConvergenceError(
+                f"Newton stalled at relative residual {rel:.3e}")
+        it += 1
         try:
-            delta = np.linalg.solve(J, F)
+            delta = np.linalg.solve(_jacobian(x, N, ope, D), F)
         except np.linalg.LinAlgError as exc:
-            raise BetheConvergenceError("singular Bethe Jacobian") from exc
+            raise BetheConvergenceError(
+                f"singular Jacobian at relative residual {rel:.3e}") from exc
         step = 1.0
         for _ in range(30):
-            cand = roots - step * delta
-            if np.abs(cand).min() > 1e-12:
-                try:
-                    Fc = _log_residual(cand, N, one_plus_eta, branch)
-                except BetheConvergenceError:
-                    Fc = None
-                if Fc is not None:
-                    errc = np.abs(Fc).max()
-                    if errc < err or errc < TOL:
-                        roots, F, err = cand, Fc, errc
-                        break
+            cand = x - step * delta
+            Fc, relc, Dc = _residual(cand, N, ope)
+            if relc < rel:
+                x, F, rel, D = cand, Fc, relc, Dc
+                break
             step *= 0.5
         else:
-            raise BetheConvergenceError("Bethe Newton damping stalled")
-    if err < TOL:
-        return roots, MAX_ITER
-    raise BetheConvergenceError(f"Bethe Newton stalled at residual {err:.3e}")
+            raise BetheConvergenceError(
+                f"Newton damping stalled at relative residual {rel:.3e}")
+    gap = np.abs(x - x[:, None])
+    gap.flat[::x.size + 1] = 1.0
+    if np.minimum(gap, np.abs(D)).min() < 1e-9:
+        raise BetheConvergenceError(
+            f"root collision at relative residual {rel:.3e}")
+    return x, it
 
 
 def solve_bethe(N, m, qp):
     """Solve the Bethe system at the deformation qp (a QParam) by
-    eta-homotopy from the free point.
+    eta-homotopy on F (module docstring) from lam_j = exp(i pi j/N), j < m:
+    2N-th roots of unity whose squares are distinct for m <= N.
 
-    The eta = 0 seeds are exp(i pi j/N), j < m: 2N-th roots of unity whose
-    squares are distinct for m <= N.  They fix the branch integers of the
-    unwrapped logarithmic form, which are held constant along the path;
-    the step starts at eta/10 and halves on divergence, aborting below a
-    1e-6 relative floor.  Newton stops below a residual of TOL.
+    Each step is a damped Newton solve from the last point.  The step in
+    eta starts at eta/10 and halves whenever Newton fails or roots
+    collide, aborting below a 1e-6 relative floor.  Each
+    lam_k = +-sqrt(x_k) takes the sign nearer its value at the previous
+    step, so roots keep the order and sign of their seeds.  The residual
+    is the final relative residual of F.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > N:
         raise ValueError("need m <= N for pairwise-distinct seed squares")
     roots = np.exp(1j * np.pi * np.arange(m) / N)
-    branch = np.array([round(-N * np.angle(z) / np.pi) for z in roots])
+    x = roots**2
 
     eta_target = qp.eta
-    path = []
-    roots, it0 = _newton_polish(roots, N, 1.0, branch)
-    path.append((0.0, it0))
+    path = [(0.0, 0)]
     s, step = 0.0, 0.1  # path fraction along eta = s * eta_target
-    guard = 0
     while s < 1.0:
-        guard += 1
-        if guard > 10_000:
-            raise BetheConvergenceError("homotopy failed to make progress")
+        if len(path) > 10_000:
+            raise BetheConvergenceError(f"homotopy exceeded 10,000 steps at "
+                                        f"N={N}, m={m}, eta fraction {s:.6g}")
         s_next = min(s + step, 1.0)
-        eta = s_next * eta_target
         try:
-            cand, iters = _newton_polish(roots, N, 1.0 + eta, branch)
-            lam2 = cand**2
-            for j in range(m):
-                for k in range(m):
-                    if j != k and (abs(lam2[j] - lam2[k]) < 1e-9
-                                   or abs(lam2[j] - (1 + eta) * lam2[k]) < 1e-9):
-                        raise BetheConvergenceError("root collision on path")
-        except BetheConvergenceError:
+            x_next, iters = _newton(x, N, 1.0 + s_next * eta_target)
+        except BetheConvergenceError as exc:
             step *= 0.5
             if step < 1e-6:
-                raise
+                raise BetheConvergenceError(
+                    f"Bethe homotopy failed at N={N}, m={m}: eta fraction "
+                    f"{s:.6g} reached, last step: {exc}") from exc
             continue
-        roots, s = cand, s_next
+        lam = np.sqrt(x_next)
+        roots = np.where((lam * roots.conj()).real < 0, -lam, lam)
+        x, s = x_next, s_next
         path.append((float(s), iters))
 
-    residual = float(np.abs(_log_residual(roots, N, qp.one_plus_eta,
-                                          branch)).max())
+    residual = _residual(x, N, qp.one_plus_eta)[1]
     return BetheConfig(N=N, m=m, qp=qp, roots=roots, residual=residual,
                        homotopy_path=tuple(path))
 
 
 def bethe_residuals_roots(roots, N, qp):
-    """Per-root |LHS - RHS| of the Bethe equations in product form."""
+    """Per-root |a_k / b_k - lam_k^{2N}|: the Bethe equations in ratio form."""
     roots = np.asarray(roots, dtype=complex)
-    ope = qp.one_plus_eta
-    lam2 = roots**2
-    out = np.zeros(roots.size)
-    for k in range(roots.size):
-        P = 1.0 + 0.0j
-        for j in range(roots.size):
-            if j != k:
-                P *= (lam2[j] * ope - lam2[k]) / (lam2[j] - ope * lam2[k])
-        out[k] = abs(P - roots[k] ** (2 * N))
-    return out
+    D = _pairs(roots**2, qp.one_plus_eta)
+    return np.abs((-1) ** (roots.size - 1) * D.prod(axis=0) / D.prod(axis=1)
+                  - roots ** (2 * N))
 
 
 def transfer_eigenvalue_roots(roots, N, qp, nu):

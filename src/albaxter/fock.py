@@ -75,30 +75,43 @@ class FockRep:
         below = np.arange(self.exact_dim(1))
         step = terms[sites, S[below] + 1] - terms[sites, S[below]]
         raised = below[:, None] + np.cumsum(step[:, ::-1], axis=1)[:, ::-1]
-        self.r_ops, self.q_ops = [], []
+        # Every csr array is written directly from these maps: row t of q_k
+        # holds 1 - alpha^(n_k+1) at column up[t], row up[t] of r_k holds 1
+        # at column t.  Q_k is stored on the sparsity pattern of L_k, with
+        # explicit zeros in the diagonal slots, so L_k(lam) is Q_k with
+        # diag(lam, 1/lam) written into those slots: one csr build per site
+        # and point.  Top row t of L_k holds its diagonal slot, then q_k if
+        # t is raised; bottom row dim + j holds r_k if j is a raised state,
+        # then its diagonal slot.
+        nb = below.size
+        q_ptr = np.minimum(np.arange(dim + 1), nb)
+        top = np.where(np.arange(dim) < nb, 2, 1)
+        self.r_ops, self.q_ops, self.lax_offdiag, self._diag_slots = \
+            [], [], [], []
         for up, n_k in zip(raised.T, self.occupations[below].T):
+            q_data = (1.0 - qp.alpha ** (n_k + 1)).astype(complex)
+            self.q_ops.append(sparse.csr_matrix((q_data, up, q_ptr),
+                                                shape=(dim, dim)))
+            has_r = np.zeros(dim, dtype=np.int64)
+            has_r[up] = 1
             self.r_ops.append(sparse.csr_matrix(
-                (np.ones(below.size), (up, below)), shape=(dim, dim),
-                dtype=complex))
-            self.q_ops.append(sparse.csr_matrix(
-                (1.0 - qp.alpha ** (n_k + 1), (below, up)), shape=(dim, dim),
-                dtype=complex))
-        self.identity = sparse.identity(dim, dtype=complex, format="csr")
+                (np.ones(nb, dtype=complex), np.argsort(up),
+                 np.concatenate([[0], np.cumsum(has_r)])), shape=(dim, dim)))
 
-        # Q_k is stored on the sparsity pattern of L_k, with explicit zeros
-        # in the diagonal slots, so L_k(lam) is Q_k with diag(lam, 1/lam)
-        # written into those slots: one csr build per site and point.
-        self.lax_offdiag = []
-        self._diag_slots = []
-        eye2 = sparse.identity(2 * dim, dtype=complex, format="csr")
-        rows = np.arange(2 * dim)
-        for q, r in zip(self.q_ops, self.r_ops):
-            Q = (eye2 + sparse.bmat([[None, q], [r, None]])).tocsr()
-            Q.sort_indices()
-            slots = np.flatnonzero(Q.indices == np.repeat(rows, np.diff(Q.indptr)))
-            Q.data[slots] = 0.0
-            self.lax_offdiag.append(Q)
+            counts = np.concatenate([top, 1 + has_r])
+            indptr = np.concatenate([[0], np.cumsum(counts)])
+            slots = np.concatenate([indptr[:dim], indptr[dim + 1:] - 1])
+            indices = np.empty(indptr[-1], dtype=np.int64)
+            data = np.zeros(indptr[-1], dtype=complex)
+            indices[slots] = np.arange(2 * dim)
+            indices[indptr[:nb] + 1] = dim + up
+            data[indptr[:nb] + 1] = q_data
+            indices[indptr[dim + up]] = below
+            data[indptr[dim + up]] = 1.0
+            self.lax_offdiag.append(sparse.csr_matrix(
+                (data, indices, indptr), shape=(2 * dim, 2 * dim)))
             self._diag_slots.append(slots)
+        self.identity = sparse.identity(dim, dtype=complex, format="csr")
 
     def exact_dim(self, headroom):
         """Number of basis states with total occupation <= n_max - headroom."""

@@ -239,3 +239,32 @@ def jackson_integral_loop(f, k, qp, b, a=None, point=None):
 
     upper = one_point(b)
     return upper if a is None else upper - one_point(a)
+
+
+def bethe_roots_mp(roots, N, alpha, dps=50):
+    """Bethe roots polished at `dps` digits by mpmath's Newton (numerical
+    Jacobian) on the product form of the equations in lam itself,
+
+        prod_{j != k} (lam_j^2 (1+eta) - lam_k^2)
+            = lam_k^{2N} prod_{j != k} (lam_j^2 - (1+eta) lam_k^2),
+
+    started from `roots`; 1 + eta = 1/alpha with alpha an exact double.
+    """
+    m = len(roots)
+    with mpmath.workdps(dps):
+        ope = 1 / mpmath.mpf(alpha)
+
+        def equations(*lam):
+            out = []
+            for k in range(m):
+                lhs = rhs = mpmath.mpf(1)
+                for j in range(m):
+                    if j != k:
+                        lhs *= lam[j] ** 2 * ope - lam[k] ** 2
+                        rhs *= lam[j] ** 2 - ope * lam[k] ** 2
+                out.append(lhs - lam[k] ** (2 * N) * rhs)
+            return out
+
+        sol = mpmath.findroot(equations, [mpmath.mpc(complex(z))
+                                          for z in roots])
+        return np.array([complex(sol[k]) for k in range(m)])

@@ -1,0 +1,103 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
+
+from albaxter import bethe, suites
+from albaxter.qcalc import QParam
+from albaxter.report import RunConfig
+from oracles import bethe_roots_mp
+
+QP = QParam(0.5)
+
+# roots at alpha = 0.5 as an independent logarithmic-form solver found
+# them, in the order and sign their seeds fix; every (N, 1) root is 1
+REFERENCE_ROOTS = {
+    (4, 2): [0.9980054349218662 - 0.06312805926382205j,
+             0.6610581319056865 + 0.7503346894828761j],
+    (5, 2): [0.9977471066753185 - 0.06708733949882537j,
+             0.7677614166158183 + 0.6407358325831886j],
+    (6, 2): [0.9977072252743675 - 0.06767785926964999j,
+             0.8302008729920609 + 0.5574643580384488j],
+    **{(N, 1): [1 + 0j] for N in range(1, 17)},
+}
+
+
+def _relative_ratio_residual(roots, N, qp):
+    # the ratio form, judged against |lam^2N|: independent of the solver's
+    # product-form residual
+    return float((bethe.bethe_residuals_roots(roots, N, qp)
+                  / np.abs(roots) ** (2 * N)).max())
+
+
+@pytest.mark.parametrize("N, m", [(4, 3), (6, 3), (8, 4), (16, 3)])
+def test_converges_at_three_and_four_roots(N, m):
+    cfg = bethe.solve_bethe(N, m, QP)
+    assert cfg.residual < 1e-13
+    assert _relative_ratio_residual(cfg.roots, N, QP) < 1e-12
+    x = cfg.roots**2
+    assert np.abs(x[:, None] - x)[~np.eye(m, dtype=bool)].min() > 1e-3
+    assert cfg.homotopy_path[-1][0] == 1.0
+
+
+@pytest.mark.parametrize("N, m", sorted(REFERENCE_ROOTS))
+def test_roots_match_reference_order_and_sign(N, m):
+    # same order and sign: the negative control and the roots CSV rely on it
+    roots = bethe.solve_bethe(N, m, QP).roots
+    assert np.abs(roots - np.array(REFERENCE_ROOTS[N, m])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("N, m, alpha", [
+    (2, 2, 0.5), (4, 3, 0.5), (6, 3, 0.5), (8, 4, 0.5), (16, 3, 0.5),
+    (6, 2, 0.2), (9, 4, 0.9), (8, 4, 0.05)])
+def test_roots_agree_with_mpmath_polish(N, m, alpha):
+    roots = bethe.solve_bethe(N, m, QParam(alpha)).roots
+    exact = bethe_roots_mp(roots, N, alpha)
+    assert (np.abs(exact - roots) / np.abs(exact)).max() <= 1e-12
+
+
+def _division_remainder(roots, N, qp):
+    """Remainder of x^N Psi_-(x) + alpha^m Psi_+(x) after the division in
+    transfer_poly_roots, relative to the largest coefficient divided."""
+    lam2 = np.asarray(roots) ** 2
+    m, a = lam2.size, qp.alpha
+    rhs = np.zeros(N + m + 1, dtype=complex)
+    rhs[N:] += npoly.polyfromroots(a * lam2)
+    rhs[:m + 1] += a**m * npoly.polyfromroots(lam2 / a)
+    quo, psi = bethe.transfer_poly_roots(roots, N, qp)
+    rem = rhs - npoly.polymul(quo, psi)[:rhs.size]
+    return float(np.abs(rem).max() / np.abs(rhs).max())
+
+
+@settings(max_examples=30)
+@given(N=st.integers(2, 10), m=st.integers(1, 4),
+       alpha=st.floats(0.2, 0.9))
+def test_on_shell_roots_leave_no_division_remainder(N, m, alpha):
+    m = min(m, N)
+    qp = QParam(alpha)
+    roots = bethe.solve_bethe(N, m, qp).roots
+    assert _division_remainder(roots, N, qp) < 1e-11
+    assert _division_remainder(roots * 1.1 + 0.03, N, qp) > 1e-2
+
+
+@pytest.mark.parametrize("N, m", [(2, 1), (5, 2), (6, 2), (4, 3), (6, 3),
+                                  (8, 4)])
+def test_solver_residual_and_negative_control_margins(N, m):
+    # both records pass with at least 10x room under their bounds
+    recs = {r.check_id: r for r in suites.suite_bethe(
+        RunConfig(N=N, m=m), np.random.default_rng(0))}
+    for check in ("bethe.solver_residual", "bethe.negative_control_margin"):
+        assert recs[check].residual <= 0.1 * recs[check].tolerance
+    cfg = bethe.solve_bethe(N, m, QP)
+    off = _relative_ratio_residual(cfg.roots * 1.1 + 0.03, N, QP)
+    assert off >= 10 * 1e-12
+
+
+def test_failure_names_its_input(monkeypatch):
+    monkeypatch.setattr(bethe, "TOL", 0.0)
+    with pytest.raises(bethe.BetheConvergenceError) as err:
+        bethe.solve_bethe(2, 1, QP)
+    msg = str(err.value)
+    assert "N=2, m=1" in msg
+    assert "eta fraction 0 reached" in msg
+    assert "relative residual 0.000e+00" in msg

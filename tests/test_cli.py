@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import albaxter
 from albaxter import cli
@@ -95,6 +96,12 @@ def test_verify_all_reaches_n8(capsys):
     # the graded Fock space at N=8, n_max=5 has C(13, 5) = 1287 states
     assert cli.main(["verify", "all", "--N", "8"]) == 0
     assert "42/42 checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("N, m", [(4, 3), (6, 3), (8, 4)])
+def test_verify_bethe_passes_at_three_and_four_roots(N, m, capsys):
+    assert cli.main(["verify", "bethe", "--N", str(N), "--m", str(m)]) == 0
+    assert "7/7 checks passed" in capsys.readouterr().out
 
 
 def test_verify_bethe_n16_m3_completes(tmp_path):

@@ -78,6 +78,34 @@ def _oracle_delta(N, n_max, alpha):
     return delta
 
 
+def _csr_by_triplets(rep):
+    """q_k, r_k and the L_k pattern built the way FockRep once built them:
+    q_k and r_k from COO triplets (the raised state found by looking up its
+    occupation vector), the pattern as eye + bmat, sorted, with its diagonal
+    slots found by search and zeroed."""
+    from scipy import sparse
+    dim, alpha = rep.dim, rep.qp.alpha
+    index = {tuple(n): i for i, n in enumerate(rep.occupations)}
+    below = np.flatnonzero(rep.occupations.sum(axis=1) < rep.n_max)
+    eye2 = sparse.identity(2 * dim, dtype=complex, format="csr")
+    rows = np.arange(2 * dim)
+    unit = np.eye(rep.N, dtype=int)
+    out = []
+    for k in range(rep.N):
+        up = np.array([index[tuple(rep.occupations[t] + unit[k])]
+                       for t in below])
+        r = sparse.csr_matrix((np.ones(below.size), (up, below)),
+                              shape=(dim, dim), dtype=complex)
+        q = sparse.csr_matrix((1.0 - alpha ** (rep.occupations[below, k] + 1),
+                               (below, up)), shape=(dim, dim), dtype=complex)
+        L = (eye2 + sparse.bmat([[None, q], [r, None]])).tocsr()
+        L.sort_indices()
+        slots = np.flatnonzero(L.indices == np.repeat(rows, np.diff(L.indptr)))
+        L.data[slots] = 0.0
+        out.append((q, r, L, slots))
+    return out
+
+
 class TestMonodromy:
     @pytest.mark.parametrize("N, n_max", [(1, 3), (2, 3), (3, 3), (2, 5)])
     def test_blocks_match_dense_oracle(self, N, n_max):
@@ -138,6 +166,19 @@ class TestMonodromy:
         assert len({tuple(n) for n in rep.occupations}) == rep.dim
         assert rep.exact_dim(1) == np.count_nonzero(tot <= 3) == 20
         assert fock.FockRep(8, 5, QP).dim == 1287
+
+    @pytest.mark.parametrize("N, n_max",
+                             [(1, 1), (2, 5), (3, 4), (5, 5), (6, 5)])
+    def test_direct_csr_build_is_bit_identical(self, N, n_max):
+        rep = fock.FockRep(N, n_max, QParam(0.37))
+        built = zip(rep.q_ops, rep.r_ops, rep.lax_offdiag, rep._diag_slots)
+        for got, want in zip(built, _csr_by_triplets(rep), strict=True):
+            for g, w in zip(got[:3], want[:3]):
+                assert np.array_equal(g.indptr, w.indptr)
+                assert np.array_equal(g.indices, w.indices)
+                assert np.array_equal(g.data, w.data)
+                assert g.data.dtype == w.data.dtype and g.shape == w.shape
+            assert np.array_equal(got[3], want[3])
 
     def test_dim_cap(self):
         # C(45, 5) = 1,221,759 graded states
