@@ -24,6 +24,7 @@ from .classical_chain import (
     monodromy_matrix,
     rk4_step,
     rmatrix_relation_residual,
+    rmatrix_relation_residuals,
     trace_bracket,
 )
 from .backlund import (

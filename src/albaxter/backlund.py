@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical_chain import ChainState, monodromy_matrix
+from .classical_chain import ChainState, _roll, monodromy_matrix
 
 LOG_BRANCH_NOTE = "generating-function checks need real data with principal logs"
 
@@ -66,15 +66,15 @@ class BTResult:
 
 
 def _line1_residual(q, r, rt, mu):
-    u = np.roll(rt, 1)  # r~_{k-1}
+    u = _roll(rt, 1)  # r~_{k-1}
     return (1.0 - q * r) - (u - r) * (mu**2 * rt + r) / (mu**2 * rt * u)
 
 
 def _line2_qtilde(r, rt, mu):
     """q~ from the second line, with that line's right-hand side."""
-    u = np.roll(rt, 1)        # r~_{k-1}
-    rtp = np.roll(rt, -1)     # r~_{k+1}
-    rp = np.roll(r, -1)       # r_{k+1}
+    u = _roll(rt, 1)        # r~_{k-1}
+    rtp = _roll(rt, -1)     # r~_{k+1}
+    rp = _roll(r, -1)       # r_{k+1}
     rhs = (rt - rp) * (mu**2 * rt + r) / (mu**2 * rtp * u)
     return (1.0 - rhs) / rt, rhs
 
@@ -82,7 +82,7 @@ def _line2_qtilde(r, rt, mu):
 def _poly_residual(q, r, rt, mu):
     # first line cleared of denominators: mu^2 r~_k (1 - q_k r~_{k-1})
     # - r~_{k-1} + r_k = 0; no 1/mu^2 amplification at small mu
-    u = np.roll(rt, 1)
+    u = _roll(rt, 1)
     return mu**2 * rt * (1.0 - q * u) - u + r
 
 
@@ -91,7 +91,7 @@ def _poly_jacobian(q, rt, mu):
     lower-bidiagonal, J_kk = mu^2 (1 - q_k r~_{k-1}) and
     J_{k,k-1} = -(mu^2 r~_k q_k + 1) (added, so N = 1 folds both in)."""
     N = len(q)
-    u = np.roll(rt, 1)
+    u = _roll(rt, 1)
     J = np.zeros((N, N), dtype=complex)
     idx = np.arange(N)
     J[idx, idx] = mu**2 * (1.0 - q * u)
@@ -220,20 +220,30 @@ def dressing_matrix(bt, k, lam):
 
 
 def intertwining_residual(bt, lam):
-    """Max-entry residual of L~_k(lam) D_k(lam) - D_{k+1}(lam) L_k(lam)."""
-    if lam == 0:
+    """Max-entry residual over the sites k of
+    L~_k(lam) D_k(lam) - D_{k+1}(lam) L_k(lam).
+
+    lam is one point, giving a float, or an array of points, giving an
+    array of residuals of its shape.  Every site at every point is one
+    2x2 product in a stacked (N, points) batch.  A NaN is returned, not
+    skipped.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    if np.any(lam == 0):
         raise ValueError("lambda must be nonzero")
-    q, r = bt.source.q, bt.source.r
-    qt, rt = bt.target.q, bt.target.r
-    N = bt.source.N
-    res = []
-    for k in range(N):
-        Lk = np.array([[lam, q[k]], [r[k], 1.0 / lam]], dtype=complex)
-        Ltk = np.array([[lam, qt[k]], [rt[k], 1.0 / lam]], dtype=complex)
-        Dk = dressing_matrix(bt, k + 1, lam)
-        Dk1 = dressing_matrix(bt, (k + 1) % N + 1, lam)
-        res.append(np.abs(Ltk @ Dk - Dk1 @ Lk).max())
-    return float(np.max(res, initial=0.0))  # a NaN is returned, not skipped
+    # sites down axis 0, points across axis 1
+    q, r = bt.source.q[:, None], bt.source.r[:, None]
+    qt, rt = bt.target.q[:, None], bt.target.r[:, None]
+    x = lam.reshape(1, -1)
+    inv = 1.0 / x
+    c = _roll(rt, 1)  # r~_{k-1}
+    L, Lt, D = np.empty((3, bt.source.N, x.size, 2, 2), dtype=complex)
+    L[..., 0, 0], L[..., 0, 1], L[..., 1, 0], L[..., 1, 1] = x, q, r, inv
+    Lt[..., 0, 0], Lt[..., 0, 1], Lt[..., 1, 0], Lt[..., 1, 1] = x, qt, rt, inv
+    D[..., 0, 0] = x**2 - bt.mu**2 * (1.0 - q * c)
+    D[..., 0, 1], D[..., 1, 0], D[..., 1, 1] = x * q, x * c, 1.0
+    res = np.abs(Lt @ D - _roll(D, -1) @ L).max(axis=(0, 2, 3))
+    return float(res[0]) if lam.ndim == 0 else res.reshape(lam.shape)
 
 
 def _gamma_least_squares(q, r, rt, mu):
@@ -244,7 +254,7 @@ def _gamma_least_squares(q, r, rt, mu):
     closed form gamma_k = (v0 + conj(w1) v1) / (1 + |w1|^2), where
     (v0, v1) = L_k(mu)|w_k>.
     """
-    w0 = -mu * np.roll(rt, 1)  # -mu r~_{k-1}
+    w0 = -mu * _roll(rt, 1)  # -mu r~_{k-1}
     w1 = -mu * rt
     v0 = mu + q * w0
     v1 = r + (1.0 / mu) * w0
@@ -314,7 +324,7 @@ def _require_real_positive(bt):
     q, r, qt, rt = realv(q), realv(r), realv(qt), realv(rt)
     ok = (np.all(r > 0) and np.all(rt > 0)
           and np.all(1.0 - q * r > 0) and np.all(1.0 - qt * rt > 0)
-          and np.all(np.roll(rt, 1) - r > 0)
+          and np.all(_roll(rt, 1) - r > 0)
           and np.all(mu.real**2 * rt + r > 0))
     if not ok:
         raise ValueError("logarithm arguments would cross the negative axis")
@@ -367,7 +377,7 @@ def generating_function(bt):
     real positive data so every logarithm stays principal.
     """
     _, r, _, rt, mu = _require_real_positive(bt)
-    return float(np.sum(_site_terms(np.roll(r, -1), r, rt, np.roll(rt, 1),
+    return float(np.sum(_site_terms(_roll(r, -1), r, rt, _roll(rt, 1),
                                     mu)))
 
 
@@ -391,7 +401,7 @@ def generating_function_check(bt):
     explicit flow variable Phi.
     """
     q, r, qt, rt, mu = _require_real_positive(bt)
-    slots = [np.roll(r, -1), r, rt, np.roll(rt, 1), mu]
+    slots = [_roll(r, -1), r, rt, _roll(rt, 1), mu]
     h = 1e-30
 
     def partial(i):
@@ -400,8 +410,8 @@ def generating_function_check(bt):
         return _site_terms(*stepped).imag / h
 
     da, db, dx, dy, dmu = (partial(i) for i in range(5))
-    res_rt = np.abs(dx + np.roll(dy, -1) - np.log(1.0 - qt * rt) / rt)
-    res_r = np.abs(db + np.roll(da, 1) + np.log(1.0 - q * r) / r)
+    res_rt = np.abs(dx + _roll(dy, -1) - np.log(1.0 - qt * rt) / rt)
+    res_r = np.abs(db + _roll(da, 1) + np.log(1.0 - q * r) / r)
     res_phi = abs(np.sum(dmu) - conjugate_flow_variable(bt).real)
     return {"grad_residual_rtilde": float(np.max(res_rt, initial=0.0)),
             "grad_residual_r": float(np.max(res_r, initial=0.0)),
@@ -451,11 +461,11 @@ def map_jacobian(bt):
         D = -np.linalg.inv(_poly_jacobian(q, rt, mu))
     except np.linalg.LinAlgError as exc:
         raise BTError("singular Jacobian in the Backlund map") from exc
-    u = np.roll(rt, 1)     # r~_{k-1}
-    rtp = np.roll(rt, -1)  # r~_{k+1}
+    u = _roll(rt, 1)     # r~_{k-1}
+    rtp = _roll(rt, -1)  # r~_{k+1}
     C = D * (-mu**2 * rt * u)
 
-    a = rt - np.roll(r, -1)  # r~_k - r_{k+1}
+    a = rt - _roll(r, -1)  # r~_k - r_{k+1}
     b = mu**2 * rt + r
     den = mu**2 * rtp * u
     rhs = a * b / den
@@ -464,8 +474,8 @@ def map_jacobian(bt):
     gp = rhs / (rt * rtp)
 
     def apply_g(X):  # (G X)_k = g0_k X_k + gm_k X_{k-1} + gp_k X_{k+1}
-        return (g0[:, None] * X + gm[:, None] * np.roll(X, 1, axis=0)
-                + gp[:, None] * np.roll(X, -1, axis=0))
+        return (g0[:, None] * X + gm[:, None] * _roll(X, 1)
+                + gp[:, None] * _roll(X, -1))
 
     A = apply_g(C)
     B = apply_g(D)

@@ -27,11 +27,15 @@ Exact bracket gradients come from prefix and suffix products,
     dL/dq_k = P_{>k} E12 P_{<k},   dL/dr_k = P_{>k} E21 P_{<k},
 
 with P_{<k} = L_{k-1} ... L_1 and P_{>k} = L_N ... L_{k+1}: numeric 2x2
-products at a spectral point for the r-matrix and trace-involution checks,
-dense Laurent arrays for brackets of the H_i.  Every bracket is the one
-weighted sum `_bracket` over such gradients.  The tests check the kernel
-against the same objects built over generic LaurentPoly/MultiDual
-arithmetic (`tests/oracles.py`).
+products at spectral points for the r-matrix and trace-involution checks,
+dense Laurent arrays for brackets of the H_i.  The numeric products run
+batched: one N-step loop of stacked 2x2 products serves a whole stack of
+states, each at its own points, so the r-matrix check takes all its draws
+through one loop.  numpy's stacked 2x2 product gives each matrix the same
+bits at any stack size, so a state's gradients do not depend on the batch
+it came in.  Every bracket is the one weighted sum `_bracket` over such
+gradients.  The tests check the kernel against the same objects built
+over generic LaurentPoly/MultiDual arithmetic (`tests/oracles.py`).
 """
 
 from dataclasses import dataclass
@@ -125,14 +129,19 @@ class ConservedSet:
 
 
 def monodromy_matrix(state, lam):
-    """Numeric 2x2 monodromy L_N(lam) ... L_1(lam) as a numpy array."""
-    qs, rs = state.q, state.r
-    inv = 1.0 / lam
+    """Numeric 2x2 monodromy L_N(lam) ... L_1(lam) as a numpy array.
+
+    The loop runs on Python complex numbers: their products and sums round
+    as numpy's complex scalars do, at a fraction of the cost per step.
+    1/lam is taken in lam's own type, since the two divide differently.
+    """
+    inv = complex(1.0 / lam)
+    lam = complex(lam)
+    qs, rs = state.q.tolist(), state.r.tolist()
     m11, m12, m21, m22 = lam, qs[0], rs[0], inv
-    for k in range(1, len(qs)):
-        a11, a12, a21, a22 = lam, qs[k], rs[k], inv
-        m11, m12, m21, m22 = (a11 * m11 + a12 * m21, a11 * m12 + a12 * m22,
-                              a21 * m11 + a22 * m21, a21 * m12 + a22 * m22)
+    for qk, rk in zip(qs[1:], rs[1:]):
+        m11, m12, m21, m22 = (lam * m11 + qk * m21, lam * m12 + qk * m22,
+                              rk * m11 + inv * m21, rk * m12 + inv * m22)
     return np.array([[m11, m12], [m21, m22]], dtype=complex)
 
 
@@ -145,25 +154,38 @@ def _prune(a):
     return a
 
 
+def _roll(a, k):
+    """np.roll(a, k, axis=0) for k = +-1, as one concatenation of slices:
+    _roll(a, 1)[j] = a[j - 1] and _roll(a, -1)[j] = a[j + 1], cyclic."""
+    return np.concatenate((a[-k:], a[:-k]))
+
+
 def _lax_left(M, qk, rk):
     """L_k M for a dense (2, 2, 2N+1) monodromy factor; the lam and 1/lam
-    diagonal of L_k shift row 0 up and row 1 down one power."""
-    out = np.zeros_like(M)
-    out[0, :, 1:] = M[0, :, :-1]
-    out[1, :, :-1] = M[1, :, 1:]
-    out[0] += qk * M[1]
-    out[1] += rk * M[0]
+    diagonal of L_k shift row 0 up and row 1 down one power.  The
+    off-diagonal products q_k M_1 and r_k M_0 fill an empty buffer and the
+    shifted rows are added to them in place: the same two-term sums as
+    adding the products to a zeroed buffer holding the shifted rows, so
+    the same bits.  The lowest power of row 0 and the highest of row 1
+    keep the product alone."""
+    out = np.empty_like(M)
+    np.multiply(qk, M[1], out=out[0])
+    np.multiply(rk, M[0], out=out[1])
+    up, down = out[0, :, 1:], out[1, :, :-1]
+    np.add(up, M[0, :, :-1], out=up)
+    np.add(down, M[1, :, 1:], out=down)
     return out
 
 
 def _lax_right(M, qk, rk):
     """M L_k for a dense (2, 2, 2N+1) monodromy factor; the diagonal of
-    L_k shifts column 0 up and column 1 down one power."""
-    out = np.zeros_like(M)
-    out[:, 0, 1:] = M[:, 0, :-1]
-    out[:, 1, :-1] = M[:, 1, 1:]
-    out[:, 0] += rk * M[:, 1]
-    out[:, 1] += qk * M[:, 0]
+    L_k shifts column 0 up and column 1 down one power, as in `_lax_left`."""
+    out = np.empty_like(M)
+    np.multiply(rk, M[:, 1], out=out[:, 0])
+    np.multiply(qk, M[:, 0], out=out[:, 1])
+    up, down = out[:, 0, 1:], out[:, 1, :-1]
+    np.add(up, M[:, 0, :-1], out=up)
+    np.add(down, M[:, 1, 1:], out=down)
     return out
 
 
@@ -219,37 +241,38 @@ def _bracket(fq, fr, gq, gr, w):
     return np.sum((fq * gr - fr * gq) * w, axis=-1)
 
 
-def _entry_gradients(state, lams):
-    """Exact gradients dL/dq, dL/dr of the monodromy entries at each point
-    of lams, shape (n, 2, 2, N), from dL/dq_k = P_{>k} E12 P_{<k} and
-    dL/dr_k = P_{>k} E21 P_{<k}.
+def _entry_gradients(q, r, lams):
+    """Exact gradients dL/dq, dL/dr of the monodromy entries for a stack of
+    B states, q and r of shape (B, N), each at its own n points, lams of
+    shape (B, n).  Returns two arrays of shape (B, n, 2, 2, N), from
+    dL/dq_k = P_{>k} E12 P_{<k} and dL/dr_k = P_{>k} E21 P_{<k}; every
+    prefix and suffix step is one stacked 2x2 product over all B n pairs.
     """
-    q, r = state.q, state.r
-    N = state.N
+    N = q.shape[1]
     lams = np.asarray(lams, dtype=complex)
-    L = np.empty((N, lams.size, 2, 2), dtype=complex)
+    L = np.empty((N,) + lams.shape + (2, 2), dtype=complex)
     L[..., 0, 0] = lams
-    L[..., 0, 1] = q[:, None]
-    L[..., 1, 0] = r[:, None]
+    L[..., 0, 1] = q.T[:, :, None]
+    L[..., 1, 0] = r.T[:, :, None]
     L[..., 1, 1] = 1.0 / lams
-    pre = np.empty((N + 1, lams.size, 2, 2), dtype=complex)
+    pre = np.empty((N + 1,) + L.shape[1:], dtype=complex)
     suf = np.empty_like(pre)
     pre[0] = suf[N] = np.eye(2)
     for k in range(N):  # pre[k] = L_k ... L_1, suf[k] = L_N ... L_{k+1}
-        pre[k + 1] = L[k] @ pre[k]
-        suf[N - 1 - k] = suf[N - k] @ L[N - 1 - k]
+        np.matmul(L[k], pre[k], out=pre[k + 1])
+        np.matmul(suf[N - k], L[N - 1 - k], out=suf[N - 1 - k])
     S, P = suf[1:], pre[:-1]  # P_{>k}, P_{<k} for sites k = 1..N
     # (S E12 P)_ab = S_a0 P_1b and (S E21 P)_ab = S_a1 P_0b
-    dq = np.einsum("kna,knb->nabk", S[..., :, 0], P[..., 1, :])
-    dr = np.einsum("kna,knb->nabk", S[..., :, 1], P[..., 0, :])
+    dq = np.einsum("kmna,kmnb->mnabk", S[..., :, 0], P[..., 1, :])
+    dr = np.einsum("kmna,kmnb->mnabk", S[..., :, 1], P[..., 0, :])
     return dq, dr
 
 
 def trace_bracket(state, lam, nu):
     """{Tr L(lam), Tr L(nu)} from exact prefix/suffix gradients."""
-    dq, dr = _entry_gradients(state, (lam, nu))
-    tq = dq[:, 0, 0] + dq[:, 1, 1]
-    tr = dr[:, 0, 0] + dr[:, 1, 1]
+    dq, dr = _entry_gradients(state.q[None], state.r[None], [[lam, nu]])
+    tq = dq[0, :, 0, 0] + dq[0, :, 1, 1]
+    tr = dr[0, :, 0, 0] + dr[0, :, 1, 1]
     w = 1.0 - state.q * state.r
     return complex(_bracket(tq[0], tr[0], tq[1], tr[1], w))
 
@@ -302,8 +325,8 @@ def eom_rhs(state):
     dr_k/dt = -r_{k+1} - r_{k-1} + 2 r_k + q_k r_k (r_{k+1} + r_{k-1})
     """
     q, r = state.q, state.r
-    qp, qm = np.roll(q, -1), np.roll(q, 1)
-    rp, rm = np.roll(r, -1), np.roll(r, 1)
+    qp, qm = _roll(q, -1), _roll(q, 1)
+    rp, rm = _roll(r, -1), _roll(r, 1)
     dq = qp + qm - 2.0 * q - q * r * (qp + qm)
     dr = -rp - rm + 2.0 * r + q * r * (rp + rm)
     return dq, dr
@@ -342,26 +365,44 @@ def classical_rmatrix(lam, nu):
     ], dtype=complex)
 
 
-def entry_brackets(state, lam, nu):
-    """The 4x4 {L(lam) (x) L(nu)} of Poisson brackets between monodromy
-    entries, from exact prefix/suffix gradients; Kronecker indexing follows
-    T_{ab,gd} = {L(lam)_ab, L(nu)_gd}.
-    """
-    dq, dr = _entry_gradients(state, (lam, nu))
-    w = 1.0 - state.q * state.r
+def _brackets_of(dq, dr, w):
+    """The 4x4 {L(lam) (x) L(nu)} from one state's gradients at
+    (lam, nu), dq and dr of shape (2, 2, 2, N), and its weights w."""
     # br[a, b, g, d] = {L(lam)_ab, L(nu)_gd}
     br = _bracket(dq[0][:, :, None, None], dr[0][:, :, None, None],
                   dq[1][None, None], dr[1][None, None], w)
     return br.transpose(0, 2, 1, 3).reshape(4, 4)
 
 
+def entry_brackets(state, lam, nu):
+    """The 4x4 {L(lam) (x) L(nu)} of Poisson brackets between monodromy
+    entries, from exact prefix/suffix gradients; Kronecker indexing follows
+    T_{ab,gd} = {L(lam)_ab, L(nu)_gd}.
+    """
+    dq, dr = _entry_gradients(state.q[None], state.r[None], [[lam, nu]])
+    return _brackets_of(dq[0], dr[0], 1.0 - state.q * state.r)
+
+
+def rmatrix_relation_residuals(states, lams, nus):
+    """Max-entry residuals of {L(lam) (x) L(nu)} = [r, L(lam) (x) L(nu)],
+    one per draw (states[i], lams[i], nus[i]); the states share one N.
+    The left sides of all draws come from one `_entry_gradients` loop, the
+    monodromies in K from `monodromy_matrix`."""
+    for lam, nu in zip(lams, nus):
+        if lam == 0 or nu == 0 or abs(lam**2 - nu**2) == 0:
+            raise ZeroDivisionError("singular spectral parameters")
+    dq, dr = _entry_gradients(np.stack([s.q for s in states]),
+                              np.stack([s.r for s in states]),
+                              np.column_stack((lams, nus)))
+    out = np.empty(len(states))
+    for i, (state, lam, nu) in enumerate(zip(states, lams, nus)):
+        lhs = _brackets_of(dq[i], dr[i], 1.0 - state.q * state.r)
+        K = np.kron(monodromy_matrix(state, lam), monodromy_matrix(state, nu))
+        rmat = classical_rmatrix(lam, nu)
+        out[i] = np.abs(lhs - (rmat @ K - K @ rmat)).max()
+    return out
+
+
 def rmatrix_relation_residual(state, lam, nu):
-    """Max-entry residual of {L(lam) (x) L(nu)} = [r, L(lam) (x) L(nu)],
-    with the left side from :func:`entry_brackets`."""
-    if lam == 0 or nu == 0 or abs(lam**2 - nu**2) == 0:
-        raise ZeroDivisionError("singular spectral parameters")
-    lhs = entry_brackets(state, lam, nu)
-    K = np.kron(monodromy_matrix(state, lam), monodromy_matrix(state, nu))
-    rmat = classical_rmatrix(lam, nu)
-    rhs = rmat @ K - K @ rmat
-    return float(np.abs(lhs - rhs).max())
+    """`rmatrix_relation_residuals` for one draw."""
+    return float(rmatrix_relation_residuals([state], [lam], [nu])[0])

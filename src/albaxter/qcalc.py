@@ -123,6 +123,23 @@ def qpochhammer_inf(x, qp):
     as the plain product did.  No factor is tested for a zero here; the
     kernel callers raise QPochhammerPoleError for that (_poch_guarded).
     """
+    prod, e = _qpochhammer_parts(x, qp)
+    if e == 0:  # nothing left after the factors: (0; alpha)_inf = 1
+        return prod
+    try:
+        return prod * cmath.exp(e)
+    except OverflowError:
+        # exp(e) overflows only for alpha near 1 and y on or left of the
+        # imaginary axis; for real alpha the factors multiplied out lie at
+        # the same phase, have modulus > 1 there, and the value overflows
+        # too: an infinite modulus with the phase carried on
+        return cmath.rect(math.inf, cmath.phase(prod) + e.imag)
+
+
+def _qpochhammer_parts(x, qp):
+    """(prod, e) with (x; alpha)_inf = prod exp(e): prod multiplies out the
+    factors with |x alpha^p| >= THETA, e is the log series of the rest
+    (0 when the rest is (0; alpha)_inf = 1).  See `qpochhammer_inf`."""
     a = qp.alpha
     if not abs(a) < 1:
         raise ValueError("(x; alpha)_inf requires |alpha| < 1")
@@ -136,7 +153,7 @@ def qpochhammer_inf(x, qp):
             prod *= 1.0 - x
             x *= a
     if x == 0:
-        return prod
+        return prod, 0.0
     terms = math.ceil(math.log(_EPS * (1.0 - abs(a)) / abs(1.0 - a))
                       / math.log(abs(x)))
     s, xj, aj, g = 0.0, 1.0, 1.0, 0.0
@@ -145,15 +162,7 @@ def qpochhammer_inf(x, qp):
         g += aj  # 1 + a + ... + a^(j-1) = (1 - a^j) / (1 - a)
         aj *= a
         s += xj / (j * g)
-    e = -s / (1.0 - a)
-    try:
-        return prod * cmath.exp(e)
-    except OverflowError:
-        # exp(e) overflows only for alpha near 1 and y on or left of the
-        # imaginary axis; for real alpha the factors multiplied out lie at
-        # the same phase, have modulus > 1 there, and the value overflows
-        # too: an infinite modulus with the phase carried on
-        return cmath.rect(math.inf, cmath.phase(prod) + e.imag)
+    return prod, -s / (1.0 - a)
 
 
 def qexp(x, qp):
@@ -300,10 +309,27 @@ def rho_site(ks, qp, r_k):
     rho_k(mu, r_k) = [mu^2 r~_k r~_{k-1} / ((mu^2 r~_k + r_k)(r~_{k-1} - r_k))]
     rho_k(mu, alpha r_k).  (x; alpha)_inf converges for every x when
     |alpha| < 1, so any r_k is accepted; only a vanishing factor raises.
+    Near alpha = 1 one Pochhammer can underflow to 0 while the other
+    overflows (at alpha = 1 - 1e-4, (0.2; alpha)_inf ~ e^-2110 and
+    (-0.2; alpha)_inf ~ e^1908).  Where their product is 0 or not finite,
+    the two are combined in logs, from the parts prod exp(e) that
+    `qpochhammer_inf` splits each into; where a multiplied-out part prod
+    itself leaves the double range, the value is NaN.
     """
     x1 = r_k / ks.rtilde_km1
     x2 = -r_k / (ks.mu**2 * ks.rtilde_k)
-    return 1.0 / (_poch_guarded(x1, qp) * _poch_guarded(x2, qp))
+    v = _poch_guarded(x1, qp) * _poch_guarded(x2, qp)
+    if v != 0 and cmath.isfinite(v):
+        return 1.0 / v
+    z = 0j
+    for prod, e in (_qpochhammer_parts(x, qp) for x in (x1, x2)):
+        if prod == 0 or not cmath.isfinite(prod):
+            return complex(math.nan, math.nan)
+        z -= cmath.log(prod) + e
+    try:
+        return cmath.exp(z)
+    except OverflowError:
+        return cmath.rect(math.inf, z.imag)
 
 
 def rho_functional_residual(ks, qp, r_k):

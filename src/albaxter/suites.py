@@ -48,14 +48,19 @@ def suite_classical(cfg, rng):
     N = cfg.N
 
     def worst_rrel():
-        return _worst([chain.rmatrix_relation_residual(
-            chain.ChainState.random(N, rng), *_sample_spectral_pair(rng))
-            for _ in range(10)])
+        states, lams, nus = [], [], []
+        for _ in range(10):  # each draw: its state, then its (lam, nu)
+            states.append(chain.ChainState.random(N, rng))
+            lam, nu = _sample_spectral_pair(rng)
+            lams.append(lam)
+            nus.append(nu)
+        return _worst(chain.rmatrix_relation_residuals(states, lams, nus))
 
     _timed(records, "classical.rmatrix_relation", {"N": N, "states": 10},
            1e-10, worst_rrel)
 
     state = chain.ChainState.random(N, rng)
+    cons = chain.conserved_quantities(state)
 
     def involution():
         lam, nu = _sample_spectral_pair(rng)
@@ -82,22 +87,19 @@ def suite_classical(cfg, rng):
            h_det_involution)
 
     def cyclic():
-        cons = chain.conserved_quantities(state)
         rolled = chain.ChainState(np.roll(state.q, 1), np.roll(state.r, 1))
         cons2 = chain.conserved_quantities(rolled)
         return float(np.abs(cons.H - cons2.H).max())
 
     _timed(records, "classical.cyclic_trace", {"N": N}, 1e-12, cyclic)
 
-    def det_vs_eval():
-        cons = chain.conserved_quantities(state)
-        return abs(chain.monodromy_det_eval(state, 1.7) - cons.det)
-
-    _timed(records, "classical.monodromy_det", {"N": N}, 1e-12, det_vs_eval)
+    _timed(records, "classical.monodromy_det", {"N": N}, 1e-12,
+           lambda: abs(chain.monodromy_det_eval(state, 1.7)
+                       - chain.lax_det(state)))
 
     def rk4_order():
         # one-step drift of H_1 should shrink ~2^5 under dt halving
-        h0 = chain.conserved_quantities(state).H[1]
+        h0 = cons.H[1]
         drift = []
         for dt in (1e-2, 5e-3):
             stepped = chain.rk4_step(state, dt)
@@ -129,9 +131,9 @@ def suite_bt(cfg, rng):
                chain.conserved_quantities(bt.target)))
 
     def intertwine():
-        return _worst([backlund.intertwining_residual(
-            bt, rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform()))
-            for _ in range(8)])
+        lams = [rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
+                for _ in range(8)]
+        return _worst(backlund.intertwining_residual(bt, np.array(lams)))
 
     _timed(records, "bt.intertwining", {"N": N, "mu": mu, "lams": 8}, 1e-10,
            intertwine)

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 
 from albaxter.algebra import LaurentPoly, MultiDual
-from albaxter.backlund import bt_apply
+from albaxter.backlund import bt_apply, dressing_matrix
 from albaxter.classical_chain import ChainState
 from albaxter.qcalc import JACKSON_MAX_NODES, JACKSON_TAIL
 
@@ -130,6 +130,49 @@ def observable_det(q, r):
     for qk, rk in zip(q, r):
         acc = acc * (1.0 - qk * rk)
     return acc
+
+
+def lax_left_zeros(M, qk, rk):
+    """L_k M for a dense (2, 2, 2N+1) monodromy factor in the form that
+    classical_chain._lax_left replaced: a zeroed buffer takes the shifted
+    rows, then the off-diagonal products are added to it."""
+    out = np.zeros_like(M)
+    out[0, :, 1:] = M[0, :, :-1]
+    out[1, :, :-1] = M[1, :, 1:]
+    out[0] += qk * M[1]
+    out[1] += rk * M[0]
+    return out
+
+
+def lax_right_zeros(M, qk, rk):
+    """M L_k in the zeroed-buffer form that classical_chain._lax_right
+    replaced."""
+    out = np.zeros_like(M)
+    out[:, 0, 1:] = M[:, 0, :-1]
+    out[:, 1, :-1] = M[:, 1, 1:]
+    out[:, 0] += rk * M[:, 1]
+    out[:, 1] += qk * M[:, 0]
+    return out
+
+
+def intertwining_loop(bt, lam):
+    """Max-entry residual of L~_k(lam) D_k(lam) - D_{k+1}(lam) L_k(lam) by
+    the per-site loop of single 2x2 products that
+    backlund.intertwining_residual replaced, and the largest entry of the
+    products compared, the scale its roundoff is measured on.  Returns
+    (residual, scale)."""
+    q, r = bt.source.q, bt.source.r
+    qt, rt = bt.target.q, bt.target.r
+    N = bt.source.N
+    res, scale = [], 0.0
+    for k in range(N):
+        Lk = np.array([[lam, q[k]], [r[k], 1.0 / lam]], dtype=complex)
+        Ltk = np.array([[lam, qt[k]], [rt[k], 1.0 / lam]], dtype=complex)
+        left = Ltk @ dressing_matrix(bt, k + 1, lam)
+        right = dressing_matrix(bt, (k + 1) % N + 1, lam) @ Lk
+        res.append(np.abs(left - right).max())
+        scale = max(scale, np.abs(left).max(), np.abs(right).max())
+    return float(np.max(res)), scale
 
 
 def central_difference_map_jacobian(state, mu, opts=None, step=1e-4):

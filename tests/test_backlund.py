@@ -13,7 +13,8 @@ from albaxter.backlund import (BTError, BTResult, SolverOptions,
                                spectrality)
 from albaxter.classical_chain import ChainState, conserved_quantities
 
-from oracles import central_difference_map_jacobian, generating_function_mp
+from oracles import (central_difference_map_jacobian, generating_function_mp,
+                     intertwining_loop)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +91,29 @@ class TestBTApply:
                          newton_iters=bt3.newton_iters, residual=np.inf)
         res = intertwining_residual(fake, 1.1)
         assert 1e-5 < res < 1.0  # O(perturbation) growth
+
+    @pytest.mark.parametrize("N", (1, 2, 3, 16))
+    def test_intertwining_at_an_array_of_lambdas(self, N):
+        # one stacked call equals the scalar calls, and stays within 4 ulp
+        # (of the largest product entry) of the per-site loop; at N <= 2
+        # the neighbouring sites k - 1 and k + 1 coincide
+        rng = np.random.default_rng(45 + N)
+        bt = bt_apply(ChainState.random(N, rng), 0.3)
+        lams = rng.uniform(0.5, 1.5, 8) * np.exp(2j * np.pi * rng.uniform(
+            size=8))
+        lams = np.append(lams, [bt.mu, 0.9 + 0.4j])
+        got = intertwining_residual(bt, lams)
+        assert got.shape == lams.shape
+        for lam, res in zip(lams, got):
+            assert intertwining_residual(bt, lam) == res
+            want, scale = intertwining_loop(bt, lam)
+            assert abs(res - want) <= 4 * np.spacing(scale)
+        grid = intertwining_residual(bt, lams.reshape(2, 5))
+        assert np.array_equal(grid, got.reshape(2, 5))
+
+    def test_intertwining_rejects_zero_lambda(self, bt3):
+        with pytest.raises(ValueError):
+            intertwining_residual(bt3, np.array([1.1, 0.0]))
 
     def test_mu_zero_rejected(self):
         with pytest.raises(BTError):

@@ -13,9 +13,9 @@ from albaxter.classical_chain import (ChainState, DegenerateStateError,
                                       rk4_step, rmatrix_relation_residual,
                                       trace_bracket)
 
-from oracles import (local_lax, monodromy, observable_conserved,
-                     observable_det, observable_entry, observable_trace,
-                     poisson_bracket)
+from oracles import (lax_left_zeros, lax_right_zeros, local_lax, monodromy,
+                     observable_conserved, observable_det, observable_entry,
+                     observable_trace, poisson_bracket)
 
 N2_STATE = ChainState(np.array([0.2, 0.1]), np.array([0.3, -0.4]))
 
@@ -209,6 +209,79 @@ class TestDenseKernel:
                     observable_entry(k + 1, l + 1, nu), st)
         assert np.abs(got - want).max() < 1e-13 * max(np.abs(want).max(),
                                                        1.0)
+
+
+def _draws(N, B, seed):
+    """B random states of size N, each with a spectral pair."""
+    rng = np.random.default_rng(seed)
+    states = [ChainState.random(N, rng) for _ in range(B)]
+    lams = rng.uniform(1.2, 2.0, (B, 2)) * np.exp(
+        2j * np.pi * rng.uniform(size=(B, 2)))
+    return states, lams
+
+
+class TestBatchedKernels:
+    """The batched kernels give each state the bits it gets alone."""
+
+    def test_stacked_2x2_matmul_is_batch_invariant(self):
+        # what the batched gradients rest on: numpy's stacked 2x2 product
+        # gives each matrix the same bits at any stack size
+        rng = np.random.default_rng(170)
+        shape = (10, 2, 2, 2)
+        A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        B = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        whole = A @ B
+        for i in range(10):
+            assert np.array_equal(whole[i:i + 1], A[i:i + 1] @ B[i:i + 1])
+            for j in range(2):
+                assert np.array_equal(whole[i, j], A[i, j] @ B[i, j])
+
+    @pytest.mark.parametrize("N", (1, 2, 16, 128))
+    @pytest.mark.parametrize("B", (1, 10))
+    def test_entry_gradients_batch_matches_single_states(self, N, B):
+        states, lams = _draws(N, B, 180 + N + B)
+        q = np.stack([s.q for s in states])
+        r = np.stack([s.r for s in states])
+        dq, dr = chain._entry_gradients(q, r, lams)
+        assert dq.shape == dr.shape == (B, 2, 2, 2, N)
+        for i in range(B):
+            one_q, one_r = chain._entry_gradients(q[i:i + 1], r[i:i + 1],
+                                                  lams[i:i + 1])
+            assert np.array_equal(dq[i], one_q[0])
+            assert np.array_equal(dr[i], one_r[0])
+
+    @pytest.mark.parametrize("N", (1, 2, 16))
+    def test_rmatrix_residuals_match_single_draws(self, N):
+        states, lams = _draws(N, 10, 190 + N)
+        got = chain.rmatrix_relation_residuals(states, lams[:, 0],
+                                               lams[:, 1])
+        want = [rmatrix_relation_residual(s, lam, nu)
+                for s, (lam, nu) in zip(states, lams)]
+        assert np.array_equal(got, want)
+
+    def test_rmatrix_residuals_singular_guard(self):
+        states = [ChainState.zeros(2)] * 2
+        with pytest.raises(ZeroDivisionError):
+            chain.rmatrix_relation_residuals(states, [1.4, 1.0], [0.7, -1.0])
+
+    @pytest.mark.parametrize("N", (1, 2, 5, 16))
+    def test_lax_products_match_zeroed_buffer_form(self, N):
+        st = ChainState.random(N, np.random.default_rng(200 + N))
+        M = dense_monodromy(st)
+        for qk, rk in zip(st.q, st.r):
+            assert np.array_equal(chain._lax_left(M, qk, rk),
+                                  lax_left_zeros(M, qk, rk))
+            assert np.array_equal(chain._lax_right(M, qk, rk),
+                                  lax_right_zeros(M, qk, rk))
+
+    @pytest.mark.parametrize("N", (1, 2, 5))
+    @pytest.mark.parametrize("k", (1, -1))
+    def test_roll_matches_numpy(self, N, k):
+        rng = np.random.default_rng(210 + N)
+        a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        X = rng.standard_normal((N, 3))
+        assert np.array_equal(chain._roll(a, k), np.roll(a, k))
+        assert np.array_equal(chain._roll(X, k), np.roll(X, k, axis=0))
 
 
 class TestEquationsOfMotion:

@@ -1,0 +1,50 @@
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "outcome_diff.py"
+
+
+def test_one_tree_against_itself_has_no_differences():
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT),
+         "--workload", "chain-scale", "--seeds", "1"],
+        capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "270 ops, 0 changed, 0 pass->fail, 0 fail->pass"
+    assert not any(line.startswith(("flip:", "error changed:"))
+                   for line in lines)
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:-1]}
+    assert rows["sweep.intertwining"] == ["40", "0", "0"]
+    assert rows["classical.rmatrix_relation"] == ["4", "0", "0"]
+
+
+def _tool():
+    sys.path.insert(0, str(TOOL.parent))
+    try:
+        import outcome_diff
+    finally:
+        sys.path.remove(str(TOOL.parent))
+    return outcome_diff
+
+
+def test_flips_and_changes_are_counted(capsys):
+    tool = _tool()
+    old = {(1, "a"): ({"x.one": (1e-13, True), "x.two": (2e-11, False)},
+                      None),
+           (1, "b"): ({"x.one": (3e-13, True)}, None)}
+    new = {(1, "a"): ({"x.one": (1.5e-13, True), "x.two": (5e-12, True)},
+                      None),
+           (1, "b"): ({}, "BTError")}
+    stats, flips, errors = tool.compare(old, new)
+    assert stats["x.one"] == [2, 2, float("inf")]
+    assert stats["x.two"] == [1, 1, 0.75]
+    assert errors == [(1, "b", None, "BTError")]
+    assert [(f[1], f[2]) for f in flips] == [("a", "x.two"), ("b", "x.one")]
+    assert tool.report(stats, flips, errors) == 1
+    out = capsys.readouterr().out
+    assert "flip: seed 1 b x.one: pass -> fail (3e-13 -> None)" in out
+    assert out.splitlines()[-1] == \
+        "3 ops, 3 changed, 1 pass->fail, 1 fail->pass"

@@ -431,6 +431,27 @@ class TestRhoSite:
             got = rho_site(ks, qp, r)
             assert abs(got / want - 1) <= 1e-12
 
+    def test_underflow_against_overflow_in_logs(self):
+        # at alpha = 1 - 1e-4, (0.2; alpha)_inf ~ e^-2110 underflows to 0
+        # and (-0.2; alpha)_inf ~ e^1908 overflows; their ratio is 5.6e87.
+        # Measured error 2.8e-14; the bound is >= 10x that.
+        qp = QParam(1.0 - 1e-4)
+        ks = KernelSite(mu=1.0, rtilde_k=1.0, rtilde_km1=1.0)
+        assert qpochhammer_inf(0.2, qp) == 0
+        assert not cmath.isfinite(qpochhammer_inf(-0.2, qp))
+        want = complex(1 / (qpochhammer_mp(0.2, qp.alpha)
+                            * qpochhammer_mp(-0.2, qp.alpha)))
+        got = rho_site(ks, qp, 0.2)
+        assert abs(got / want - 1) <= 1e-12
+
+    def test_finite_products_keep_the_direct_quotient(self):
+        qp = QParam(0.9)
+        for r in (0.1, 0.7, 2.5):
+            x1 = r / self.KS.rtilde_km1
+            x2 = -r / (self.KS.mu**2 * self.KS.rtilde_k)
+            assert rho_site(self.KS, qp, r) == 1.0 / (
+                qpochhammer_inf(x1, qp) * qpochhammer_inf(x2, qp))
+
     def test_kernel_site_validation(self):
         with pytest.raises(ValueError):
             KernelSite(mu=0.0, rtilde_k=1.0, rtilde_km1=1.0)

@@ -29,6 +29,8 @@ def test_intertwining_residual_propagates_nan():
                             newton_iters=bt.newton_iters,
                             residual=bt.residual)
     assert np.isnan(backlund.intertwining_residual(bad, 0.9 + 0.2j))
+    res = backlund.intertwining_residual(bad, np.array([0.9 + 0.2j, 1.3j]))
+    assert np.isnan(res).all()
 
 
 def test_qdiff_residual_propagates_nan():
@@ -47,3 +49,27 @@ def test_bt_suite_passes_at_default_config(seed):
                               np.random.default_rng(seed))
     assert len(records) == 10
     assert all(r.passed for r in records)
+
+
+@pytest.mark.parametrize("N", (2, 16))
+def test_classical_suite_matches_direct_calls(N):
+    # the suite runs its ten r-matrix draws as one batch and builds the
+    # dense monodromy of its state once; replaying its draws through
+    # single calls gives the same bits
+    seed = 5
+    records = {r.check_id: r.residual for r in suites.suite_classical(
+        RunConfig(N=N, seed=seed), np.random.default_rng(seed))}
+    rng = np.random.default_rng(seed)
+    rrel = []
+    for _ in range(10):
+        state = chain.ChainState.random(N, rng)
+        rrel.append(chain.rmatrix_relation_residual(
+            state, *suites._sample_spectral_pair(rng)))
+    assert records["classical.rmatrix_relation"] == max(rrel)
+    state = chain.ChainState.random(N, rng)
+    cons = chain.conserved_quantities(state)
+    rolled = chain.ChainState(np.roll(state.q, 1), np.roll(state.r, 1))
+    assert records["classical.cyclic_trace"] == float(
+        np.abs(cons.H - chain.conserved_quantities(rolled).H).max())
+    assert records["classical.monodromy_det"] == abs(
+        chain.monodromy_det_eval(state, 1.7) - cons.det)
