@@ -217,19 +217,22 @@ def transfer_poly_roots(roots, N, qp):
 
 
 def baxter_qdiff_residual(cfg, nu_samples):
-    """Max residual of the q-difference transfer identity at sample points.
+    """Max relative residual of the q-difference transfer identity at
+    sample points.
 
     t is taken as the Laurent polynomial induced by the root set (division
-    quotient), then
+    quotient), then the identity
 
-        |t(nu) psi(nu) - delta nu^N psi(nu/sa) - nu^-N psi(nu sa)|
+        t(nu) psi(nu) = delta nu^N psi(nu/sa) + nu^-N psi(nu sa)
 
-    and the rescaled normalization with psi_hat = psi nu^(-2m),
+    and its rescaled normalization with psi_hat = psi nu^(-2m),
 
-        |t(nu) psi_hat(nu) - nu^N psi_hat(nu/sa) - delta nu^-N psi_hat(nu sa)|,
+        t(nu) psi_hat(nu) = nu^N psi_hat(nu/sa) + delta nu^-N psi_hat(nu sa),
 
-    are evaluated with delta = alpha^m.  On-shell roots drive both to zero;
-    off-shell root sets leave an O(1) division remainder behind.
+    are evaluated with delta = alpha^m; each residual is |LHS - RHS| over
+    the largest of its three terms.  On-shell roots drive both to zero;
+    off-shell root sets leave the division remainder behind, O(1) of the
+    terms near |nu| = 1 and shrinking like |nu|^-N away from it.
     """
     qp = cfg.qp
     sa = qp.sqrt_alpha
@@ -240,15 +243,18 @@ def baxter_qdiff_residual(cfg, nu_samples):
     def psi(nu):
         return npoly.polyval(nu**2, psi_c)
 
+    def relative(*terms):
+        return abs(terms[0] - terms[1] - terms[2]) / max(map(abs, terms))
+
     res = []
     for nu in np.atleast_1d(nu_samples):
         if nu == 0:
             raise ValueError("nu samples must be nonzero")
         t = npoly.polyval(nu**2, quo) / nu**N
-        r18 = abs(t * psi(nu) - delta * nu**N * psi(nu / sa)
-                  - nu ** (-N) * psi(nu * sa))
+        r18 = relative(t * psi(nu), delta * nu**N * psi(nu / sa),
+                       nu ** (-N) * psi(nu * sa))
         ph = lambda z: psi(z) * z ** (-2 * m)
-        r19 = abs(t * ph(nu) - nu**N * ph(nu / sa)
-                  - delta * nu ** (-N) * ph(nu * sa))
+        r19 = relative(t * ph(nu), nu**N * ph(nu / sa),
+                       delta * nu ** (-N) * ph(nu * sa))
         res += [r18, r19]
     return float(np.max(res, initial=0.0))  # a NaN is returned, not skipped

@@ -1,4 +1,5 @@
-"""Graded q-boson Fock representation of the quantum chain.
+"""Graded q-boson Fock representation of the quantum chain, applied
+matrix-free.
 
 The basis is the occupation vectors |n_1 ... n_N> with total occupation
 n_1 + ... + n_N <= n_max, ordered by total occupation; it has
@@ -9,20 +10,28 @@ C(N + n_max, N) states.  Site operators:
 
 Below the top sector this realizes the algebra
 [q_j, r_k] = eta (1 - q_j r_j) delta_jk exactly (the coefficients solve the
-recursion c_{n+1} = alpha (eta + c_n), c_0 = 0).  The Lax operator of site k
-acts on C^2 (x) H as L_k(lam) = diag(lam, 1/lam) (x) I + Q_k with
-Q_k = [[0, q_k], [r_k, 0]], and every check reads the monodromy
-T(lam) = L_N(lam) ... L_1(lam) = [[A, B], [C, D]] at numeric points only:
-as a sweep diag * X + Q_k @ X over the sites on a stacked vector or column
-block X (C(lam) phi is the lower half of T(lam) [phi; 0]), or as the
-product of the N sparse L_k(lam) where operator products are needed.
+recursion c_{n+1} = alpha (eta + c_n), c_0 = 0).
 
-L_k conserves the occupation minus the number of auxiliary spaces in their
-second state, so T(lam) raises the occupation by at most one per auxiliary
-space.  An identity that carries h raisings is therefore exact on the first
-exact_dim(h) = C(N + n_max - h, N) basis states, and its residual is the
-largest entry of the identity applied to that prefix of the input columns,
-X (Y P) rather than (X Y) P, with h = HEADROOM[check].
+Index maps.  No operator is stored: FockRep keeps raised[t, k], the state
+t with n_k raised by one (t below the top sector), and the coefficients
+1 - alpha^(n_k + 1) that q_k carries back from there.  On a block X with
+the basis along its first axis, q_k X is a row gather of X at raised[:, k]
+times those coefficients and r_k X a row scatter to raised[:, k].  With
+L_k(lam) = diag(lam, 1/lam) (x) I + [[0, q_k], [r_k, 0]] on C^2 (x) H, the
+monodromy T(lam) = L_N ... L_1 = [[A, B], [C, D]] acts on a pair (U, V)
+as the sweep U, V <- lam U + q_k V, r_k U + V/lam over the sites.
+
+Headroom.  L_k conserves the occupation minus the number of auxiliary
+spaces in their second state, so T(lam) raises the occupation by at most
+one per auxiliary space, and an identity that carries h = HEADROOM[check]
+raisings is exact on the first exact_dim(h) = C(N + n_max - h, N) states.
+
+Probe blocks and residuals.  Each identity is applied to PROBES vectors,
+random on those exact_dim(h) states and zero above, from a generator of
+fixed seed (a check never consumes its caller's draws).  Its residual is
+max |LHS - RHS| over the block divided by the largest entry of any single
+term, so it sits at the unit roundoff wherever the identity holds,
+whatever N and the size of the terms.
 """
 
 from dataclasses import dataclass
@@ -35,8 +44,20 @@ from .bethe import transfer_eigenvalue_roots
 DIM_CAP = 200_000
 
 # Raisings each identity carries.  One step lower every identity but the
-# trace commutator is off by O(1) (tests/test_fock.py holds the controls).
-HEADROOM = dict(rll=2, qdet=1, trace_commutator=1, qboson=1, bethe_state=1)
+# trace commutator is off by O(1) (tests/test_fock.py holds the controls);
+# the grading holds on the truncated blocks themselves.
+HEADROOM = dict(rll=2, qdet=1, trace_commutator=1, qboson=1, bethe_state=1,
+                grading=0)
+
+PROBES = 2          # vectors per probe block
+PROBE_SEED = 1508   # the probes' own generator
+
+
+def _relative(diffs, terms):
+    """Largest |entry| of the differences over that of any single term; a
+    NaN anywhere is returned, never skipped."""
+    return float(np.max([np.abs(d).max() for d in diffs])
+                 / np.max([np.abs(t).max() for t in terms]))
 
 
 class FockRep:
@@ -44,9 +65,6 @@ class FockRep:
     n_max, at the deformation qp (a QParam); immutable."""
 
     def __init__(self, N, n_max, qp):
-        # deferred: a module-level scipy.sparse import adds ~0.3 s to
-        # `import albaxter`
-        from scipy import sparse
         if N < 1 or n_max < 1:
             raise ValueError("need N >= 1 and n_max >= 1")
         dim = comb(N + n_max, N)
@@ -68,94 +86,95 @@ class FockRep:
             S[:, i] = np.searchsorted(terms[i], rem, side="right") - 1
             rem = rem - terms[i, S[:, i]]
         self.occupations = np.diff(S, axis=1, prepend=0)
-        self.occupations.setflags(write=False)
 
         # raising n_k adds one to S_i for i >= k; r_k is zero on the top
         # sector, so only the first exact_dim(1) states are raised
         below = np.arange(self.exact_dim(1))
         step = terms[sites, S[below] + 1] - terms[sites, S[below]]
         raised = below[:, None] + np.cumsum(step[:, ::-1], axis=1)[:, ::-1]
-        # Every csr array is written directly from these maps: row t of q_k
-        # holds 1 - alpha^(n_k+1) at column up[t], row up[t] of r_k holds 1
-        # at column t.  Q_k is stored on the sparsity pattern of L_k, with
-        # explicit zeros in the diagonal slots, so L_k(lam) is Q_k with
-        # diag(lam, 1/lam) written into those slots: one csr build per site
-        # and point.  Top row t of L_k holds its diagonal slot, then q_k if
-        # t is raised; bottom row dim + j holds r_k if j is a raised state,
-        # then its diagonal slot.
-        nb = below.size
-        q_ptr = np.minimum(np.arange(dim + 1), nb)
-        top = np.where(np.arange(dim) < nb, 2, 1)
-        self.r_ops, self.q_ops, self.lax_offdiag, self._diag_slots = \
-            [], [], [], []
-        for up, n_k in zip(raised.T, self.occupations[below].T):
-            q_data = (1.0 - qp.alpha ** (n_k + 1)).astype(complex)
-            self.q_ops.append(sparse.csr_matrix((q_data, up, q_ptr),
-                                                shape=(dim, dim)))
-            has_r = np.zeros(dim, dtype=np.int64)
-            has_r[up] = 1
-            self.r_ops.append(sparse.csr_matrix(
-                (np.ones(nb, dtype=complex), np.argsort(up),
-                 np.concatenate([[0], np.cumsum(has_r)])), shape=(dim, dim)))
-
-            counts = np.concatenate([top, 1 + has_r])
-            indptr = np.concatenate([[0], np.cumsum(counts)])
-            slots = np.concatenate([indptr[:dim], indptr[dim + 1:] - 1])
-            indices = np.empty(indptr[-1], dtype=np.int64)
-            data = np.zeros(indptr[-1], dtype=complex)
-            indices[slots] = np.arange(2 * dim)
-            indices[indptr[:nb] + 1] = dim + up
-            data[indptr[:nb] + 1] = q_data
-            indices[indptr[dim + up]] = below
-            data[indptr[dim + up]] = 1.0
-            self.lax_offdiag.append(sparse.csr_matrix(
-                (data, indices, indptr), shape=(2 * dim, 2 * dim)))
-            self._diag_slots.append(slots)
-        self.identity = sparse.identity(dim, dtype=complex, format="csr")
+        self.occupations.setflags(write=False)
+        # per site k, contiguous: raised[:, k] and 1 - alpha^(n_k + 1) below
+        self._up = list(np.ascontiguousarray(raised.T))
+        self._coef = list(1.0 - qp.alpha ** (self.occupations[below].T + 1))
 
     def exact_dim(self, headroom):
         """Number of basis states with total occupation <= n_max - headroom."""
         return comb(self.N + self.n_max - headroom, self.N)
 
-    def transfer(self, lam, X=None):
-        """L_N(lam) ... L_1(lam) X on C^2 (x) H.
+    def q(self, k, X):
+        """q_k X (sites counted from 0) for a vector or block X with the
+        basis along its first axis: a row gather times the coefficients."""
+        out = np.zeros(X.shape, dtype=complex)
+        c = self._coef[k].reshape((-1,) + (1,) * (X.ndim - 1))
+        out[:c.size] = c * X[self._up[k]]
+        return out
 
-        X is a dense stacked vector or column block of height 2 dim, swept
-        site by site as diag * X + Q_k @ X; with X=None the monodromy
-        operator itself is returned as a (2 dim) x (2 dim) csr matrix.
-        """
+    def r(self, k, X):
+        """r_k X for X as in q: a row scatter of X off the top sector."""
+        out = np.zeros(X.shape, dtype=complex)
+        up = self._up[k]
+        out[up] = X[:up.size]
+        return out
+
+    def _sweep(self, lam, U, V):
+        """T(lam) on the pair (U, V) of blocks of equal shape."""
         if lam == 0:
             raise ValueError("lam must be nonzero")
-        d = np.repeat(np.array([lam, 1.0 / lam], dtype=complex), self.dim)
-        if X is None:
-            T = None
-            for Q, slots in zip(self.lax_offdiag, self._diag_slots):
-                L = Q.copy()
-                L.data[slots] = d
-                T = L if T is None else L @ T
-            return T
+        for k in range(self.N):
+            U, V = lam * U + self.q(k, V), self.r(k, U) + V / lam
+        return U, V
+
+    def transfer(self, lam, X):
+        """L_N(lam) ... L_1(lam) X for a stacked vector or column block X
+        of height 2 dim."""
         X = np.asarray(X, dtype=complex)
-        if X.ndim == 2:
-            d = d[:, None]
-        for Q in self.lax_offdiag:
-            X = d * X + Q @ X
+        return np.concatenate(self._sweep(lam, X[:self.dim], X[self.dim:]))
+
+    def blocks(self, lam, X):
+        """(A X, B X, C X, D X) of T(lam) = [[A, B], [C, D]] for X with the
+        basis along its first axis, from one sweep of [X, 0; 0, X]."""
+        Z = np.zeros_like(X, dtype=complex)
+        U, V = self._sweep(lam, np.stack([X, Z], 1), np.stack([Z, X], 1))
+        return U[:, 0], U[:, 1], V[:, 0], V[:, 1]
+
+    def probes(self, check, *copies):
+        """Probe block of shape (dim, *copies, PROBES): random on the first
+        exact_dim(HEADROOM[check]) basis states, zero above."""
+        X = np.zeros((self.dim, *copies, PROBES), dtype=complex)
+        rng = np.random.default_rng(PROBE_SEED)
+        n = self.exact_dim(HEADROOM[check])
+        X[:n] = rng.standard_normal(X[:n].shape) \
+            + 1j * rng.standard_normal(X[:n].shape)
         return X
 
-    def monodromy_at(self, lam):
-        """The dim x dim csr blocks (A, B, C, D) of T(lam) = [[A, B], [C, D]].
-        A and D preserve total occupation, B lowers it by one, C raises it
-        by one."""
-        T = self.transfer(lam)
-        n = self.dim
-        return T[:n, :n], T[:n, n:], T[n:, :n], T[n:, n:]
+
+def qboson_residual(rep):
+    """Worst relative residual over all (j, k) of
+    [q_j, r_k] = eta (1 - q_j r_j) delta_jk; one raising: headroom 1."""
+    V = rep.probes("qboson")
+    res = []
+    for j in range(rep.N):
+        for k in range(rep.N):
+            terms = [rep.q(j, rep.r(k, V)), -rep.r(k, rep.q(j, V))]
+            if j == k:
+                terms += [-rep.qp.eta * V, rep.qp.eta * rep.q(j, rep.r(j, V))]
+            res.append(_relative([sum(terms)], terms))
+    return float(np.max(res))
 
 
-def grading_offsets(rep, M):
-    """Total-occupation changes carried by the entries of M above 1e-14."""
-    coo = M.tocoo()
-    keep = np.abs(coo.data) > 1e-14
+def grading_violations(rep, lam):
+    """Occupation shifts that A, B, C, D of T(lam) should not carry (0, -1,
+    +1, 0), counted per block over the sector parts of a probe (column s
+    keeps sector s); entries below 1e-14 of the largest count as zero."""
     tot = rep.occupations.sum(axis=1)
-    return sorted(set((tot[coo.row[keep]] - tot[coo.col[keep]]).tolist()))
+    X = rep.probes("grading")[:, :1] * (tot[:, None] == range(rep.n_max + 1))
+    blocks = rep.blocks(lam, X)
+    floor = 1e-14 * np.max([np.abs(Y).max() for Y in blocks])
+    bad = 0
+    for Y, shift in zip(blocks, (0, -1, 1, 0)):
+        rows, cols = np.nonzero(np.abs(Y) > floor)
+        bad += len(set((tot[rows] - cols).tolist()) - {shift})
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -202,51 +221,35 @@ def ybe_residual(lam, nu, eta):
     return float(np.abs(lhs - rhs).max())
 
 
-_SWAP = np.eye(4)[[0, 2, 1, 3]]  # swap of the factors of C^2 (x) C^2
-
-
-def _selector(rep, check, copies=1):
-    """Columns of the identity on C^(copies) (x) H keeping, in each copy,
-    the basis states on which `check` is exact (its HEADROOM prefix)."""
-    from scipy import sparse  # deferred, as in FockRep.__init__
-    n = rep.exact_dim(HEADROOM[check])
-    rows = (rep.dim * np.arange(copies)[:, None] + np.arange(n)).ravel()
-    return sparse.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))),
-                             shape=(copies * rep.dim, rows.size), dtype=complex)
-
-
-def _max_entry(M):
-    return float(np.abs(M.data).max()) if M.nnz else 0.0
-
-
 def rll_residual(rep, lam, nu):
-    """Residual of R(lam/nu) L1(lam) L2(nu) = L2(nu) L1(lam) R(lam/nu).
+    """Relative residual of R(lam/nu) L1(lam) L2(nu) = L2(nu) L1(lam)
+    R(lam/nu) on C^2 (x) C^2 (x) H, against the larger side.
 
-    On C^2 (x) C^2 (x) H, L2(nu) = T(nu) on the second auxiliary factor and
-    L1(lam) = S (I (x) T(lam)) S with S the swap of the two factors.  Each
-    auxiliary space raises once: headroom 2.
+    Probes carry the two auxiliary indices (a, b) after the basis index;
+    L1(lam) is T(lam) on a, L2(nu) is T(nu) on b and R acts on (a, b).
+    Each auxiliary space raises once: headroom 2.
     """
-    from scipy import sparse  # deferred, as in FockRep.__init__
-    Tl = rep.transfer(lam)
-    Tn = rep.transfer(nu)
-    S = sparse.kron(_SWAP, rep.identity, format="csr")
-    L1 = S @ sparse.block_diag((Tl, Tl), format="csr") @ S
-    L2 = sparse.block_diag((Tn, Tn), format="csr")
-    R = sparse.kron(quantum_rmatrix(lam, nu, rep.qp.eta), rep.identity,
-                    format="csr")
-    P = _selector(rep, "rll", copies=4)
-    return _max_entry(R @ (L1 @ (L2 @ P)) - L2 @ (L1 @ (R @ P)))
+    R = quantum_rmatrix(lam, nu, rep.qp.eta).reshape(2, 2, 2, 2)
+    L1 = lambda X: np.stack(rep._sweep(lam, X[:, 0], X[:, 1]), 1)
+    L2 = lambda X: np.stack(rep._sweep(nu, X[:, :, 0], X[:, :, 1]), 2)
+    Rm = lambda X: np.einsum("ABab,habp->hABp", R, X)
+    X = rep.probes("rll", 2, 2)
+    lhs, rhs = Rm(L1(L2(X))), L2(L1(Rm(X)))
+    return _relative([lhs - rhs], [lhs, rhs])
 
 
 def trace_commutator_residual(rep, lam, nu):
-    """Residual of [Tr L(lam), Tr L(nu)]; each trace raises once inside its
-    own product: headroom 1.  It has no negative control: the truncation
-    errors of the two orders cancel, and the residual stays at roundoff
-    even on the top sector (headroom 0)."""
-    n = rep.dim
-    t1, t2 = (T[:n, :n] + T[n:, n:] for T in map(rep.transfer, (lam, nu)))
-    P = _selector(rep, "trace_commutator")
-    return _max_entry(t1 @ (t2 @ P) - t2 @ (t1 @ P))
+    """Relative residual of [Tr L(lam), Tr L(nu)]; each trace raises once
+    inside its own product: headroom 1.  It has no negative control: the
+    truncation errors of the two orders cancel, and the residual stays at
+    roundoff even on the top sector (headroom 0)."""
+    def t(z, X):
+        A, _, _, D = rep.blocks(z, X)
+        return A + D
+
+    X = rep.probes("trace_commutator")
+    one, two = t(lam, t(nu, X)), t(nu, t(lam, X))
+    return _relative([one - two], [one, two])
 
 
 # ---------------------------------------------------------------------------
@@ -260,46 +263,44 @@ class QDetReport:
 
 
 def quantum_determinant(rep, lam):
-    """The four entrywise expressions for the quantum determinant at lam,
+    """The four expressions for the quantum determinant at lam,
 
         (sqrt(a))^(N-1) Delta = A(l)D(l sa)/sa - B(l)C(l sa)/a
                               = D(l)A(l sa)/sa - C(l)B(l sa)
                               = A(l sa)D(l)/sa - C(l sa)B(l)
                               = D(l sa)A(l)/sa - B(l sa)C(l)/a,
 
-    compared pairwise and against the explicit product form
-    prod_k (1 - r_k q_k).  Residuals are max matrix elements over the
-    headroom-1 input columns: in each product one factor raises once.
+    compared pairwise and against the product form prod_k (1 - r_k q_k) on
+    a probe block, relative to the largest of the eight scaled products and
+    the product form.  In each product one factor raises once: headroom 1.
     """
-    a = rep.qp.alpha
-    sa = rep.qp.sqrt_alpha
-    A1, B1, C1, D1 = rep.monodromy_at(lam)
-    A2, B2, C2, D2 = rep.monodromy_at(lam * sa)
-    # the scalar factors of each term are folded into its column selector
-    P = _selector(rep, "qdet")
-    P1 = P / sa ** (rep.N - 1)
-    Ps = P1 / sa
-    Pa = P1 / a
-    forms = (
-        A1 @ (D2 @ Ps) - B1 @ (C2 @ Pa),
-        D1 @ (A2 @ Ps) - C1 @ (B2 @ P1),
-        A2 @ (D1 @ Ps) - C2 @ (B1 @ P1),
-        D2 @ (A1 @ Ps) - B2 @ (C1 @ Pa),
-    )
-    product = delta_product(rep, P)
-    pairwise = np.max([_max_entry(forms[i] - forms[j])
-                       for i in range(4) for j in range(i + 1, 4)])
-    prod_res = np.max([_max_entry(f - product) for f in forms])
-    return QDetReport(pairwise_residual=float(pairwise),
-                      product_residual=float(prod_res))
+    a, sa = rep.qp.alpha, rep.qp.sqrt_alpha
+    V = rep.probes("qdet")
+    A1, B1, C1, D1 = rep.blocks(lam, V)
+    A2, B2, C2, D2 = rep.blocks(lam * sa, V)
+    # second factors: column 0 through A, 1 through B, 2 through C, 3 through D
+    out1 = rep.blocks(lam, np.stack([D2, C2, B2, A2], 1))
+    out2 = rep.blocks(lam * sa, np.stack([D1, C1, B1, A1], 1))
+    (a1d2, b1c2, c1b2, d1a2), (a2d1, b2c1, c2b1, d2a1) = (
+        [Y[:, i] for i, Y in enumerate(out)] for out in (out1, out2))
+    s = sa ** (1 - rep.N)
+    terms = [s / sa * a1d2, s / a * b1c2, s / sa * d1a2, s * c1b2,
+             s / sa * a2d1, s * c2b1, s / sa * d2a1, s / a * b2c1]
+    forms = [terms[i] - terms[i + 1] for i in range(0, 8, 2)]
+    product = delta_product(rep, V)
+    scale = terms + [product]
+    pairwise = _relative([forms[i] - forms[j]
+                          for i in range(4) for j in range(i + 1, 4)], scale)
+    prod_res = _relative([f - product for f in forms], scale)
+    return QDetReport(pairwise_residual=pairwise, product_residual=prod_res)
 
 
 def delta_product(rep, X):
     """prod_k (1 - r_k q_k) X, the quantum determinant in product form
-    applied to a vector or column block; exact on the whole graded space
-    (each factor lowers before raising)."""
-    for q, r in zip(rep.q_ops, rep.r_ops):
-        X = X - r @ (q @ X)
+    applied to a vector or block; exact on the whole graded space (each
+    factor lowers before raising)."""
+    for k in range(rep.N):
+        X = X - rep.r(k, rep.q(k, X))
     return X
 
 
@@ -308,17 +309,16 @@ def delta_product(rep, X):
 
 
 def bethe_state(rep, roots):
-    """State prod_k C(lam_k)|0>, each C(lam_k) read off the lower half of a
-    sweep T(lam_k) [phi; 0].  The state has total occupation m and a sweep
+    """State prod_k C(lam_k)|0>, each C(lam_k) phi read off the lower half
+    of a sweep T(lam_k) [phi; 0].  The state has total occupation m and a sweep
     of it raises once, so exactness needs m <= n_max - 1 (headroom 1)."""
     roots = np.asarray(getattr(roots, "roots", roots), dtype=complex)
     m = roots.size
     if m > rep.n_max - HEADROOM["bethe_state"]:
         raise ValueError(f"need n_max >= m + {HEADROOM['bethe_state']}")
-    n = rep.dim
-    phi = np.eye(1, n, dtype=complex)[0]  # the vacuum
+    phi = np.eye(1, rep.dim, dtype=complex)[0]  # the vacuum
     for lam in roots:
-        phi = rep.transfer(lam, np.concatenate([phi, np.zeros(n)]))[n:]
+        phi = rep.transfer(lam, np.concatenate([phi, 0 * phi]))[rep.dim:]
     if np.linalg.norm(phi) < 1e-300:
         raise ValueError("Bethe state collapsed to the zero vector")
     return phi
@@ -331,11 +331,8 @@ def eigen_residual(rep, state, roots, nu):
     if nu == 0 or np.any(np.abs(roots**2 - nu**2) < 1e-9):
         raise ValueError("nu collides with a Bethe root or zero")
     t = transfer_eigenvalue_roots(roots, rep.N, rep.qp, nu)
-    n = rep.dim
-    # sweep the columns [phi; 0] and [0; phi]: A phi on top, D phi below
-    Y = rep.transfer(nu, np.kron(np.eye(2), np.reshape(state, (n, 1))))
-    return float(np.linalg.norm(Y[:n, 0] + Y[n:, 1] - t * state)
-                 / np.linalg.norm(state))
+    A, _, _, D = rep.blocks(nu, state)
+    return float(np.linalg.norm(A + D - t * state) / np.linalg.norm(state))
 
 
 def delta_eigen_residual(rep, state, m):

@@ -101,3 +101,19 @@ def test_failure_names_its_input(monkeypatch):
     assert "N=2, m=1" in msg
     assert "eta fraction 0 reached" in msg
     assert "relative residual 0.000e+00" in msg
+
+
+@pytest.mark.parametrize("N, m", [(16, 3), (24, 2)])
+def test_qdiff_identity_is_relative_to_its_terms(N, m):
+    # the terms grow like |nu|^N (the absolute residuals of these samples
+    # are 6.6e-10 and 2.6e-8, above the 1e-10 bound); relative to the
+    # largest term the identity sits at roundoff, and the off-shell root
+    # set still misses it by O(1)
+    cfg = bethe.solve_bethe(N, m, QP)
+    rng = np.random.default_rng(0)
+    nus = rng.uniform(1.05, 1.9, 16) \
+        * np.exp(2j * np.pi * rng.uniform(size=16))
+    assert bethe.baxter_qdiff_residual(cfg, nus) < 1e-12
+    off = bethe.BetheConfig(N=N, m=m, qp=QP, roots=cfg.roots * 1.1 + 0.03,
+                            residual=np.inf)
+    assert bethe.baxter_qdiff_residual(off, nus) > 1e-2

@@ -78,32 +78,33 @@ def _oracle_delta(N, n_max, alpha):
     return delta
 
 
-def _csr_by_triplets(rep):
-    """q_k, r_k and the L_k pattern built the way FockRep once built them:
-    q_k and r_k from COO triplets (the raised state found by looking up its
-    occupation vector), the pattern as eye + bmat, sorted, with its diagonal
-    slots found by search and zeroed."""
-    from scipy import sparse
-    dim, alpha = rep.dim, rep.qp.alpha
+def _graded_ops(rep):
+    """Dense q_k, r_k truncated to the graded space, from their action on
+    occupation vectors: the raised state is found by looking up its
+    occupation vector, not through FockRep's index maps."""
     index = {tuple(n): i for i, n in enumerate(rep.occupations)}
-    below = np.flatnonzero(rep.occupations.sum(axis=1) < rep.n_max)
-    eye2 = sparse.identity(2 * dim, dtype=complex, format="csr")
-    rows = np.arange(2 * dim)
     unit = np.eye(rep.N, dtype=int)
-    out = []
+    qs, rs = [], []
     for k in range(rep.N):
-        up = np.array([index[tuple(rep.occupations[t] + unit[k])]
-                       for t in below])
-        r = sparse.csr_matrix((np.ones(below.size), (up, below)),
-                              shape=(dim, dim), dtype=complex)
-        q = sparse.csr_matrix((1.0 - alpha ** (rep.occupations[below, k] + 1),
-                               (below, up)), shape=(dim, dim), dtype=complex)
-        L = (eye2 + sparse.bmat([[None, q], [r, None]])).tocsr()
-        L.sort_indices()
-        slots = np.flatnonzero(L.indices == np.repeat(rows, np.diff(L.indptr)))
-        L.data[slots] = 0.0
-        out.append((q, r, L, slots))
-    return out
+        q, r = np.zeros((2, rep.dim, rep.dim))
+        for t, n in enumerate(rep.occupations):
+            up = index.get(tuple(n + unit[k]))
+            if up is not None:
+                r[up, t] = 1.0
+                q[t, up] = 1.0 - rep.qp.alpha ** (n[k] + 1)
+        qs.append(q)
+        rs.append(r)
+    return qs, rs
+
+
+def _graded_monodromy(rep, lam):
+    """The truncated T(lam) on the stacked space, as the dense product of
+    the graded L_k(lam)."""
+    eye = np.eye(rep.dim)
+    T = np.eye(2 * rep.dim)
+    for q, r in zip(*_graded_ops(rep)):
+        T = np.block([[lam * eye, q], [r, eye / lam]]) @ T
+    return T
 
 
 class TestMonodromy:
@@ -115,12 +116,11 @@ class TestMonodromy:
         E = _embedding(rep)
         n = rep.exact_dim(1)
         for lam in (LAM, NU, 0.8):
-            got = rep.monodromy_at(lam)
+            got = rep.blocks(lam, np.eye(rep.dim)[:, :n])
             want = _oracle_monodromy(N, n_max, QP.alpha, lam)
             for g, w in zip(got, want):
-                assert g.shape == (rep.dim, rep.dim)
-                assert np.abs(E @ g[:, :n].toarray() - w @ E[:, :n]).max() \
-                    <= 1e-13
+                assert g.shape == (rep.dim, n)
+                assert np.abs(E @ g - w @ E[:, :n]).max() <= 1e-13
 
     @settings(max_examples=30)
     @given(N=st.integers(1, 4), n_max=st.integers(1, 5),
@@ -131,17 +131,25 @@ class TestMonodromy:
         lam = modulus * np.exp(1j * phase)
         E = _embedding(rep)
         cols = E[:, :rep.exact_dim(1)]
-        got = rep.monodromy_at(lam)
+        got = rep.blocks(lam, np.eye(rep.dim)[:, :cols.shape[1]])
         want = _oracle_sweep(N, n_max, QP.alpha, lam, cols)
         for g, w in zip(got, want):
-            assert np.abs(E @ g[:, :cols.shape[1]].toarray() - w).max() \
+            assert np.abs(E @ g - w).max() \
                 <= 1e-13 * max(1.0, modulus, 1 / modulus) ** N
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_sweep_equals_operator(self, N):
+        # the sweep against the product of the dense truncated L_k, on the
+        # whole stacked space (top sector included), for a vector and a
+        # column block; the truncated q_k, r_k are the oracle's, restricted
         rep = fock.FockRep(N, 4, QP)
+        E = _embedding(rep)
+        for graded, full in zip(_graded_ops(rep),
+                                _oracle_ops(N, 4, QP.alpha)):
+            for g, f in zip(graded, full, strict=True):
+                assert np.array_equal(g, E.T @ f @ E)
         rng = np.random.default_rng(N)
-        T = rep.transfer(LAM)
+        T = _graded_monodromy(rep, LAM)
         n2 = 2 * rep.dim
         v = rng.standard_normal(n2) + 1j * rng.standard_normal(n2)
         X = rng.standard_normal((n2, 3))
@@ -151,13 +159,18 @@ class TestMonodromy:
     def test_zero_spectral_parameter_rejected(self):
         rep = fock.FockRep(2, 3, QP)
         with pytest.raises(ValueError):
-            rep.transfer(0.0)
+            rep.transfer(0.0, np.ones(2 * rep.dim))
 
     def test_grading(self):
+        # each block of T, applied to a state of one sector, lands in the
+        # sector its shift names and nowhere else
         rep = fock.FockRep(2, 5, QP)
-        offsets = [set(fock.grading_offsets(rep, M))
-                   for M in rep.monodromy_at(1.23)]
-        assert offsets == [{0}, {-1}, {1}, {0}]
+        assert fock.grading_violations(rep, 1.23) == 0
+        tot = rep.occupations.sum(axis=1)
+        for s in range(rep.n_max + 1):
+            X = (tot == s).astype(complex)
+            for Y, shift in zip(rep.blocks(1.23, X), (0, -1, 1, 0)):
+                assert np.abs(Y[tot != s + shift]).max(initial=0.0) == 0.0
 
     def test_graded_dimension(self):
         rep = fock.FockRep(3, 4, QP)
@@ -169,16 +182,18 @@ class TestMonodromy:
 
     @pytest.mark.parametrize("N, n_max",
                              [(1, 1), (2, 5), (3, 4), (5, 5), (6, 5)])
-    def test_direct_csr_build_is_bit_identical(self, N, n_max):
+    def test_gather_scatter_is_bit_identical_to_oracle(self, N, n_max):
+        # q_k X and r_k X by row gather and scatter against the dense
+        # truncated operators, on a vector and on a block
         rep = fock.FockRep(N, n_max, QParam(0.37))
-        built = zip(rep.q_ops, rep.r_ops, rep.lax_offdiag, rep._diag_slots)
-        for got, want in zip(built, _csr_by_triplets(rep), strict=True):
-            for g, w in zip(got[:3], want[:3]):
-                assert np.array_equal(g.indptr, w.indptr)
-                assert np.array_equal(g.indices, w.indices)
-                assert np.array_equal(g.data, w.data)
-                assert g.data.dtype == w.data.dtype and g.shape == w.shape
-            assert np.array_equal(got[3], want[3])
+        rng = np.random.default_rng(N)
+        X = rng.standard_normal((rep.dim, 3)) \
+            + 1j * rng.standard_normal((rep.dim, 3))
+        qs, rs = _graded_ops(rep)
+        for k, (q, r) in enumerate(zip(qs, rs, strict=True)):
+            for Y in (X, X[:, 0]):
+                assert np.array_equal(rep.q(k, Y), q @ Y)
+                assert np.array_equal(rep.r(k, Y), r @ Y)
 
     def test_dim_cap(self):
         # C(45, 5) = 1,221,759 graded states
@@ -186,15 +201,26 @@ class TestMonodromy:
             fock.FockRep(40, 5, QP)
 
 
+def _headroom_control(check, rep):
+    return {
+        "rll": lambda: fock.rll_residual(rep, LAM, NU),
+        "qdet": lambda: fock.quantum_determinant(
+            rep, 1.1 + 0.3j).product_residual,
+        "qboson": lambda: fock.qboson_residual(rep),
+    }[check]()
+
+
 class TestOperatorIdentities:
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_residuals_at_floor(self, N):
         rep = fock.FockRep(N, 4, QP)
-        assert fock.rll_residual(rep, LAM, NU) < 1e-12
-        assert fock.trace_commutator_residual(rep, LAM, NU) < 1e-12
+        assert fock.rll_residual(rep, LAM, NU) < 1e-14
+        assert fock.trace_commutator_residual(rep, LAM, NU) < 1e-14
         qd = fock.quantum_determinant(rep, 1.1 + 0.3j)
-        assert qd.pairwise_residual < 1e-12
-        assert qd.product_residual < 1e-12
+        assert qd.pairwise_residual < 1e-14
+        assert qd.product_residual < 1e-14
+        assert fock.qboson_residual(rep) < 1e-14
+        assert fock.grading_violations(rep, 1.23) == 0
 
     def test_delta_product_matches_oracle(self):
         # each factor lowers before it raises: exact on every column
@@ -210,9 +236,10 @@ class TestOperatorIdentities:
         N, n_max, lam = 2, 4, 1.1 + 0.3j
         rep = fock.FockRep(N, n_max, QP)
         sa, a = QP.sqrt_alpha, QP.alpha
-        A1, B1, _, _ = rep.monodromy_at(lam)
-        _, _, C2, D2 = rep.monodromy_at(lam * sa)
-        form = ((A1 @ D2 / sa - B1 @ C2 / a) / sa ** (N - 1)).toarray()
+        _, _, C2, D2 = rep.blocks(lam * sa, np.eye(rep.dim))
+        A1D2 = rep.blocks(lam, D2)[0]
+        B1C2 = rep.blocks(lam, C2)[1]
+        form = (A1D2 / sa - B1C2 / a) / sa ** (N - 1)
         diff = np.abs(form - fock.delta_product(rep, np.eye(rep.dim)))
         assert diff.max() > 0.1
         assert diff[:, :rep.exact_dim(1)].max() < 1e-12
@@ -221,16 +248,12 @@ class TestOperatorIdentities:
     @pytest.mark.parametrize("check", ["rll", "qdet"])
     def test_headroom_is_tight(self, N, check, monkeypatch):
         # negative control: one raising fewer than HEADROOM lets the top
-        # sector's truncation into the compared columns
-        residual = {
-            "rll": lambda rep: fock.rll_residual(rep, LAM, NU),
-            "qdet": lambda rep: fock.quantum_determinant(
-                rep, 1.1 + 0.3j).product_residual,
-        }[check]
+        # sector's truncation into the probes.  The residuals are relative
+        # to the largest term; rll's control reads 0.22-0.55 of it here.
         rep = fock.FockRep(N, 4, QP)
-        assert residual(rep) < 1e-12
+        assert _headroom_control(check, rep) < 1e-14
         monkeypatch.setitem(fock.HEADROOM, check, fock.HEADROOM[check] - 1)
-        assert residual(rep) > 0.5
+        assert _headroom_control(check, rep) > {"rll": 0.1, "qdet": 0.5}[check]
 
     def test_qboson_headroom_is_tight(self, monkeypatch):
         # the same control for the suite's q-boson commutator (N=2, n_max=5)
@@ -248,6 +271,45 @@ class TestOperatorIdentities:
         rep = fock.FockRep(3, 4, QP)
         monkeypatch.setitem(fock.HEADROOM, "trace_commutator", 0)
         assert fock.trace_commutator_residual(rep, LAM, NU) < 1e-12
+
+    def test_probes_leave_the_caller_rng_alone(self):
+        # the quantum suite's later draws do not depend on N: the probes
+        # come from fock's own generator
+        rngs = [np.random.default_rng(3) for _ in range(2)]
+        for N, rng in zip((2, 5), rngs):
+            suites.suite_quantum(RunConfig(N=N), rng)
+        assert rngs[0].random() == rngs[1].random()
+
+
+class TestMutations:
+    """Each check must fail on a representation that is wrong."""
+
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    def test_rll_fails_at_perturbed_eta(self, N, monkeypatch):
+        rep = fock.FockRep(N, 5, QP)
+        R = fock.quantum_rmatrix
+        monkeypatch.setattr(fock, "quantum_rmatrix",
+                            lambda lam, nu, eta: R(lam, nu, 1.001 * eta))
+        assert fock.rll_residual(rep, LAM, NU) > 1e-5
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_swapped_q_and_r_fail(self, N, monkeypatch):
+        rep = fock.FockRep(N, 5, QP)
+        q, r = fock.FockRep.q, fock.FockRep.r
+        monkeypatch.setattr(fock.FockRep, "q", r)
+        monkeypatch.setattr(fock.FockRep, "r", q)
+        assert fock.qboson_residual(rep) > 0.5
+        assert fock.rll_residual(rep, LAM, NU) > 0.1
+        assert fock.grading_violations(rep, 1.23) > 0
+
+    def test_suite_fails_on_swapped_q_and_r(self, monkeypatch):
+        q, r = fock.FockRep.q, fock.FockRep.r
+        monkeypatch.setattr(fock.FockRep, "q", r)
+        monkeypatch.setattr(fock.FockRep, "r", q)
+        failed = {rec.check_id for rec in suites.suite_quantum(
+            RunConfig(seed=0), np.random.default_rng(0)) if not rec.passed}
+        assert {"quantum.qboson_algebra", "quantum.rll",
+                "quantum.occupation_grading"} <= failed
 
 
 class TestBetheStates:

@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "outcome_diff.py"
 
@@ -17,8 +19,11 @@ def test_one_tree_against_itself_has_no_differences():
     assert not any(line.startswith(("flip:", "error changed:"))
                    for line in lines)
     rows = {line.split()[0]: line.split()[1:] for line in lines[2:-1]}
-    assert rows["sweep.intertwining"] == ["40", "0", "0"]
-    assert rows["classical.rmatrix_relation"] == ["4", "0", "0"]
+    assert rows["sweep.intertwining"][:3] == ["40", "0", "0"]
+    assert rows["classical.rmatrix_relation"][:3] == ["4", "0", "0"]
+    # the worst residual/bound of each check, the same on both trees
+    for check, (_, _, _, old, new) in rows.items():
+        assert old == new and float(old) >= 0.0, check
 
 
 def _tool():
@@ -48,3 +53,27 @@ def test_flips_and_changes_are_counted(capsys):
     assert "flip: seed 1 b x.one: pass -> fail (3e-13 -> None)" in out
     assert out.splitlines()[-1] == \
         "3 ops, 3 changed, 1 pass->fail, 1 fail->pass"
+
+
+def test_worst_ratio_per_check_on_each_tree(capsys):
+    tool = _tool()
+    tol = {"x.one": 1e-12, "x.two": 1e-10}
+    old = {(1, "a"): ({"x.one": (1e-13, True), "x.two": (2e-11, True),
+                       "x.free": (5.0, True)}, None),
+           (2, "a"): ({"x.one": (4e-13, True), "x.two": (None, False)},
+                      None)}
+    new = {(1, "a"): ({"x.one": (8e-13, True), "x.two": (1e-12, True),
+                       "x.free": (5.0, True)}, None),
+           (2, "a"): ({"x.one": (2e-13, True), "x.two": (float("nan"),
+                                                         False)}, None)}
+    ratios = (tool.worst_ratios(old, tol), tool.worst_ratios(new, tol))
+    assert ratios[0] == {"x.one": pytest.approx(0.4), "x.two": float("inf")}
+    assert ratios[1] == {"x.one": pytest.approx(0.8), "x.two": float("inf")}
+    # a check moved toward its bound without a flip still shows
+    stats, flips, errors = tool.compare(old, new)
+    assert tool.report(stats, flips, errors, ratios) == 0
+    rows = {line.split()[0]: line.split()[1:]
+            for line in capsys.readouterr().out.splitlines()[1:-1]}
+    assert rows["x.one"][3:] == ["0.4", "0.8"]
+    assert rows["x.two"][3:] == ["inf", "inf"]
+    assert rows["x.free"][3:] == ["nan", "nan"]

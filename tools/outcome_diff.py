@@ -10,10 +10,13 @@ once, untimed, with BLAS pinned to one thread as the benchmark pins it.
 Every residual is judged by the tree's own `workloads.judge`.
 
 Per check id it prints how many residuals changed bits, the largest
-relative change, and then every op whose pass flag flipped, with its seed,
-task and both residuals.  A task that raises, or an expected check id that
-is missing, counts as a failed op.  The exit status is 1 if any op went
-from pass to fail, and 0 otherwise.
+relative change, and the worst residual/bound ratio on each tree (the bound
+is the tree's own `workloads.TOLERANCES` entry), so a change that moves a
+check toward its bound shows even when no flag flips.  Then it prints every
+op whose pass flag flipped, with its seed, task and both residuals.  A task
+that raises, or an expected check id that is missing, counts as a failed
+op.  The exit status is 1 if any op went from pass to fail, and 0
+otherwise.
 """
 
 import argparse
@@ -46,6 +49,7 @@ def collect(root, workload, seeds):
         sys.exit(f"albaxter imported from {albaxter.__file__}, not from "
                  f"{root / 'src'}")
     import workloads
+    print(json.dumps({"tolerances": workloads.TOLERANCES}))
     for seed in seeds:
         for task in workloads.build_tasks(workload, seed):
             res = workloads.run_task(task)
@@ -55,8 +59,8 @@ def collect(root, workload, seeds):
 
 
 def run_tree(root, workload, seeds):
-    """{(seed, task): {check_id: (residual or None, passed)}, error} of one
-    tree, from a subprocess running `collect`."""
+    """{(seed, task): ({check_id: (residual or None, passed)}, error)} of
+    one tree and its tolerance table, from a subprocess running `collect`."""
     env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
     env.pop("PYTHONPATH", None)
     cmd = [sys.executable, str(Path(__file__).resolve()), "--collect",
@@ -66,13 +70,27 @@ def run_tree(root, workload, seeds):
                           check=False)
     if proc.returncode != 0:
         sys.exit(f"collecting outcomes of {root} failed:\n{proc.stderr}")
+    first, *lines = proc.stdout.splitlines()
     tasks = {}
-    for line in proc.stdout.splitlines():
+    for line in lines:
         rec = json.loads(line)
         ops = {c: (r, p) for c, r, p in rec["ops"]}
         ops.update({c: (None, False) for c in rec["missing"]})
         tasks[rec["seed"], rec["task"]] = (ops, rec["error"])
-    return tasks
+    return tasks, json.loads(first)["tolerances"]
+
+
+def worst_ratios(tasks, tolerances):
+    """Per check id with a bound, the largest residual/bound over all ops;
+    a missing or NaN residual reads inf."""
+    worst = {}
+    for ops, _ in tasks.values():
+        for check, (res, _) in ops.items():
+            if check in tolerances:
+                ratio = (math.inf if res is None or math.isnan(res)
+                         else res / tolerances[check])
+                worst[check] = max(worst.get(check, 0.0), ratio)
+    return worst
 
 
 def relative_change(old, new):
@@ -110,13 +128,17 @@ def compare(old, new):
     return stats, flips, errors
 
 
-def report(stats, flips, errors, out=sys.stdout):
+def report(stats, flips, errors, ratios=({}, {}), out=None):
+    """Print the table, the error changes and the flips; `ratios` holds the
+    old and the new tree's worst_ratios.  Returns the pass->fail count."""
     width = max((len(c) for c in stats), default=8)
     print(f"{'check id':{width}s}  {'ops':>6s}  {'changed':>7s}  "
-          f"max rel change", file=out)
+          f"{'max rel change':>14s}  {'old worst/bound':>15s}  "
+          f"{'new worst/bound':>15s}", file=out)
     for check, (ops, changed, rel) in sorted(stats.items()):
-        print(f"{check:{width}s}  {ops:6d}  {changed:7d}  {rel:.3g}",
-              file=out)
+        old, new = (r.get(check, math.nan) for r in ratios)
+        print(f"{check:{width}s}  {ops:6d}  {changed:7d}  {rel:14.3g}  "
+              f"{old:15.3g}  {new:15.3g}", file=out)
     for seed, task, old_err, new_err in errors:
         print(f"error changed: seed {seed} {task}: {old_err} -> {new_err}",
               file=out)
@@ -144,11 +166,12 @@ def main(argv=None):
         return 0
     if args.old_root is None or args.new_root is None:
         p.error("OLD_ROOT and NEW_ROOT are required")
-    old = run_tree(args.old_root, args.workload, args.seeds)
-    new = run_tree(args.new_root, args.workload, args.seeds)
+    old, old_tol = run_tree(args.old_root, args.workload, args.seeds)
+    new, new_tol = run_tree(args.new_root, args.workload, args.seeds)
     print(f"{args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}: "
           f"{args.old_root} -> {args.new_root}")
-    return 1 if report(*compare(old, new)) else 0
+    ratios = (worst_ratios(old, old_tol), worst_ratios(new, new_tol))
+    return 1 if report(*compare(old, new), ratios) else 0
 
 
 if __name__ == "__main__":
