@@ -150,15 +150,33 @@ class FockRep:
 
 def qboson_residual(rep):
     """Worst relative residual over all (j, k) of
-    [q_j, r_k] = eta (1 - q_j r_j) delta_jk; one raising: headroom 1."""
+    [q_j, r_k] = eta (1 - q_j r_j) delta_jk; one raising: headroom 1.
+
+    Per j, all k at once on (N, dim, PROBES) blocks: q_j of the r_k V, and
+    the r_k q_j V by one gather.  Each (j, k) is reduced as `_relative`
+    reduces its terms, on the same products and sums as a loop over pairs."""
     V = rep.probes("qboson")
+    eta, N, n = rep.qp.eta, rep.N, len(rep._up[0])
+    # down[k, t]: the state t with n_k lowered; n, a zero row, where n_k = 0
+    down = np.full((N, rep.dim), n)
+    down[np.arange(N)[:, None], rep._up] = np.arange(n)
+    r_all = lambda X: np.take(np.concatenate([X[:n], np.zeros_like(X[:1])]),
+                              down.ravel(), axis=0).reshape((N,) + X.shape)
+    per_site = lambda X: np.abs(X).reshape(N, -1).max(axis=1)
+    RV, diag = r_all(V), -eta * V
     res = []
-    for j in range(rep.N):
-        for k in range(rep.N):
-            terms = [rep.q(j, rep.r(k, V)), -rep.r(k, rep.q(j, V))]
-            if j == k:
-                terms += [-rep.qp.eta * V, rep.qp.eta * rep.q(j, rep.r(j, V))]
-            res.append(_relative([sum(terms)], terms))
+    for j in range(N):
+        qv = rep.q(j, V)
+        qr = rep._coef[j][:, None] * np.take(RV, rep._up[j], axis=1)
+        comm = -r_all(qv)
+        comm[:, :n] += qr  # q_j r_k V is zero from row n on
+        t4 = eta * qr[j]
+        comm[j] += diag
+        comm[j, :n] += t4
+        # each r_k moves the same entries qv[:n]
+        scale = np.maximum(per_site(qr), np.abs(qv[:n]).max())
+        scale[j] = np.max([scale[j], np.abs(diag).max(), np.abs(t4).max()])
+        res.append(per_site(comm) / scale)
     return float(np.max(res))
 
 

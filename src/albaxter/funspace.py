@@ -127,12 +127,20 @@ def delta_action_residual(f, qp, N, point):
     """|prod_k (1 - r_k q_k) f (point) - f(alpha point)|; exact identity.
 
     f is any callable on points; the factors nest with k = N innermost.
+    They reach f 3^N times at 2^N distinct points (each r_k or alpha r_k,
+    f(alpha point) among them); f is evaluated once per distinct point.
     """
+    seen = {}
+
+    def f_once(p):
+        key = p.tobytes()
+        return seen[key] if key in seen else seen.setdefault(key, f(p))
+
     def factor(g, k):
         return lambda p: g(p) - p[k - 1] * jackson_op(g, k, qp, p)
 
-    g = f
+    g = f_once
     for k in range(N, 0, -1):
         g = factor(g, k)
     point = np.asarray(point, dtype=complex)
-    return float(abs(g(point) - f(qp.alpha * point)))
+    return float(abs(g(point) - f_once(qp.alpha * point)))

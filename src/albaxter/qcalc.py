@@ -15,14 +15,14 @@ funspace.rho_product for the product kernels of the Baxter equation).
 jackson_op and jackson_derivative also take stacked points, a
 (len(point), n) array whose columns are n points; f then returns n values.
 jackson_integral evaluates its integrand this way, once per block of nodes
-alpha^n b instead of once per node: f takes a (len(point), B) array and
-returns B values, or a scalar (lambda r: 1.0) that broadcasts; the bounds
-are scalars.  The first block has ceil(ln(JACKSON_TAIL) / ln|alpha|) + 2
-nodes (one block for a polynomial at alpha = 1/2), each next block twice
-as many, JACKSON_MAX_NODES in all.  The stop rule is the node-by-node one:
-the sum ends at the first term below JACKSON_TAIL max(1, |partial sum|),
-and the terms are added in node order, so the result is the same bit for
-bit.
+alpha^n b for both bounds instead of once per node: f takes a
+(len(point), B) array and returns B values, or a scalar (lambda r: 1.0)
+that broadcasts; the bounds are scalars.  The first block has
+ceil(ln(JACKSON_TAIL) / ln|alpha|) + 2 nodes per bound, each next block
+twice as many, JACKSON_MAX_NODES in all.  The stop rule is the
+node-by-node one: a bound's sum ends at its first term below JACKSON_TAIL
+max(1, |partial sum|), and the terms are added in node order, so the
+result is the same bit for bit.
 
 Every Baxter kernel goes through one scalar kernel, qpochhammer_inf for
 (x; alpha)_inf.  It multiplies out the factors 1 - x alpha^p with
@@ -30,13 +30,15 @@ Every Baxter kernel goes through one scalar kernel, qpochhammer_inf for
 log series -sum_j y^j / (j (1 - alpha^j)), |y| < THETA, which needs at
 most 27 terms at any real alpha.  Its cost is therefore
 O(ln(|x|/THETA) / ln(1/|alpha|)) factors plus a bounded number of terms,
-so arguments |x| < THETA cost the same at alpha -> 1 as at alpha = 1/2.
-Its error is a few eps per factor plus eps times |y / (1 - alpha)|.  The
-kernel itself never tests for a pole; rho_site and the slot form of F_k
-raise QPochhammerPoleError where a factor |1 - x alpha^p| < POLE_TOL.
+so arguments |x| < THETA cost the same at alpha -> 1 as at alpha = 1/2;
+the series denominators are built once per alpha.  Its error is a few eps
+per factor plus eps times |y / (1 - alpha)|.  The kernel never tests for a
+pole; rho_site and the slot form of F_k raise QPochhammerPoleError where a
+factor |1 - x alpha^p| < POLE_TOL.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -136,44 +138,48 @@ def qpochhammer_inf(x, qp):
         return cmath.rect(math.inf, cmath.phase(prod) + e.imag)
 
 
-def _qpochhammer_parts(x, qp):
+@functools.lru_cache(maxsize=32, typed=True)
+def _series_table(a):
+    """[log tolerance, denominators j (1 + a + ... + a^(j-1)), last sum, a^j]
+    of the log series at alpha = a, grown to the longest series asked for."""
+    return [math.log(_EPS * (1.0 - abs(a)) / abs(1.0 - a)), [], 0.0, 1.0]
+
+
+def _qpochhammer_parts(x, qp, log=False):
     """(prod, e) with (x; alpha)_inf = prod exp(e): prod multiplies out the
-    factors with |x alpha^p| >= THETA, e is the log series of the rest
-    (0 when the rest is (0; alpha)_inf = 1).  See `qpochhammer_inf`."""
+    factors with |x alpha^p| >= THETA (log=True: sums their logs), e is the
+    log series of the rest (0 when the rest is (0; alpha)_inf = 1), its
+    denominators from the per-alpha table.  See `qpochhammer_inf`."""
     a = qp.alpha
     if not abs(a) < 1:
         raise ValueError("(x; alpha)_inf requires |alpha| < 1")
     x = complex(x)
-    prod = 1.0 + 0.0j
+    prod = 0j if log else 1.0 + 0.0j
     if abs(x) >= THETA:
         n = math.ceil(math.log(abs(x) / THETA) / -math.log(abs(a)))
         if n > MAX_FACTORS:
             raise ValueError("q-Pochhammer truncation exceeds term cap")
         for _ in range(n):
-            prod *= 1.0 - x
+            prod = prod + cmath.log(1.0 - x) if log else prod * (1.0 - x)
             x *= a
     if x == 0:
         return prod, 0.0
-    terms = math.ceil(math.log(_EPS * (1.0 - abs(a)) / abs(1.0 - a))
-                      / math.log(abs(x)))
-    s, xj, aj, g = 0.0, 1.0, 1.0, 0.0
-    for j in range(1, terms + 1):
+    table = _series_table(a)
+    terms, d = math.ceil(table[0] / math.log(abs(x))), table[1]
+    while len(d) < terms:
+        table[2] += table[3]  # 1 + a + ... + a^(j-1) = (1 - a^j) / (1 - a)
+        table[3] *= a
+        d.append((len(d) + 1) * table[2])
+    s, xj = 0.0, 1.0
+    for dj in d[:terms]:
         xj *= x
-        g += aj  # 1 + a + ... + a^(j-1) = (1 - a^j) / (1 - a)
-        aj *= a
-        s += xj / (j * g)
+        s += xj / dj
     return prod, -s / (1.0 - a)
 
 
 def qexp(x, qp):
     """q-exponential 1/(x(1-alpha); alpha)_inf, which tends to e^x as alpha->1."""
     return 1.0 / qpochhammer_inf(x * (1.0 - qp.alpha), qp)
-
-
-def _scaled(point, k, factor):
-    pt = np.array(point, dtype=complex)
-    pt[k - 1] = factor * pt[k - 1]
-    return pt
 
 
 def jackson_op(f, k, qp, point):
@@ -183,7 +189,9 @@ def jackson_op(f, k, qp, point):
     rk = point[k - 1]
     if np.any(rk == 0):
         raise ZeroDivisionError("Jackson difference q_k needs r_k != 0")
-    return (f(point) - f(_scaled(point, k, qp.alpha))) / rk
+    scaled = point.copy()
+    scaled[k - 1] = qp.alpha * rk
+    return (f(point) - f(scaled)) / rk
 
 
 def jackson_derivative(f, k, qp, point):
@@ -215,15 +223,17 @@ def jackson_integral(f, k, qp, b, a=None, point=None):
     away from site k).
 
     f is called on blocks of nodes: a (len(point), B) array whose row k-1
-    holds alpha^n b for B consecutive n, the other rows `point`.  It returns
-    B values, or one scalar that stands for all of them; the bounds are
-    scalars.  The first block has ceil(ln(JACKSON_TAIL) / ln|alpha|) + 2
-    nodes and each next one twice as many, so a polynomial integrand at
-    alpha = 1/2 takes one call per bound.  The sum stops at the first n
-    with |term_n| < JACKSON_TAIL max(1, |sum_{m<=n} term_m|) and adds the
-    terms in node order, so it equals the node-by-node sum bit for bit;
-    f may be evaluated at nodes of the last block beyond that n.  With no
-    stop within JACKSON_MAX_NODES nodes it raises ValueError.
+    holds alpha^n b for consecutive n (then the nodes alpha^n a over
+    [a, b]: one call covers both bounds), the other rows `point`.  It
+    returns B values, or one scalar that stands for all of them; the bounds
+    are scalars.  The first block has ceil(ln(JACKSON_TAIL) / ln|alpha|) + 2
+    nodes per bound and each next one twice as many, so a polynomial
+    integrand at alpha = 1/2 takes one call.  A bound's sum stops at the
+    first n with |term_n| < JACKSON_TAIL max(1, |sum_{m<=n} term_m|) and
+    adds the terms in node order, so it equals the node-by-node sum bit for
+    bit; a stopped bound leaves the next block, and f may be evaluated at
+    nodes of the last block beyond that n.  With no stop within
+    JACKSON_MAX_NODES nodes it raises ValueError.
     """
     alpha = qp.alpha
     if abs(alpha) >= 1:
@@ -232,35 +242,37 @@ def jackson_integral(f, k, qp, b, a=None, point=None):
         point = np.zeros(k, dtype=complex)
     point = np.asarray(point, dtype=complex)
     first = math.ceil(math.log(JACKSON_TAIL) / math.log(abs(alpha))) + 2
-
-    def one_point(bound):
-        if bound == 0:
-            return 0.0 + 0.0j
-        acc = 0.0 + 0.0j
-        w = complex(bound)  # first node of the next block
-        done, size = 0, first
-        while done < JACKSON_MAX_NODES:
-            size = min(size, JACKSON_MAX_NODES - done)
-            # w, w alpha, w alpha^2, ...: the products of a running w *= alpha
-            chain = np.cumprod(np.r_[w, np.full(size, alpha, dtype=complex)])
-            nodes, w = chain[:-1], chain[-1]
-            pts = np.repeat(point[:, None], size, axis=1)
-            pts[k - 1] = nodes
-            terms = _mul_unfused(nodes, np.broadcast_to(f(pts), size))
-            sums = np.cumsum(np.r_[acc, terms])[1:]  # sequential, in order
-            # np.hypot rounds as scalar abs() does; np.abs of a complex
-            # vector need not
-            small = (np.hypot(terms.real, terms.imag) < JACKSON_TAIL
-                     * np.maximum(1.0, np.hypot(sums.real, sums.imag)))
-            if small.any():
-                return sums[small.argmax()]
-            acc = sums[-1]
-            done += size
-            size *= 2
+    bounds = [complex(b)] if a is None else [complex(b), complex(a)]
+    out = [0j] * len(bounds)  # a zero bound stays at 0
+    live = [i for i, w in enumerate(bounds) if w != 0]
+    # per live bound: the first node of the next block, the running sum
+    w, acc = np.array(bounds)[live], np.zeros(len(live), dtype=complex)
+    done, size = 0, first
+    while live and done < JACKSON_MAX_NODES:
+        size = min(size, JACKSON_MAX_NODES - done)
+        # w, w alpha, w alpha^2, ...: the products of a running w *= alpha
+        chain = np.full((len(live), size + 1), alpha, dtype=complex)
+        chain[:, 0] = w
+        nodes = np.multiply.accumulate(chain, axis=1, out=chain)[:, :-1]
+        pts = np.repeat(point[:, None], nodes.size, axis=1)
+        pts[k - 1] = nodes.ravel()
+        vals = np.broadcast_to(f(pts), nodes.size).reshape(nodes.shape)
+        terms = _mul_unfused(nodes, vals)
+        # sequential, in node order, from each bound's running sum
+        sums = np.cumsum(np.concatenate([acc[:, None], terms], 1), 1)[:, 1:]
+        # np.hypot rounds as scalar abs() does; np.abs of a complex
+        # vector need not
+        small = (np.hypot(terms.real, terms.imag) < JACKSON_TAIL
+                 * np.maximum(1.0, np.hypot(sums.real, sums.imag)))
+        hit = small.any(axis=1)
+        for row in np.flatnonzero(hit):
+            out[live[row]] = sums[row, small[row].argmax()]
+        live = [i for i, h in zip(live, hit) if not h]
+        w, acc = chain[~hit, -1], sums[~hit, -1]
+        done, size = done + size, 2 * size
+    if live:
         raise ValueError("Jackson integral tail not decaying within node cap")
-
-    upper = one_point(b)
-    return upper if a is None else upper - one_point(a)
+    return out[0] if a is None else out[0] - out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +325,8 @@ def rho_site(ks, qp, r_k):
     overflows (at alpha = 1 - 1e-4, (0.2; alpha)_inf ~ e^-2110 and
     (-0.2; alpha)_inf ~ e^1908).  Where their product is 0 or not finite,
     the two are combined in logs, from the parts prod exp(e) that
-    `qpochhammer_inf` splits each into; where a multiplied-out part prod
-    itself leaves the double range, the value is NaN.
+    `qpochhammer_inf` splits each into, and where a part prod itself
+    leaves the normal double range, its log is summed factor by factor.
     """
     x1 = r_k / ks.rtilde_km1
     x2 = -r_k / (ks.mu**2 * ks.rtilde_k)
@@ -322,10 +334,12 @@ def rho_site(ks, qp, r_k):
     if v != 0 and cmath.isfinite(v):
         return 1.0 / v
     z = 0j
-    for prod, e in (_qpochhammer_parts(x, qp) for x in (x1, x2)):
-        if prod == 0 or not cmath.isfinite(prod):
-            return complex(math.nan, math.nan)
-        z -= cmath.log(prod) + e
+    for x in (x1, x2):
+        prod, e = _qpochhammer_parts(x, qp)
+        if 2.0**-1022 <= abs(prod) < math.inf:  # a normal double
+            z -= cmath.log(prod) + e
+        else:  # underflowed (subnormal or 0), overflowed or NaN
+            z -= sum(_qpochhammer_parts(x, qp, log=True))
     try:
         return cmath.exp(z)
     except OverflowError:
@@ -387,19 +401,19 @@ def _kernel_F_slots(u, v, w, mu, qp):
 
 def feq_residuals(c_k, c_k1, r_k, mu, qp):
     """Relative residuals of the four functional equations tying F_k to the
-    dressing-matrix exchange relations, evaluated at one point.
-    """
+    dressing-matrix exchange relations at one point, from the five slot
+    triples of F they involve, each evaluated once."""
     a = qp.alpha
-    F = lambda u, v, w: _kernel_F_slots(u, v, w, mu, qp)
     c, cp, r = c_k, c_k1, r_k
-    scale = abs(F(a * c, cp, r))
-    e1 = (r * F(a * c, cp, r) + mu**2 * a * cp * F(a * c, a * cp, a * r)
-          - (r + mu**2 * a * cp) * F(a * c, a * cp, r))
-    e2 = ((r - c) * F(a * c, cp, r)
-          - (r * F(c, cp, r) - c * F(a * c, cp, a * r)))
-    e3 = c * F(a * c, cp, r) - (r + mu**2 * a * cp) * F(a * c, a * cp, r)
-    e4 = (c - r) * F(a * c, cp, r) - mu**2 * cp * F(c, cp, r)
-    return np.abs([e1, e2, e3, e4]) / max(scale, 1e-30)
+    F0, F_aaa, F_aa, F_c, F_ar = (
+        _kernel_F_slots(u, v, w, mu, qp)
+        for u, v, w in ((a * c, cp, r), (a * c, a * cp, a * r),
+                        (a * c, a * cp, r), (c, cp, r), (a * c, cp, a * r)))
+    e1 = (r * F0 + mu**2 * a * cp * F_aaa - (r + mu**2 * a * cp) * F_aa)
+    e2 = (r - c) * F0 - (r * F_c - c * F_ar)
+    e3 = c * F0 - (r + mu**2 * a * cp) * F_aa
+    e4 = (c - r) * F0 - mu**2 * cp * F_c
+    return np.abs([e1, e2, e3, e4]) / max(abs(F0), 1e-30)
 
 
 def qhat_kernel(mu, qp, rtilde, r):

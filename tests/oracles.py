@@ -1,12 +1,15 @@
 """Independent reference computations used only by the tests."""
 
+import math
+
 import mpmath
 import numpy as np
 
 from albaxter.algebra import LaurentPoly, MultiDual
 from albaxter.backlund import bt_apply, dressing_matrix
 from albaxter.classical_chain import ChainState
-from albaxter.qcalc import JACKSON_MAX_NODES, JACKSON_TAIL
+from albaxter.qcalc import (JACKSON_MAX_NODES, JACKSON_TAIL, MAX_FACTORS,
+                            THETA, _kernel_F_slots, jackson_op)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +255,26 @@ def qpochhammer_mp(x, alpha):
         return prod * total
 
 
+def qpochhammer_log_mp(x, alpha, dps=50):
+    """log (x; alpha)_inf as an mpc for |x| < 1, by its power series
+    -sum_{j>=1} x^j / (j (1 - alpha^j)) at `dps` digits, summed whole: no
+    factor is multiplied out, so it stays fast and in range at alpha -> 1,
+    where qpochhammer_mp multiplies ~10^5 factors.  The branch is that of
+    sum_p log(1 - x alpha^p) with principal logs."""
+    with mpmath.workdps(dps):
+        y, a = mpmath.mpc(complex(x)), mpmath.mpc(complex(alpha))
+        total, yj, aj, j = mpmath.mpc(0), mpmath.mpc(1), mpmath.mpc(1), 0
+        tol = mpmath.mpf(10) ** -dps
+        while True:
+            j += 1
+            yj *= y
+            aj *= a
+            term = yj / (j * (1 - aj))
+            total += term
+            if abs(term) <= tol * abs(total):
+                return -total
+
+
 def jackson_integral_loop(f, k, qp, b, a=None, point=None):
     """Jackson integral by the node-by-node loop that qcalc.jackson_integral
     replaces: one integrand call on a (len(point),) point per node
@@ -282,6 +305,80 @@ def jackson_integral_loop(f, k, qp, b, a=None, point=None):
 
     upper = one_point(b)
     return upper if a is None else upper - one_point(a)
+
+
+def qpochhammer_parts_loop(x, qp):
+    """(prod, e) of qcalc._qpochhammer_parts by the loop it replaced: the
+    log tolerance and the denominators j (1 + alpha + ... + alpha^(j-1))
+    rebuilt on every call."""
+    a = qp.alpha
+    x = complex(x)
+    prod = 1.0 + 0.0j
+    if abs(x) >= THETA:
+        n = math.ceil(math.log(abs(x) / THETA) / -math.log(abs(a)))
+        if n > MAX_FACTORS:
+            raise ValueError("q-Pochhammer truncation exceeds term cap")
+        for _ in range(n):
+            prod *= 1.0 - x
+            x *= a
+    if x == 0:
+        return prod, 0.0
+    eps = 2.0**-53
+    terms = math.ceil(math.log(eps * (1.0 - abs(a)) / abs(1.0 - a))
+                      / math.log(abs(x)))
+    s, xj, aj, g = 0.0, 1.0, 1.0, 0.0
+    for j in range(1, terms + 1):
+        xj *= x
+        g += aj
+        aj *= a
+        s += xj / (j * g)
+    return prod, -s / (1.0 - a)
+
+
+def feq_residuals_loop(c_k, c_k1, r_k, mu, qp):
+    """qcalc.feq_residuals as it was, with one kernel evaluation per
+    occurrence of F (11 of them, on 5 distinct slot triples)."""
+    a = qp.alpha
+    F = lambda u, v, w: _kernel_F_slots(u, v, w, mu, qp)
+    c, cp, r = c_k, c_k1, r_k
+    scale = abs(F(a * c, cp, r))
+    e1 = (r * F(a * c, cp, r) + mu**2 * a * cp * F(a * c, a * cp, a * r)
+          - (r + mu**2 * a * cp) * F(a * c, a * cp, r))
+    e2 = ((r - c) * F(a * c, cp, r)
+          - (r * F(c, cp, r) - c * F(a * c, cp, a * r)))
+    e3 = c * F(a * c, cp, r) - (r + mu**2 * a * cp) * F(a * c, a * cp, r)
+    e4 = (c - r) * F(a * c, cp, r) - mu**2 * cp * F(c, cp, r)
+    return np.abs([e1, e2, e3, e4]) / max(scale, 1e-30)
+
+
+def delta_action_residual_loop(f, qp, N, point):
+    """funspace.delta_action_residual as it was: the nested factors
+    1 - r_k q_k call f 3^N times, plus once for f(alpha point)."""
+    def factor(g, k):
+        return lambda p: g(p) - p[k - 1] * jackson_op(g, k, qp, p)
+
+    g = f
+    for k in range(N, 0, -1):
+        g = factor(g, k)
+    point = np.asarray(point, dtype=complex)
+    return float(abs(g(point) - f(qp.alpha * point)))
+
+
+def qboson_residual_loop(rep):
+    """fock.qboson_residual by the pair loop it replaced: for each of the
+    N^2 pairs (j, k) the terms of [q_j, r_k] = eta (1 - q_j r_j) delta_jk
+    on the probe block, summed in that order, the largest |entry| of the
+    sum over that of any single term."""
+    V = rep.probes("qboson")
+    res = []
+    for j in range(rep.N):
+        for k in range(rep.N):
+            terms = [rep.q(j, rep.r(k, V)), -rep.r(k, rep.q(j, V))]
+            if j == k:
+                terms += [-rep.qp.eta * V, rep.qp.eta * rep.q(j, rep.r(j, V))]
+            res.append(np.abs(sum(terms)).max()
+                       / np.max([np.abs(t).max() for t in terms]))
+    return float(np.max(res))
 
 
 def bethe_roots_mp(roots, N, alpha, dps=50):

@@ -6,6 +6,7 @@ from albaxter import fock, suites
 from albaxter.bethe import BetheConfig, solve_bethe
 from albaxter.qcalc import QParam
 from albaxter.report import RunConfig
+from oracles import qboson_residual_loop
 
 QP = QParam(0.5)
 LAM, NU = 1.37 * np.exp(0.6j), 1.21 * np.exp(2.3j)
@@ -221,6 +222,13 @@ class TestOperatorIdentities:
         assert qd.product_residual < 1e-14
         assert fock.qboson_residual(rep) < 1e-14
         assert fock.grading_violations(rep, 1.23) == 0
+
+    @pytest.mark.parametrize("N, n_max, alpha", [
+        (1, 1, 0.5), (1, 5, 0.5), (2, 5, 0.5), (3, 4, 0.3), (5, 5, 0.7),
+        (8, 3, 0.9), (12, 2, 0.5)])
+    def test_qboson_stacked_equals_pair_loop(self, N, n_max, alpha):
+        rep = fock.FockRep(N, n_max, QParam(alpha))
+        assert fock.qboson_residual(rep) == qboson_residual_loop(rep)
 
     def test_delta_product_matches_oracle(self):
         # each factor lowers before it raises: exact on every column

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from albaxter import funspace
+from albaxter import funspace, qcalc
 from albaxter.qcalc import QParam, jackson_op
 from albaxter.report import RunConfig
 from albaxter.suites import suite_baxter
+from oracles import delta_action_residual_loop
 
 QP = QParam(0.5)
 MU = 1.3
@@ -111,6 +112,26 @@ class TestDeltaAction:
         for pt in _inputs(2, 40)[1]:
             assert funspace.delta_action_residual(f, QP, 2, pt) < 1e-12
 
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_one_evaluation_per_distinct_point(self, N):
+        # the nested factors reach f at 2^N distinct points; each is
+        # evaluated once, and the residual keeps the bits of the 3^N + 1
+        # calls of oracles.delta_action_residual_loop
+        rtilde, pts = _inputs(N, 50 + N)
+        poly = lambda r: 1.0 + r[0] * r[-1] + 0.5 * r[0] ** 2 - r[-1] ** 3
+        for qp in (QP, QParam(0.9)):
+            for f in (funspace.rho_product(MU, qp, rtilde), poly):
+                calls = []
+
+                def counted(p):
+                    calls.append(p.tobytes())
+                    return f(p)
+                for pt in pts:
+                    calls.clear()
+                    got = funspace.delta_action_residual(counted, qp, N, pt)
+                    assert len(calls) == len(set(calls)) == 2**N
+                    assert got == delta_action_residual_loop(f, qp, N, pt)
+
 
 @pytest.mark.parametrize("mu", [0.55, 0.6, 0.7])
 def test_baxter_suite_passes_below_mu_one(mu):
@@ -124,3 +145,19 @@ def test_baxter_suite_passes_below_mu_one(mu):
         assert len(records) == 10
         assert all(r.passed for r in records), \
             [(r.check_id, r.residual) for r in records if not r.passed]
+
+
+def test_baxter_suite_pochhammer_calls(monkeypatch):
+    # each Pochhammer the suite needs is evaluated once: 269 calls at the
+    # default config, from 437 when feq_residuals evaluated F 11 times per
+    # draw and delta_action_residual f 3^N + 1 times per point
+    kernel = qcalc.qpochhammer_inf
+    calls = []
+
+    def counted(x, qp):
+        calls.append(x)
+        return kernel(x, qp)
+
+    monkeypatch.setattr(qcalc, "qpochhammer_inf", counted)
+    suite_baxter(RunConfig(seed=0), np.random.default_rng(0))
+    assert len(calls) <= 269

@@ -1,18 +1,23 @@
 import cmath
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from albaxter import qcalc
 from albaxter.qcalc import (JACKSON_TAIL, THETA, KernelSite, QParam,
-                            QPochhammerPoleError, feq_residuals, ghat,
+                            QPochhammerPoleError, _qpochhammer_parts,
+                            _series_table, feq_residuals, ghat,
                             jackson_derivative, jackson_integral, jackson_op,
                             kernel_F, kernel_G, qexp, qhat_kernel,
                             qpochhammer_inf, rho_functional_residual,
                             rho_site)
-from oracles import jackson_integral_loop, qpochhammer_mp
+from oracles import (feq_residuals_loop, jackson_integral_loop,
+                     qpochhammer_log_mp, qpochhammer_mp,
+                     qpochhammer_parts_loop)
 
 QP = QParam(0.5)
 
@@ -135,6 +140,48 @@ class TestQPochhammer:
         # near alpha = 1 the value can leave the double range
         assume(1e-300 < abs(lhs) < 1e300)
         assert abs(lhs - rhs) <= self.SEAM_BOUND * abs(lhs)
+
+
+class TestSeriesTable:
+    """_qpochhammer_parts reads the denominators of its log series from a
+    per-alpha table; oracles.qpochhammer_parts_loop rebuilds them on every
+    call."""
+
+    # 0.99 e^0.5i: near the unit circle the series needs 30 terms, more
+    # than the 27 of any real alpha
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9, 1 - 1e-4, 0.6 + 0.3j,
+                                       cmath.rect(0.99, 0.5)])
+    def test_bit_identical_to_per_call_loop(self, alpha):
+        qp = QParam(alpha, allow_complex=True)
+        _series_table.cache_clear()
+        rng = np.random.default_rng(47)
+        # short series first, so that the table grows between calls; |y|
+        # just below THETA takes the longest series, |x| >= THETA
+        # multiplies factors out first
+        mods = np.r_[1e-3, 0.05, np.nextafter(THETA, 0), THETA * 0.999,
+                     rng.uniform(0.0, THETA, 20), THETA,
+                     rng.uniform(THETA, 2.0, 6), 1e-6]
+        for m in mods:
+            for phase in (0.0, math.pi, rng.uniform(-math.pi, math.pi)):
+                x = m if phase == 0.0 else cmath.rect(m, phase)
+                got = _qpochhammer_parts(x, qp)
+                want = qpochhammer_parts_loop(x, qp)
+                # bit for bit, NaN included (prod overflows at |x| = 2 and
+                # alpha = 1 - 1e-4)
+                assert [type(v) for v in got] == [type(v) for v in want]
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+        longest = math.ceil(_series_table(qp.alpha)[0]
+                            / math.log(np.nextafter(THETA, 0)))
+        assert len(_series_table(qp.alpha)[1]) == longest
+
+    def test_real_and_complex_alpha_keep_separate_tables(self):
+        # 0.5 == 0.5 + 0j, but a complex alpha builds complex denominators
+        for alpha in (0.5, 0.5 + 0j, 0.5):
+            qp = QParam(alpha, allow_complex=True)
+            assert (_qpochhammer_parts(0.2 + 0.1j, qp)
+                    == qpochhammer_parts_loop(0.2 + 0.1j, qp))
+        assert isinstance(_series_table(0.5)[1][-1], float)
+        assert isinstance(_series_table(0.5 + 0j)[1][-1], complex)
 
 
 class TestJackson:
@@ -310,9 +357,10 @@ class TestJacksonBlocks:
                 assert stacked.shape == (pts.shape[1],)
                 assert np.array_equal(stacked, cols)
 
-    def test_one_integrand_call_per_bound(self):
-        # a slide back to one integrand call per node fails here; the first
-        # block, ceil(ln(JACKSON_TAIL) / ln 2) + 2 = 56 nodes, suffices
+    def test_one_integrand_call_for_both_bounds(self):
+        # a slide back to one integrand call per node, or per bound, fails
+        # here; the first block, ceil(ln(JACKSON_TAIL) / ln 2) + 2 = 56
+        # nodes per bound, suffices, and both bounds share it
         first = math.ceil(math.log(JACKSON_TAIL) / math.log(QP.alpha)) + 2
         rng = np.random.default_rng(44)
         shapes = []
@@ -326,11 +374,10 @@ class TestJacksonBlocks:
             b, a = rng.uniform(0.1, 2.0), -rng.uniform(0.1, 2.0)
             shapes.clear()
             jackson_integral(f, 1, QP, b)
-            assert 1 <= len(shapes) <= 2
+            assert shapes == [(1, first)]
             shapes.clear()
             jackson_integral(f, 1, QP, b, a=a)
-            assert 2 <= len(shapes) <= 4
-            assert all(s == (1, first) for s in shapes)
+            assert shapes == [(1, 2 * first)]
 
     # >= 6x the worst of |q_1 int_0^r f - f| / (eps scale) below, 10.5 over
     # 3,000 random draws of this domain
@@ -452,6 +499,57 @@ class TestRhoSite:
             assert rho_site(self.KS, qp, r) == 1.0 / (
                 qpochhammer_inf(x1, qp) * qpochhammer_inf(x2, qp))
 
+    def test_log_parts_near_one_match_mp(self):
+        # at alpha = 1 - 1e-4 the factors multiplied out for |x| >= THETA
+        # leave the double range ((0.5; alpha)_inf ~ e^-5822); summed as
+        # logs they give log (x; alpha)_inf.  Measured worst 9.4e-15
+        qp = QParam(1.0 - 1e-4)
+        for x in (0.2, 0.5, 0.9, -0.2, -0.5, -0.9):
+            want = complex(qpochhammer_log_mp(x, qp.alpha))
+            got = sum(_qpochhammer_parts(x, qp, log=True))
+            assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_products_beyond_the_double_range(self):
+        # rho = 1/((r; alpha)_inf (-r; alpha)_inf) at alpha = 1 - 1e-4:
+        # log rho = 202 at r = 0.2; 1338 and 5476 at r = 0.5, 0.9, where
+        # the value itself is beyond the double range and comes back with
+        # an infinite modulus, not NaN
+        qp = QParam(1.0 - 1e-4)
+        ks = KernelSite(mu=1.0, rtilde_k=1.0, rtilde_km1=1.0)
+        for r in (0.2, 0.5, 0.9):
+            log_want = -(qpochhammer_log_mp(r, qp.alpha)
+                         + qpochhammer_log_mp(-r, qp.alpha))
+            got = rho_site(ks, qp, r)
+            if log_want.real < math.log(sys.float_info.max):
+                want = complex(mpmath.exp(log_want))
+                assert abs(got / want - 1) <= 1e-10
+            else:
+                assert got == cmath.rect(math.inf, float(log_want.imag))
+
+    def test_both_products_out_of_range_value_in_range(self):
+        # (0.5; alpha)_inf ~ e^-5822 and (-0.67; alpha)_inf ~ e^5823: both
+        # multiplied-out parts leave the double range, rho ~ 0.56 does not
+        qp = QParam(1.0 - 1e-4)
+        ks = KernelSite(mu=1.0, rtilde_k=0.5 / 0.67, rtilde_km1=1.0)
+        r = 0.5
+        x2 = -r / (ks.mu**2 * ks.rtilde_k)
+        want = complex(mpmath.exp(-(qpochhammer_log_mp(r, qp.alpha)
+                                    + qpochhammer_log_mp(x2, qp.alpha))))
+        got = rho_site(ks, qp, r)
+        assert 0.1 < abs(want) < 10
+        assert abs(got / want - 1) <= 1e-10
+
+    def test_log_oracle_matches_product_oracle(self):
+        # the power series of qpochhammer_log_mp against mpmath's qp; the
+        # two branches differ by multiples of 2 pi i
+        with mpmath.workdps(40):
+            for x in (0.5, -0.9, 0.3 + 0.4j):
+                diff = (qpochhammer_log_mp(x, 0.9)
+                        - mpmath.log(qpochhammer_mp(x, 0.9)))
+                turns = diff.imag / (2 * mpmath.pi)
+                assert abs(diff.real) < 1e-30
+                assert abs(turns - mpmath.nint(turns)) < 1e-30
+
     def test_kernel_site_validation(self):
         with pytest.raises(ValueError):
             KernelSite(mu=0.0, rtilde_k=1.0, rtilde_km1=1.0)
@@ -467,6 +565,29 @@ class TestKernelF:
             r = rng.uniform(0.2, 0.4)
             res = feq_residuals(c, cp, r, self.MU, QP)
             assert res.max() < 1e-10
+
+    def test_bit_identical_to_per_occurrence_loop(self):
+        rng = np.random.default_rng(36)
+        for mu, qp in ((self.MU, QP), (0.7, QParam(0.9)),
+                       (1.1, QParam(0.6 + 0.3j, allow_complex=True))):
+            for _ in range(10):
+                c, cp = rng.uniform(0.5, 0.9, 2)
+                r = rng.uniform(0.2, 0.4)
+                got = feq_residuals(c, cp, r, mu, qp)
+                assert np.array_equal(got,
+                                      feq_residuals_loop(c, cp, r, mu, qp))
+
+    def test_one_kernel_evaluation_per_distinct_triple(self, monkeypatch):
+        slots = qcalc._kernel_F_slots
+        calls = []
+
+        def counted(u, v, w, mu, qp):
+            calls.append((u, v, w))
+            return slots(u, v, w, mu, qp)
+
+        monkeypatch.setattr(qcalc, "_kernel_F_slots", counted)
+        feq_residuals(0.7, 0.6, 0.3, self.MU, QP)
+        assert len(calls) == len(set(calls)) == 5
 
     def test_homogeneity_degree_minus_one(self):
         rng = np.random.default_rng(34)
