@@ -239,22 +239,19 @@ def baxter_qdiff_residual(cfg, nu_samples):
     delta = qp.alpha ** cfg.m
     N, m = cfg.N, cfg.m
     quo, psi_c = transfer_poly_roots(cfg.roots, N, qp)
+    nu = np.atleast_1d(np.asarray(nu_samples, dtype=complex))
+    if np.any(nu == 0):
+        raise ValueError("nu samples must be nonzero")
 
-    def psi(nu):
-        return npoly.polyval(nu**2, psi_c)
+    def relative(*terms):  # a NaN in any term is returned
+        return np.abs(terms[0] - terms[1] - terms[2]) \
+            / np.max(np.abs(terms), axis=0)
 
-    def relative(*terms):
-        return abs(terms[0] - terms[1] - terms[2]) / max(map(abs, terms))
-
-    res = []
-    for nu in np.atleast_1d(nu_samples):
-        if nu == 0:
-            raise ValueError("nu samples must be nonzero")
-        t = npoly.polyval(nu**2, quo) / nu**N
-        r18 = relative(t * psi(nu), delta * nu**N * psi(nu / sa),
-                       nu ** (-N) * psi(nu * sa))
-        ph = lambda z: psi(z) * z ** (-2 * m)
-        r19 = relative(t * ph(nu), nu**N * ph(nu / sa),
-                       delta * nu ** (-N) * ph(nu * sa))
-        res += [r18, r19]
+    # psi and psi_hat at nu, nu / sa, nu sa, all samples as arrays
+    z = np.stack([nu, nu / sa, nu * sa])
+    psi = npoly.polyval(z**2, psi_c)
+    ph = psi * z ** (-2 * m)
+    t = npoly.polyval(nu**2, quo) / nu**N
+    res = [relative(t * psi[0], delta * nu**N * psi[1], nu ** (-N) * psi[2]),
+           relative(t * ph[0], nu**N * ph[1], delta * nu ** (-N) * ph[2])]
     return float(np.max(res, initial=0.0))  # a NaN is returned, not skipped

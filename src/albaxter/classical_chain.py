@@ -351,27 +351,30 @@ def rk4_step(state, dt):
 
 
 def classical_rmatrix(lam, nu):
-    """The 4x4 classical r-matrix; singular at lam^2 = nu^2."""
+    """The 4x4 classical r-matrix; singular at lam^2 = nu^2.  Array
+    arguments broadcast and give a stack of shape (..., 4, 4)."""
     d = nu**2 - lam**2
-    if abs(d) == 0:
+    if np.any(d == 0):
         raise ZeroDivisionError("r-matrix singular at coincident parameters")
     s = 0.5 * (nu**2 + lam**2) / d
     b = lam * nu / d
-    return np.array([
-        [s, 0, 0, 0],
-        [0, -0.5, b, 0],
-        [0, b, 0.5, 0],
-        [0, 0, 0, s],
-    ], dtype=complex)
+    r = np.zeros(np.shape(d) + (4, 4), dtype=complex)
+    r[..., 0, 0] = r[..., 3, 3] = s
+    r[..., 1, 1], r[..., 2, 2] = -0.5, 0.5
+    r[..., 1, 2] = r[..., 2, 1] = b
+    return r
 
 
 def _brackets_of(dq, dr, w):
-    """The 4x4 {L(lam) (x) L(nu)} from one state's gradients at
-    (lam, nu), dq and dr of shape (2, 2, 2, N), and its weights w."""
-    # br[a, b, g, d] = {L(lam)_ab, L(nu)_gd}
-    br = _bracket(dq[0][:, :, None, None], dr[0][:, :, None, None],
-                  dq[1][None, None], dr[1][None, None], w)
-    return br.transpose(0, 2, 1, 3).reshape(4, 4)
+    """The 4x4 {L(lam) (x) L(nu)} per state of a stack, from its gradients
+    at (lam, nu), dq and dr of shape (..., 2, 2, 2, N), and its weights w
+    of shape (..., N)."""
+    # br[..., a, b, g, d] = {L(lam)_ab, L(nu)_gd}
+    at_lam = lambda g: g[..., 0, :, :, None, None, :]
+    at_nu = lambda g: g[..., 1, None, None, :, :, :]
+    br = _bracket(at_lam(dq), at_lam(dr), at_nu(dq), at_nu(dr),
+                  w[..., None, None, None, None, :])
+    return br.swapaxes(-3, -2).reshape(br.shape[:-4] + (4, 4))
 
 
 def entry_brackets(state, lam, nu):
@@ -394,13 +397,14 @@ def rmatrix_relation_residuals(states, lams, nus):
     dq, dr = _entry_gradients(np.stack([s.q for s in states]),
                               np.stack([s.r for s in states]),
                               np.column_stack((lams, nus)))
-    out = np.empty(len(states))
-    for i, (state, lam, nu) in enumerate(zip(states, lams, nus)):
-        lhs = _brackets_of(dq[i], dr[i], 1.0 - state.q * state.r)
-        K = np.kron(monodromy_matrix(state, lam), monodromy_matrix(state, nu))
-        rmat = classical_rmatrix(lam, nu)
-        out[i] = np.abs(lhs - (rmat @ K - K @ rmat)).max()
-    return out
+    lhs = _brackets_of(dq, dr, 1.0 - np.stack([s.q * s.r for s in states]))
+    # K = L(lam) (x) L(nu) per draw: K[(a, g), (b, d)] = L(lam)_ab L(nu)_gd
+    Ml = np.stack([monodromy_matrix(s, lam) for s, lam in zip(states, lams)])
+    Mn = np.stack([monodromy_matrix(s, nu) for s, nu in zip(states, nus)])
+    K = (Ml[:, :, None, :, None] * Mn[:, None, :, None, :]).reshape(-1, 4, 4)
+    rmat = classical_rmatrix(np.asarray(lams), np.asarray(nus))
+    diff = np.abs(lhs - (rmat @ K - K @ rmat))
+    return diff.reshape(len(states), -1).max(axis=1)
 
 
 def rmatrix_relation_residual(state, lam, nu):

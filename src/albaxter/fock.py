@@ -152,32 +152,42 @@ def qboson_residual(rep):
     """Worst relative residual over all (j, k) of
     [q_j, r_k] = eta (1 - q_j r_j) delta_jk; one raising: headroom 1.
 
-    Per j, all k at once on (N, dim, PROBES) blocks: q_j of the r_k V, and
-    the r_k q_j V by one gather.  Each (j, k) is reduced as `_relative`
-    reduces its terms, on the same products and sums as a loop over pairs."""
+    The sites k go in chunks of four, so that the blocks stay at
+    (4, dim, PROBES) whatever N is.  Per chunk and j, all its k at once:
+    q_j of the r_k V, and the r_k q_j V by one gather.  Each (j, k) is
+    reduced as `_relative` reduces its terms, on the same products and sums
+    as a loop over pairs."""
     V = rep.probes("qboson")
     eta, N, n = rep.qp.eta, rep.N, len(rep._up[0])
-    # down[k, t]: the state t with n_k lowered; n, a zero row, where n_k = 0
-    down = np.full((N, rep.dim), n)
-    down[np.arange(N)[:, None], rep._up] = np.arange(n)
-    r_all = lambda X: np.take(np.concatenate([X[:n], np.zeros_like(X[:1])]),
-                              down.ravel(), axis=0).reshape((N,) + X.shape)
-    per_site = lambda X: np.abs(X).reshape(N, -1).max(axis=1)
-    RV, diag = r_all(V), -eta * V
+    diag = -eta * V
     res = []
-    for j in range(N):
-        qv = rep.q(j, V)
-        qr = rep._coef[j][:, None] * np.take(RV, rep._up[j], axis=1)
-        comm = -r_all(qv)
-        comm[:, :n] += qr  # q_j r_k V is zero from row n on
-        t4 = eta * qr[j]
-        comm[j] += diag
-        comm[j, :n] += t4
-        # each r_k moves the same entries qv[:n]
-        scale = np.maximum(per_site(qr), np.abs(qv[:n]).max())
-        scale[j] = np.max([scale[j], np.abs(diag).max(), np.abs(t4).max()])
-        res.append(per_site(comm) / scale)
-    return float(np.max(res))
+    for k0 in range(0, N, 4):
+        ks = range(k0, min(k0 + 4, N))
+        # down[i, t]: the state t with n_k lowered, k = ks[i]; n, a zero
+        # row, where n_k = 0
+        down = np.full((len(ks), rep.dim), n)
+        down[np.arange(len(ks))[:, None], rep._up[k0:ks.stop]] = np.arange(n)
+        r_ks = lambda X: np.take(
+            np.concatenate([X[:n], np.zeros_like(X[:1])]), down.ravel(),
+            axis=0).reshape((len(ks),) + X.shape)
+        per_site = lambda X: np.abs(X).reshape(len(ks), -1).max(axis=1)
+        RV = r_ks(V)
+        for j in range(N):
+            qv = rep.q(j, V)
+            qr = rep._coef[j][:, None] * np.take(RV, rep._up[j], axis=1)
+            comm = -r_ks(qv)
+            comm[:, :n] += qr  # q_j r_k V is zero from row n on
+            # each r_k moves the same entries qv[:n]
+            scale = np.maximum(per_site(qr), np.abs(qv[:n]).max())
+            if j in ks:
+                i = j - k0
+                t4 = eta * qr[i]
+                comm[i] += diag
+                comm[i, :n] += t4
+                scale[i] = np.max([scale[i], np.abs(diag).max(),
+                                   np.abs(t4).max()])
+            res.append(per_site(comm) / scale)
+    return float(np.max(np.concatenate(res)))
 
 
 def grading_violations(rep, lam):
@@ -203,24 +213,21 @@ def quantum_rmatrix(lam, nu, eta):
     """Quantum R-matrix with c = lam^2/(lam^2-nu^2), b = lam nu/(lam^2-nu^2).
 
     Related to the classical r-matrix by R = (1 + eta/2) Id - eta r and
-    depending on its arguments only through lam/nu.
+    depending on its arguments only through lam/nu.  Array arguments
+    broadcast and give a stack of shape (..., 4, 4).
     """
     d = lam**2 - nu**2
-    if abs(d) == 0:
+    if np.any(d == 0):
         raise ZeroDivisionError("R-matrix singular at lam^2 = nu^2")
     c = lam**2 / d
     b = lam * nu / d
-    return np.array([
-        [1 + eta * c, 0, 0, 0],
-        [0, 1 + eta, eta * b, 0],
-        [0, eta * b, 1, 0],
-        [0, 0, 0, 1 + eta * c],
-    ], dtype=complex)
-
-
-def _as4(R):
-    # T[a, b, g, d] with the Kronecker labelling T_{ab,gd} = A_ab B_gd
-    return R.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    R = np.zeros(np.broadcast_shapes(np.shape(d), np.shape(eta)) + (4, 4),
+                 dtype=complex)
+    R[..., 0, 0] = R[..., 3, 3] = 1 + eta * c
+    R[..., 1, 1] = 1 + eta
+    R[..., 1, 2] = R[..., 2, 1] = eta * b
+    R[..., 2, 2] = 1
+    return R
 
 
 def ybe_residual(lam, nu, eta):
@@ -229,14 +236,20 @@ def ybe_residual(lam, nu, eta):
         R_{ic,ja}(lam/nu) R_{cm,kb}(lam) R_{an,br}(nu)
             = R_{ja,kb}(nu) R_{ic,br}(lam) R_{cm,an}(lam/nu)
 
-    over the six free indices, with sums over repeated ones.
+    over the six free indices, with sums over repeated ones; with
+    R_{ab,gd} the entry at row (a, g), column (b, d), this is entry
+    ((i, j, k), (m, n, r)) of R_12(lam/nu) R_13(lam) R_23(nu)
+    = R_23(nu) R_13(lam) R_12(lam/nu) on C^2 (x) C^2 (x) C^2.  Arrays of
+    (lam, nu, eta) give one residual per draw, from stacked 8 x 8 products
+    taken pairwise.
     """
-    R1 = _as4(quantum_rmatrix(lam / nu, 1.0, eta))
-    R2 = _as4(quantum_rmatrix(lam, 1.0, eta))
-    R3 = _as4(quantum_rmatrix(nu, 1.0, eta))
-    lhs = np.einsum("icja,cmkb,anbr->ijkmnr", R1, R2, R3)
-    rhs = np.einsum("jakb,icbr,cman->ijkmnr", R3, R2, R1)
-    return float(np.abs(lhs - rhs).max())
+    R = quantum_rmatrix(np.stack(np.broadcast_arrays(
+        np.divide(lam, nu), lam, nu)), 1.0, eta)
+    R12, R23 = np.kron(R, np.eye(2)), np.kron(np.eye(2), R)
+    swap = [0, 2, 1, 3, 4, 6, 5, 7]  # (i, j, k) -> (i, k, j)
+    R13 = R12[..., swap, :][..., swap]
+    diff = np.abs(R12[0] @ R13[1] @ R23[2] - R23[2] @ R13[1] @ R12[0])
+    return diff.reshape(diff.shape[:-2] + (-1,)).max(axis=-1)
 
 
 def rll_residual(rep, lam, nu):

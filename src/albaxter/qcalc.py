@@ -15,14 +15,14 @@ funspace.rho_product for the product kernels of the Baxter equation).
 jackson_op and jackson_derivative also take stacked points, a
 (len(point), n) array whose columns are n points; f then returns n values.
 jackson_integral evaluates its integrand this way, once per block of nodes
-alpha^n b for both bounds instead of once per node: f takes a
+alpha^n w for all its bounds w instead of once per node: f takes a
 (len(point), B) array and returns B values, or a scalar (lambda r: 1.0)
-that broadcasts; the bounds are scalars.  The first block has
-ceil(ln(JACKSON_TAIL) / ln|alpha|) + 2 nodes per bound, each next block
-twice as many, JACKSON_MAX_NODES in all.  The stop rule is the
-node-by-node one: a bound's sum ends at its first term below JACKSON_TAIL
-max(1, |partial sum|), and the terms are added in node order, so the
-result is the same bit for bit.
+that broadcasts.  The bounds are scalars or arrays, with one point or one
+per bound.  The first block has ceil(ln(JACKSON_TAIL) / ln|alpha|) + 2
+nodes per bound, each next block twice as many, JACKSON_MAX_NODES in all.
+A bound's sum ends at its first term below JACKSON_TAIL max(|partial sum|,
+largest |term| so far), a relative rule, and adds its terms in node order,
+so it equals the node-by-node sum bit for bit.
 
 Every Baxter kernel goes through one scalar kernel, qpochhammer_inf for
 (x; alpha)_inf.  It multiplies out the factors 1 - x alpha^p with
@@ -52,7 +52,7 @@ _EPS = 2.0**-53
 # A factor |1 - x alpha^p| below this counts as a pole of 1/(x; alpha)_inf.
 POLE_TOL = 1e-12
 # Jackson integral: the sum stops at the first term below JACKSON_TAIL times
-# max(1, |partial sum|); no stop within JACKSON_MAX_NODES nodes raises.
+# max(|partial sum|, largest |term|); no stop in JACKSON_MAX_NODES raises.
 JACKSON_TAIL = 1e-16
 JACKSON_MAX_NODES = 10_000
 
@@ -219,60 +219,97 @@ def jackson_integral(f, k, qp, b, a=None, point=None):
     One-point form: int_0^b d_alpha r_k f = sum_{n>=0} alpha^n b f(.., alpha^n b, ..);
     two-point form over [a, b] by subtraction.  This is the standard
     Jackson integral without its factor 1 - alpha, so that q_k inverts it.
-    The surrounding coordinates are taken from `point` (defaults to zeros
-    away from site k).
+    The bounds b (and a) are scalars or arrays of shape (n,), one integral
+    per bound; the surrounding coordinates come from `point`, of shape
+    (len(point),) or (len(point), n), one column per bound (default zeros).
 
     f is called on blocks of nodes: a (len(point), B) array whose row k-1
-    holds alpha^n b for consecutive n (then the nodes alpha^n a over
-    [a, b]: one call covers both bounds), the other rows `point`.  It
-    returns B values, or one scalar that stands for all of them; the bounds
-    are scalars.  The first block has ceil(ln(JACKSON_TAIL) / ln|alpha|) + 2
-    nodes per bound and each next one twice as many, so a polynomial
-    integrand at alpha = 1/2 takes one call.  A bound's sum stops at the
-    first n with |term_n| < JACKSON_TAIL max(1, |sum_{m<=n} term_m|) and
-    adds the terms in node order, so it equals the node-by-node sum bit for
-    bit; a stopped bound leaves the next block, and f may be evaluated at
-    nodes of the last block beyond that n.  With no stop within
+    holds alpha^n w for consecutive n, bound after bound (all bounds in one
+    call), the other rows that bound's point.  It returns B values, or one
+    scalar that stands for all of them.  The first block has
+    ceil(ln(JACKSON_TAIL) / ln|alpha|) + 2 nodes per bound and each next
+    one twice as many, so a polynomial integrand at alpha = 1/2 takes one
+    call.  A bound's sum stops at its first term below JACKSON_TAIL
+    max(|partial sum|, largest |term| so far); an all-zero integrand stops
+    at once, at 0.  Each bound adds its terms in node order, so it equals
+    its node-by-node sum bit for bit whatever bounds share the call; f may
+    be evaluated beyond a stop in the last block.  With no stop within
     JACKSON_MAX_NODES nodes it raises ValueError.
     """
     alpha = qp.alpha
     if abs(alpha) >= 1:
         raise ValueError("Jackson integral requires |alpha| < 1")
+    b = np.asarray(b, dtype=complex)
+    if a is not None:
+        a = np.broadcast_to(np.asarray(a, dtype=complex), b.shape)
+    bounds = b.ravel() if a is None else np.concatenate([b.ravel(), a.ravel()])
     if point is None:
         point = np.zeros(k, dtype=complex)
     point = np.asarray(point, dtype=complex)
+    # the point of each bound, columns in the order of `bounds`
+    cols = np.broadcast_to(point.reshape(len(point), -1), (len(point), b.size))
+    cols = np.tile(cols, 1 if a is None else 2)
     first = math.ceil(math.log(JACKSON_TAIL) / math.log(abs(alpha))) + 2
-    bounds = [complex(b)] if a is None else [complex(b), complex(a)]
-    out = [0j] * len(bounds)  # a zero bound stays at 0
-    live = [i for i, w in enumerate(bounds) if w != 0]
-    # per live bound: the first node of the next block, the running sum
-    w, acc = np.array(bounds)[live], np.zeros(len(live), dtype=complex)
+    out = np.zeros(bounds.size, dtype=complex)  # a zero bound stays at 0
+    live = np.flatnonzero(bounds)
+    # per live bound: the first node of the next block, the running sum and
+    # the largest |term| so far
+    w, acc, top = (bounds[live], np.zeros(live.size, dtype=complex),
+                   np.zeros(live.size))
     done, size = 0, first
-    while live and done < JACKSON_MAX_NODES:
+    while live.size and done < JACKSON_MAX_NODES:
         size = min(size, JACKSON_MAX_NODES - done)
         # w, w alpha, w alpha^2, ...: the products of a running w *= alpha
-        chain = np.full((len(live), size + 1), alpha, dtype=complex)
+        chain = np.full((live.size, size + 1), alpha, dtype=complex)
         chain[:, 0] = w
         nodes = np.multiply.accumulate(chain, axis=1, out=chain)[:, :-1]
-        pts = np.repeat(point[:, None], nodes.size, axis=1)
+        pts = np.repeat(cols[:, live], size, axis=1)
         pts[k - 1] = nodes.ravel()
         vals = np.broadcast_to(f(pts), nodes.size).reshape(nodes.shape)
         terms = _mul_unfused(nodes, vals)
-        # sequential, in node order, from each bound's running sum
+        # sequential, in node order, from each bound's running sums
         sums = np.cumsum(np.concatenate([acc[:, None], terms], 1), 1)[:, 1:]
         # np.hypot rounds as scalar abs() does; np.abs of a complex
         # vector need not
-        small = (np.hypot(terms.real, terms.imag) < JACKSON_TAIL
-                 * np.maximum(1.0, np.hypot(sums.real, sums.imag)))
+        mags = np.hypot(terms.real, terms.imag)
+        top = np.maximum.accumulate(np.concatenate([top[:, None], mags], 1),
+                                    1)[:, 1:]
+        scale = np.maximum(np.hypot(sums.real, sums.imag), top)
+        small = (mags < JACKSON_TAIL * scale) | (scale == 0)
         hit = small.any(axis=1)
-        for row in np.flatnonzero(hit):
-            out[live[row]] = sums[row, small[row].argmax()]
-        live = [i for i, h in zip(live, hit) if not h]
-        w, acc = chain[~hit, -1], sums[~hit, -1]
+        rows = np.flatnonzero(hit)
+        out[live[rows]] = sums[rows, small[rows].argmax(axis=1)]
+        live, w, acc, top = (live[~hit], chain[~hit, -1], sums[~hit, -1],
+                             top[~hit, -1])
         done, size = done + size, 2 * size
-    if live:
+    if live.size:
         raise ValueError("Jackson integral tail not decaying within node cap")
-    return out[0] if a is None else out[0] - out[1]
+    res = out if a is None else out[:b.size] - out[b.size:]
+    return res[0] if b.ndim == 0 else res
+
+
+def leibniz_parts_residuals(qp, cf, cg, x, b, a):
+    """|LHS - RHS| of the q-product rule q_1(f g) = f q_1 g + g(alpha r) q_1 f
+    at r = x and of q-integration by parts, int_a^b f q_1 g = f g |_a^b
+    - int_a^b g(alpha r) q_1 f (Gasper & Rahman, 1.11), shape (2, n), for
+    f = cf_0 + cf_1 r + cf_2 r^2, g = cg_0 + cg_1 r + cg_2 r^3, one pair per
+    row of cf, cg and entry of x, b, a.  The coefficients ride along as
+    coordinates 2..7, so all pairs take 3 jackson_op and 2 jackson_integral
+    calls.
+    """
+    pts = np.vstack([x, np.transpose(cf), np.transpose(cg)]).astype(complex)
+    F = lambda r, y: r[1] + r[2] * y + r[3] * y**2
+    G = lambda r, y: r[4] + r[5] * y + r[6] * y**3
+    f, g = (lambda r: F(r, r[0])), (lambda r: G(r, r[0]))
+    ga = lambda r: G(r, qp.alpha * r[0])
+    qf = lambda r: jackson_op(f, 1, qp, r)
+    qg = lambda r: jackson_op(g, 1, qp, r)
+    rule = (jackson_op(lambda r: f(r) * g(r), 1, qp, pts)
+            - (f(pts) * qg(pts) + ga(pts) * qf(pts)))
+    lhs = jackson_integral(lambda r: f(r) * qg(r), 1, qp, b, a, pts)
+    rhs = (F(pts, b) * G(pts, b) - F(pts, a) * G(pts, a)
+           - jackson_integral(lambda r: ga(r) * qf(r), 1, qp, b, a, pts))
+    return np.abs([rule, lhs - rhs])
 
 
 # ---------------------------------------------------------------------------

@@ -190,10 +190,10 @@ def suite_quantum(cfg, rng):
     qp = QParam(cfg.alpha)
 
     def ybe():
-        return _worst([fock.ybe_residual(
-            *_sample_spectral_pair(rng),
-            rng.standard_normal() + 1j * rng.standard_normal())
-            for _ in range(cfg.sample_counts)])
+        draws = [(*_sample_spectral_pair(rng),
+                  rng.standard_normal() + 1j * rng.standard_normal())
+                 for _ in range(cfg.sample_counts)]
+        return _worst(fock.ybe_residual(*np.transpose(draws)))
 
     _timed(records, "quantum.yang_baxter", {"draws": cfg.sample_counts},
            1e-12, ybe)
@@ -364,27 +364,12 @@ def suite_baxter(cfg, rng):
            qexp_limit)
 
     def leibniz_parts():
-        res = []
-        for _ in range(10):
-            cf, cg = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-            f = lambda r: cf[0] + cf[1] * r[0] + cf[2] * r[0] ** 2
-            g = lambda r: cg[0] + cg[1] * r[0] + cg[2] * r[0] ** 3
-            pt = np.array([rng.uniform(0.3, 1.2)])
-            fg = lambda r: f(r) * g(r)
-            lhs = qcalc.jackson_op(fg, 1, qp, pt)
-            rhs = (f(pt) * qcalc.jackson_op(g, 1, qp, pt)
-                   + g(pt * qp.alpha) * qcalc.jackson_op(f, 1, qp, pt))
-            res.append(abs(lhs - rhs))
-            b, a = rng.uniform(0.5, 1.5), rng.uniform(0.1, 0.4)
-            qg = lambda r: qcalc.jackson_op(g, 1, qp, r)
-            qf = lambda r: qcalc.jackson_op(f, 1, qp, r)
-            lhs2 = qcalc.jackson_integral(lambda r: f(r) * qg(r), 1, qp, b, a)
-            ga = lambda r: g(qp.alpha * r)
-            rhs2 = (f([b]) * g([b]) - f([a]) * g([a])
-                    - qcalc.jackson_integral(lambda r: ga(r) * qf(r), 1, qp,
-                                             b, a))
-            res.append(abs(lhs2 - rhs2))
-        return _worst(res)
+        # each pair's draws, pair after pair; all pairs in one stacked check
+        cf, cg, x, b, a = map(np.array, zip(*[
+            (rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3),
+             rng.uniform(0.3, 1.2), rng.uniform(0.5, 1.5),
+             rng.uniform(0.1, 0.4)) for _ in range(10)]))
+        return _worst(qcalc.leibniz_parts_residuals(qp, cf, cg, x, b, a))
 
     _timed(records, "baxter.q_leibniz_parts", {"pairs": 10}, 1e-10,
            leibniz_parts)

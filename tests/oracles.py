@@ -5,11 +5,14 @@ import math
 import mpmath
 import numpy as np
 
+from albaxter import classical_chain as chain, fock
 from albaxter.algebra import LaurentPoly, MultiDual
 from albaxter.backlund import bt_apply, dressing_matrix
+from albaxter.bethe import transfer_poly_roots
 from albaxter.classical_chain import ChainState
 from albaxter.qcalc import (JACKSON_MAX_NODES, JACKSON_TAIL, MAX_FACTORS,
-                            THETA, _kernel_F_slots, jackson_op)
+                            THETA, _kernel_F_slots, jackson_integral,
+                            jackson_op)
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +278,11 @@ def qpochhammer_log_mp(x, alpha, dps=50):
                 return -total
 
 
-def jackson_integral_loop(f, k, qp, b, a=None, point=None):
-    """Jackson integral by the node-by-node loop that qcalc.jackson_integral
-    replaces: one integrand call on a (len(point),) point per node
-    alpha^n b, the terms summed in node order, stopping at the first term
-    below JACKSON_TAIL * max(1, |partial sum|), at most JACKSON_MAX_NODES
-    nodes.
-    """
+def _jackson_loop(f, k, qp, b, a, point, stop):
+    """Node-by-node Jackson integral: one integrand call on a
+    (len(point),) point per node alpha^n b, the terms summed in node
+    order, ending at the first node where stop(|term|, |partial sum|,
+    largest |term| so far) holds, at most JACKSON_MAX_NODES nodes."""
     if abs(qp.alpha) >= 1:
         raise ValueError("Jackson integral requires |alpha| < 1")
     if point is None:
@@ -291,20 +292,151 @@ def jackson_integral_loop(f, k, qp, b, a=None, point=None):
     def one_point(bound):
         if bound == 0:
             return 0.0 + 0.0j
-        acc = 0.0 + 0.0j
+        acc, top = 0.0 + 0.0j, 0.0
         w = complex(bound)
         for _ in range(JACKSON_MAX_NODES):
             pt = np.array(point, dtype=complex)
             pt[k - 1] = w
             term = w * f(pt)
             acc += term
-            if abs(term) < JACKSON_TAIL * max(1.0, abs(acc)):
+            top = max(top, abs(term))
+            if stop(abs(term), abs(acc), top):
                 return acc
             w *= qp.alpha
         raise ValueError("Jackson integral tail not decaying within term cap")
 
     upper = one_point(b)
     return upper if a is None else upper - one_point(a)
+
+
+def jackson_integral_loop(f, k, qp, b, a=None, point=None):
+    """qcalc.jackson_integral node by node, with its relative stop rule:
+    the first term below JACKSON_TAIL * max(|partial sum|, largest |term|
+    so far), or at once where every term so far is zero."""
+    def stop(term, acc, top):
+        scale = max(acc, top)
+        return term < JACKSON_TAIL * scale or scale == 0
+    return _jackson_loop(f, k, qp, b, a, point, stop)
+
+
+def jackson_integral_absolute_loop(f, k, qp, b, a=None, point=None):
+    """The Jackson integral with the stop rule qcalc used before it became
+    relative: the first term below JACKSON_TAIL * max(1, |partial sum|),
+    absolute wherever the integral is below 1."""
+    return _jackson_loop(f, k, qp, b, a, point,
+                         lambda term, acc, top: term < JACKSON_TAIL
+                         * max(1.0, acc))
+
+
+def leibniz_parts_loop(qp, cf, cg, x, b, a):
+    """qcalc.leibniz_parts_residuals by the per-pair loop it replaced: per
+    pair, the product rule on one-column points and the two integrals by
+    parts as scalar jackson_integral calls.  Returns the residuals, shape
+    (2, n), and the largest term each of them compares."""
+    out = []
+    for cf_i, cg_i, x_i, b_i, a_i in zip(cf, cg, x, b, a):
+        f = lambda r: cf_i[0] + cf_i[1] * r[0] + cf_i[2] * r[0] ** 2
+        g = lambda r: cg_i[0] + cg_i[1] * r[0] + cg_i[2] * r[0] ** 3
+        pt = np.array([x_i])
+        lhs = jackson_op(lambda r: f(r) * g(r), 1, qp, pt)
+        rhs = (f(pt) * jackson_op(g, 1, qp, pt)
+               + g(pt * qp.alpha) * jackson_op(f, 1, qp, pt))
+        qg = lambda r: jackson_op(g, 1, qp, r)
+        qf = lambda r: jackson_op(f, 1, qp, r)
+        lhs2 = jackson_integral(lambda r: f(r) * qg(r), 1, qp, b_i, a_i)
+        ga = lambda r: g(qp.alpha * r)
+        ends = (f([b_i]) * g([b_i]), f([a_i]) * g([a_i]))
+        rest = jackson_integral(lambda r: ga(r) * qf(r), 1, qp, b_i, a_i)
+        rhs2 = ends[0] - ends[1] - rest
+        # the largest of the products f(x') g(x'') / x that the two q_1
+        # differences of each side are made of, and of the terms of parts
+        xs = (x_i, qp.alpha * x_i)
+        rule = (max(abs(f([u])) for u in xs) * max(abs(g([u])) for u in xs)
+                / x_i)
+        out.append((abs(lhs - rhs), abs(lhs2 - rhs2), rule,
+                    max(map(abs, (lhs2, *ends, rest)))))
+    out = np.array(out, dtype=float).T
+    return out[:2], out[2:]
+
+
+def ybe_residual_loop(lams, nus, etas):
+    """fock.ybe_residual by the per-draw loop it replaced: per draw, the
+    three R-matrices and one three-operand einsum per side.  Returns the
+    residuals and, per draw, the largest sum of |products| in an entry of
+    either side."""
+    # T[a, b, g, d] with the Kronecker labelling T_{ab,gd} = A_ab B_gd
+    as4 = lambda R: R.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    res, scale = [], []
+    for lam, nu, eta in zip(lams, nus, etas):
+        R1 = as4(fock.quantum_rmatrix(lam / nu, 1.0, eta))
+        R2 = as4(fock.quantum_rmatrix(lam, 1.0, eta))
+        R3 = as4(fock.quantum_rmatrix(nu, 1.0, eta))
+        lhs = np.einsum("icja,cmkb,anbr->ijkmnr", R1, R2, R3)
+        rhs = np.einsum("jakb,icbr,cman->ijkmnr", R3, R2, R1)
+        res.append(np.abs(lhs - rhs).max())
+        A1, A2, A3 = map(np.abs, (R1, R2, R3))
+        scale.append(max(
+            np.einsum("icja,cmkb,anbr->ijkmnr", A1, A2, A3).max(),
+            np.einsum("jakb,icbr,cman->ijkmnr", A3, A2, A1).max()))
+    return np.array(res), np.array(scale)
+
+
+def baxter_qdiff_residual_loop(cfg, nu_samples):
+    """bethe.baxter_qdiff_residual by the per-sample loop it replaced, as
+    its two relative residuals per sample, shape (2, n), and the scale of
+    each: its largest term with every polynomial summed in |monomials|,
+    over its largest term (the rounding of a polynomial value is relative
+    to the first)."""
+    polyval = np.polynomial.polynomial.polyval
+    qp = cfg.qp
+    sa = qp.sqrt_alpha
+    delta = qp.alpha ** cfg.m
+    N, m = cfg.N, cfg.m
+    quo, psi_c = transfer_poly_roots(cfg.roots, N, qp)
+    psi = lambda nu: polyval(nu**2, psi_c)
+    ph = lambda z: psi(z) * z ** (-2 * m)
+    relative = lambda *t: abs(t[0] - t[1] - t[2]) / max(map(abs, t))
+    # the same terms with the polynomials summed in |monomials|
+    big = lambda c, z, p: polyval(abs(z) ** 2, np.abs(c)) * abs(z) ** p
+    res, scale = [], []
+    for nu in np.atleast_1d(nu_samples):
+        t = polyval(nu**2, quo) / nu**N
+        t18 = (t * psi(nu), delta * nu**N * psi(nu / sa),
+               nu ** (-N) * psi(nu * sa))
+        t19 = (t * ph(nu), nu**N * ph(nu / sa),
+               delta * nu ** (-N) * ph(nu * sa))
+        res.append((relative(*t18), relative(*t19)))
+        T = big(quo, nu, -N)
+        for p, terms, d in ((0, t18, (1, delta, 1)),
+                            (-2 * m, t19, (1, 1, delta))):
+            b = (T * big(psi_c, nu, p), d[1] * big(psi_c, nu / sa, N + p),
+                 d[2] * big(psi_c, nu * sa, -N + p))
+            scale.append(max(b) / max(map(abs, terms)))
+    return np.array(res).T, np.array(scale).reshape(-1, 2).T
+
+
+def rmatrix_relation_residuals_loop(states, lams, nus):
+    """classical_chain.rmatrix_relation_residuals with the per-draw tail it
+    replaced: per draw, the 4x4 brackets, np.kron of the two monodromies,
+    the r-matrix and the commutator.  Returns the residuals and, per draw,
+    the largest |entry| of the brackets, |r| |K| and |K| |r|."""
+    dq, dr = chain._entry_gradients(np.stack([s.q for s in states]),
+                                    np.stack([s.r for s in states]),
+                                    np.column_stack((lams, nus)))
+    res, scale = [], []
+    for i, (state, lam, nu) in enumerate(zip(states, lams, nus)):
+        w = 1.0 - state.q * state.r
+        br = chain._bracket(dq[i][0][:, :, None, None],
+                            dr[i][0][:, :, None, None],
+                            dq[i][1][None, None], dr[i][1][None, None], w)
+        lhs = br.transpose(0, 2, 1, 3).reshape(4, 4)
+        K = np.kron(chain.monodromy_matrix(state, lam),
+                    chain.monodromy_matrix(state, nu))
+        rmat = chain.classical_rmatrix(lam, nu)
+        res.append(np.abs(lhs - (rmat @ K - K @ rmat)).max())
+        r, k = np.abs(rmat), np.abs(K)
+        scale.append(max(np.abs(lhs).max(), (r @ k).max(), (k @ r).max()))
+    return np.array(res), np.array(scale)
 
 
 def qpochhammer_parts_loop(x, qp):

@@ -6,7 +6,7 @@ from numpy.polynomial import polynomial as npoly
 from albaxter import bethe, suites
 from albaxter.qcalc import QParam
 from albaxter.report import RunConfig
-from oracles import bethe_roots_mp
+from oracles import baxter_qdiff_residual_loop, bethe_roots_mp
 
 QP = QParam(0.5)
 
@@ -117,3 +117,21 @@ def test_qdiff_identity_is_relative_to_its_terms(N, m):
     off = bethe.BetheConfig(N=N, m=m, qp=QP, roots=cfg.roots * 1.1 + 0.03,
                             residual=np.inf)
     assert bethe.baxter_qdiff_residual(off, nus) > 1e-2
+
+
+@pytest.mark.parametrize("N, m", [(2, 1), (4, 2), (6, 3), (16, 3), (24, 2)])
+def test_qdiff_stacked_equals_sample_loop(N, m):
+    # all samples as arrays, against the per-sample loop it replaced; each
+    # residual is relative to its largest term, so 4 ulp of that term is
+    # 4 ulp of the polynomials' scale over it
+    cfg = bethe.solve_bethe(N, m, QP)
+    off = bethe.BetheConfig(N=N, m=m, qp=QP, roots=cfg.roots * 1.1 + 0.03,
+                            residual=np.inf)
+    rng = np.random.default_rng(N + m)
+    for c in (cfg, off):
+        for _ in range(5):
+            nus = rng.uniform(1.05, 1.9, 16) \
+                * np.exp(2j * np.pi * rng.uniform(size=16))
+            want, scale = baxter_qdiff_residual_loop(c, nus)
+            got = bethe.baxter_qdiff_residual(c, nus)
+            assert abs(got - want.max()) <= 4 * np.spacing(scale.max())

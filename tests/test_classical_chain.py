@@ -15,7 +15,8 @@ from albaxter.classical_chain import (ChainState, DegenerateStateError,
 
 from oracles import (lax_left_zeros, lax_right_zeros, local_lax, monodromy,
                      observable_conserved, observable_det, observable_entry,
-                     observable_trace, poisson_bracket)
+                     observable_trace, poisson_bracket,
+                     rmatrix_relation_residuals_loop)
 
 N2_STATE = ChainState(np.array([0.2, 0.1]), np.array([0.3, -0.4]))
 
@@ -258,6 +259,18 @@ class TestBatchedKernels:
         want = [rmatrix_relation_residual(s, lam, nu)
                 for s, (lam, nu) in zip(states, lams)]
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("N", (1, 2, 16, 64))
+    def test_rmatrix_stacked_tail_equals_draw_loop(self, N):
+        # brackets, Kronecker K, r-matrix and commutator stacked over the
+        # draws, against the per-draw tail they replaced
+        for seed in range(10):
+            states, lams = _draws(N, 10, 300 + 10 * N + seed)
+            got = chain.rmatrix_relation_residuals(states, lams[:, 0],
+                                                   lams[:, 1])
+            want, scale = rmatrix_relation_residuals_loop(
+                states, lams[:, 0], lams[:, 1])
+            assert (np.abs(got - want) <= 4 * np.spacing(scale)).all()
 
     def test_rmatrix_residuals_singular_guard(self):
         states = [ChainState.zeros(2)] * 2

@@ -6,7 +6,7 @@ from albaxter import fock, suites
 from albaxter.bethe import BetheConfig, solve_bethe
 from albaxter.qcalc import QParam
 from albaxter.report import RunConfig
-from oracles import qboson_residual_loop
+from oracles import qboson_residual_loop, ybe_residual_loop
 
 QP = QParam(0.5)
 LAM, NU = 1.37 * np.exp(0.6j), 1.21 * np.exp(2.3j)
@@ -364,3 +364,47 @@ class TestBetheStates:
         rep = fock.FockRep(N, m, QP)
         phi = fock.bethe_state(rep, cfg)
         assert fock.eigen_residual(rep, phi, cfg, 1.3 * np.exp(0.4j)) > 0.1
+
+
+def _ybe_draws(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.transpose([(*suites._sample_spectral_pair(rng),
+                          rng.standard_normal() + 1j * rng.standard_normal())
+                         for _ in range(n)])
+
+
+class TestStackedYangBaxter:
+    """All draws of the Yang-Baxter check in one stacked contraction,
+    against the per-draw loop it replaced."""
+
+    def test_stacked_equals_draw_loop(self):
+        for seed in range(20):
+            lam, nu, eta = _ybe_draws(16, seed)
+            got = fock.ybe_residual(lam, nu, eta)
+            want, scale = ybe_residual_loop(lam, nu, eta)
+            assert got.shape == (16,)
+            assert (np.abs(got - want) <= 4 * np.spacing(scale)).all()
+            assert got.max() < 1e-13
+
+    def test_contraction_on_generic_tensors(self, monkeypatch):
+        # an R-matrix with no symmetry, so that a wrong index order in the
+        # pairwise path cannot hide; the equation then fails by O(1), the
+        # same on both paths
+        R, M = fock.quantum_rmatrix, np.arange(16).reshape(4, 4) * (1 - 2j)
+        monkeypatch.setattr(fock, "quantum_rmatrix", lambda lam, nu, eta: R(
+            lam, nu, eta) + 0.01 * np.asarray(lam)[..., None, None] * M)
+        lam, nu, eta = _ybe_draws(8, 3)
+        got = fock.ybe_residual(lam, nu, eta)
+        want, scale = ybe_residual_loop(lam, nu, eta)
+        assert (want > 0.1).all()
+        assert (np.abs(got - want) <= 4 * np.spacing(scale)).all()
+
+    def test_scalar_draw_and_nan(self):
+        lam, nu, eta = _ybe_draws(4, 5)
+        assert np.ndim(fock.ybe_residual(lam[0], nu[0], eta[0])) == 0
+        assert fock.ybe_residual(lam[0], nu[0], eta[0]) \
+            == fock.ybe_residual(lam[:1], nu[:1], eta[:1])[0]
+        nu[2] = np.nan
+        with np.errstate(invalid="ignore"):
+            res = fock.ybe_residual(lam, nu, eta)
+        assert np.isnan(res[2]) and np.isfinite(np.delete(res, 2)).all()

@@ -15,7 +15,8 @@ from albaxter.qcalc import (JACKSON_TAIL, THETA, KernelSite, QParam,
                             kernel_F, kernel_G, qexp, qhat_kernel,
                             qpochhammer_inf, rho_functional_residual,
                             rho_site)
-from oracles import (feq_residuals_loop, jackson_integral_loop,
+from oracles import (feq_residuals_loop, jackson_integral_absolute_loop,
+                     jackson_integral_loop, leibniz_parts_loop,
                      qpochhammer_log_mp, qpochhammer_mp,
                      qpochhammer_parts_loop)
 
@@ -319,12 +320,11 @@ class TestJacksonBlocks:
                 want = jackson_integral_loop(f, k, qp, *lims, point=point)
                 assert abs(got - want) <= 4e-15 * abs(want)
 
-    # alpha -> bound on |error| / max(1, |I|).  Where |I| < 1 the stop rule
-    # is absolute and its cut-off tail grows like |alpha| / (1 - |alpha|):
-    # at alpha = 0.9, b = 0.3, n = 5 the relative error is 6.6e-14.  Measured
-    # worst: 4.1e-16, 3.4e-16, 1.8e-15 and 8.7e-16 of max(1, |I|); 4.1e-16,
-    # 8.6e-16 relative at alpha = 0.2, 0.5.
-    CLOSED_FORM_BOUND = {0.2: 1e-15, 0.5: 1e-15, 0.9: 2e-14, 0.6 + 0.3j: 1e-14}
+    # alpha -> bound on |error| / |I|; the stop rule is relative, so small
+    # integrals keep their precision (with the absolute rule it had, the
+    # error at alpha = 0.9, b = 0.3, n = 5 was 6.6e-14 of |I|).  Measured
+    # worst: 4.1e-16, 4.4e-16, 1.7e-15 and 8.7e-16.
+    CLOSED_FORM_BOUND = {0.2: 1e-15, 0.5: 1e-15, 0.9: 4e-15, 0.6 + 0.3j: 2e-15}
 
     @pytest.mark.parametrize("alpha", JACKSON_ALPHAS)
     def test_monomial_closed_form(self, alpha):
@@ -338,10 +338,7 @@ class TestJacksonBlocks:
                 got = jackson_integral(lambda r: r[0] ** n, 1, qp, b)
                 want = (mpmath.mpf(b) ** (n + 1)
                         / (1 - mpmath.mpc(alpha) ** (n + 1)))
-                err = abs(got - complex(want))
-                assert err <= bound * max(1.0, abs(complex(want)))
-                if abs(alpha) <= 0.5:
-                    assert err <= 1e-15 * abs(complex(want))
+                assert abs(got - complex(want)) <= bound * abs(complex(want))
 
     @pytest.mark.parametrize("alpha", [0.5, 0.9])
     def test_stacked_op_equals_per_point(self, alpha):
@@ -391,8 +388,7 @@ class TestJacksonBlocks:
                                    r_sign, alpha):
         # q_1 int_0^r f = f for cubics f.  The error is rounding in the sum
         # I(r), eps |r| sum_i |c_i| |r|^i / (1 - alpha), divided by |r| in
-        # q_1; the stop rule's absolute tail below |I| = 1 stays under it
-        # because |c_0| >= 1/2 and |r| >= 1/2
+        # q_1; the relative stop rule's tail stays under it
         qp = QParam(alpha)
         coef = [cmath.rect(c0_mod, c0_phase)] + [
             complex(x, y) for x, y in zip(rest[::2], rest[1::2])]
@@ -401,6 +397,149 @@ class TestJacksonBlocks:
         got = jackson_op(lambda p: jackson_integral(f, 1, qp, p[0]), 1, qp, pt)
         scale = sum(abs(c) * r_mod**i for i, c in enumerate(coef)) / (1 - alpha)
         assert abs(got - f(pt)) <= self.INVERSE_C * 2.0**-53 * scale
+
+
+def _power(r):
+    """r_1 ** r_2: the exponent rides along as the second coordinate, so
+    that bounds sharing a call stop at different nodes."""
+    return r[0] ** r[1]
+
+
+class TestJacksonArrayBounds:
+    """Arrays of bounds, each with the shared point or its own, give the
+    per-bound scalar calls bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9])
+    def test_equal_to_scalar_calls(self, alpha):
+        qp = QParam(alpha)
+        rng = np.random.default_rng(45)
+        n = 9
+        b = np.r_[rng.uniform(0.3, 1.5, n - 2), 0.0, -0.8]
+        a = np.r_[0.0, rng.uniform(-1.2, 0.4, n - 1)]
+        # per-bound coefficients of r_1^0..r_1^2 as coordinates 2..4
+        poly = lambda r: r[1] + r[2] * r[0] + r[3] * r[0] ** 2
+        coef = rng.uniform(-1, 1, (3, n)) + 1j * rng.uniform(-1, 1, (3, n))
+        pts = np.vstack([np.zeros(n), coef])
+        # exponents from 2 down to -0.9: terms decaying like alpha^(0.1 n)
+        # stop several blocks after those of the polynomials
+        powers = np.vstack([np.zeros(n), np.linspace(2.0, -0.9, n)])
+        for f, point, per_bound in ((poly, pts, True),
+                                    (_power, powers, True),
+                                    (_per_node([0.3, -1.1, 0.7], 1),
+                                     None, False),
+                                    (lambda r: 2.0, None, False)):
+            col = lambda i: point[:, i] if per_bound else point
+            for lims in ((b,), (b, a)):
+                got = jackson_integral(f, 1, qp, *lims, point=point)
+                want = [jackson_integral(f, 1, qp, *(w[i] for w in lims),
+                                         point=col(i)) for i in range(n)]
+                assert got.shape == (n,)
+                assert np.array_equal(got, want)
+        assert np.ndim(jackson_integral(poly, 1, qp, 0.7,
+                                        point=pts[:, 0])) == 0
+
+    def test_bounds_stop_in_different_blocks(self):
+        first = math.ceil(math.log(JACKSON_TAIL) / math.log(QP.alpha)) + 2
+        widths = []
+
+        def f(r):
+            widths.append(r.shape[1])
+            return _power(r)
+        powers = np.array([[0.0, 0.0, 0.0], [2.0, -0.5, -0.9]])
+        jackson_integral(f, 1, QP, np.array([0.7, 0.7, 0.7]), point=powers)
+        # blocks of first, 2 first, 4 first, 8 first nodes per bound: r^2
+        # stops in the first, r^-0.5 in the second, r^-0.9 in the fourth
+        assert widths == [3 * first, 2 * 2 * first, 4 * first, 8 * first]
+
+
+class TestJacksonStopRule:
+    """The sum of a bound stops at its first term below JACKSON_TAIL times
+    max(|partial sum|, largest |term| so far)."""
+
+    @pytest.mark.parametrize("c", [1e-17, 1e-30, 1e-10, 1.0])
+    def test_small_integrals_keep_their_precision(self, c):
+        # with the absolute rule, max(1, |partial sum|), a constant 1e-17
+        # was cut after one node and q_1 int came back 50% off
+        f = lambda r: c
+        inv = lambda q: jackson_op(lambda p: q(f, 1, QP, p[0]), 1, QP, [0.7])
+        assert abs(inv(jackson_integral) - c) <= 1e-15 * c
+        if c < 1e-16:
+            assert abs(inv(jackson_integral_absolute_loop) - c) > 0.4 * c
+
+    def test_all_zero_integrand_stops_at_once(self):
+        widths = []
+
+        def f(r):
+            widths.append(r.shape[1])
+            return 0.0 * r[0]
+        assert jackson_integral(f, 1, QP, 0.9, a=-0.4) == 0
+        assert np.array_equal(jackson_integral(f, 1, QP, [0.3, 2.0]), [0, 0])
+        first = math.ceil(math.log(JACKSON_TAIL) / math.log(QP.alpha)) + 2
+        assert widths == [2 * first, 2 * first]
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9])
+    def test_large_sums_keep_their_bits(self, alpha):
+        # where the sum is >= 1 and >= every term, the relative threshold
+        # equals the absolute one node by node
+        qp = QParam(alpha)
+        rng = np.random.default_rng(46)
+        for _ in range(10):
+            coef = rng.uniform(0.5, 2.0, 4)
+            f = _per_node(coef, 1)
+            b = rng.uniform(1.0, 2.0)
+            assert jackson_integral(f, 1, qp, b) \
+                == jackson_integral_absolute_loop(f, 1, qp, b)
+
+    def test_small_integrals_stop_in_the_first_block(self):
+        # at alpha = 1/2 the relative rule needs no second block either
+        first = math.ceil(math.log(JACKSON_TAIL) / math.log(QP.alpha)) + 2
+        rng = np.random.default_rng(47)
+        for scale in (1e-30, 1e-17, 1e-3, 1.0, 1e12):
+            widths = []
+            coef = scale * (rng.standard_normal(4)
+                            + 1j * rng.standard_normal(4))
+
+            def f(r):
+                widths.append(r.shape[1])
+                return _numpy_poly(coef, 1)(r)
+            jackson_integral(f, 1, QP, rng.uniform(0.05, 2.0, 5),
+                             a=-rng.uniform(0.05, 2.0, 5))
+            assert widths == [10 * first]
+
+
+class TestLeibnizParts:
+    """The q-product rule and q-integration by parts for ten pairs in one
+    stacked check, against the per-pair loop it replaced."""
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9])
+    def test_stacked_equals_pair_loop(self, alpha):
+        qp = QParam(alpha)
+        rng = np.random.default_rng(48)
+        for _ in range(5):
+            cf, cg = rng.uniform(-1, 1, (10, 3)), rng.uniform(-1, 1, (10, 3))
+            x, b, a = (rng.uniform(0.3, 1.2, 10), rng.uniform(0.5, 1.5, 10),
+                       rng.uniform(0.1, 0.4, 10))
+            got = qcalc.leibniz_parts_residuals(qp, cf, cg, x, b, a)
+            want, scale = leibniz_parts_loop(qp, cf, cg, x, b, a)
+            assert got.shape == (2, 10)
+            assert (np.abs(got - want) <= 4 * np.spacing(scale)).all()
+            assert got.max() < 1e-13
+
+    def test_two_integrals_and_three_products(self, monkeypatch):
+        calls = {"jackson_integral": [], "jackson_op": []}
+        for name, fn in ((n, getattr(qcalc, n)) for n in list(calls)):
+            def counted(*args, name=name, fn=fn, **kw):
+                calls[name].append(np.shape(args[3]))
+                return fn(*args, **kw)
+            monkeypatch.setattr(qcalc, name, counted)
+        rng = np.random.default_rng(49)
+        qcalc.leibniz_parts_residuals(QP, rng.uniform(-1, 1, (10, 3)),
+                                      rng.uniform(-1, 1, (10, 3)),
+                                      *rng.uniform(0.3, 1.2, (3, 10)))
+        assert calls["jackson_integral"] == [(10,), (10,)]
+        # the product rule on the ten columns, then one per integrand block
+        assert calls["jackson_op"][:3] == [(7, 10)] * 3
+        assert len(calls["jackson_op"]) == 5
 
 
 class TestCalculusLaws:
