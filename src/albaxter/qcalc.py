@@ -21,25 +21,30 @@ that broadcasts.  The bounds are scalars or arrays, with one point or one
 per bound.  The first block has ceil(ln(JACKSON_TAIL) / ln|alpha|) + 2
 nodes per bound, each next block twice as many, JACKSON_MAX_NODES in all.
 A bound's sum ends at its first term below JACKSON_TAIL max(|partial sum|,
-largest |term| so far), a relative rule, and adds its terms in node order,
-so it equals the node-by-node sum bit for bit.
+largest |term| so far), a relative rule, or at its first NaN or infinite
+term, with that non-finite value.  It adds its terms in node order, so it
+equals the node-by-node sum bit for bit.
 
-Every Baxter kernel goes through one scalar kernel, qpochhammer_inf for
-(x; alpha)_inf.  It multiplies out the factors 1 - x alpha^p with
-|x alpha^p| >= THETA = 1/4 and takes the rest as the exponential of the
-log series -sum_j y^j / (j (1 - alpha^j)), |y| < THETA, which needs at
-most 27 terms at any real alpha.  Its cost is therefore
-O(ln(|x|/THETA) / ln(1/|alpha|)) factors plus a bounded number of terms,
-so arguments |x| < THETA cost the same at alpha -> 1 as at alpha = 1/2;
-the series denominators are built once per alpha.  Its error is a few eps
-per factor plus eps times |y / (1 - alpha)|.  The kernel never tests for a
-pole; rho_site and the slot form of F_k raise QPochhammerPoleError where a
-factor |1 - x alpha^p| < POLE_TOL.
+Every Baxter kernel goes through one scalar kernel for (x; alpha)_inf,
+the factor loop and log series of qpochhammer_inf.  It multiplies out the
+factors 1 - x alpha^p with |x alpha^p| >= THETA = 1/4 and takes the rest
+as the exponential of the log series -sum_j y^j / (j (1 - alpha^j)),
+|y| < THETA, which needs at most 27 terms at any real alpha.  Its cost is
+therefore O(ln(|x|/THETA) / ln(1/|alpha|)) factors plus a bounded number
+of terms, so arguments |x| < THETA cost the same at alpha -> 1 as at
+alpha = 1/2; the series denominators are built once per alpha.  Its error
+is a few eps per factor plus eps times |y / (1 - alpha)|.  qpochhammer_inf
+tests no factor for a pole.  rho_site and the slot form of F_k take the guarded
+form, _poch_guarded: the same factor loop raises QPochhammerPoleError at
+the first factor |1 - x alpha^p| < POLE_TOL, and its parts are memoised
+on the exact bits of x and alpha (the last POCH_CACHE_SIZE arguments), so
+each distinct argument is evaluated once while it stays in the cache.
 """
 
 import cmath
 import functools
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +56,9 @@ MAX_FACTORS = 5_000_000
 _EPS = 2.0**-53
 # A factor |1 - x alpha^p| below this counts as a pole of 1/(x; alpha)_inf.
 POLE_TOL = 1e-12
+# Guarded (x; alpha)_inf parts kept for reuse; the suites repeat an argument
+# within a few dozen calls of its first use.
+POCH_CACHE_SIZE = 128
 # Jackson integral: the sum stops at the first term below JACKSON_TAIL times
 # max(|partial sum|, largest |term|); no stop in JACKSON_MAX_NODES raises.
 JACKSON_TAIL = 1e-16
@@ -97,6 +105,11 @@ class QParam:
         # principal branch, used consistently for all mu -> mu*sqrt(alpha) shifts
         return complex(np.sqrt(complex(self.alpha)))
 
+    @functools.cached_property
+    def log_alpha(self):
+        """Principal ln(alpha) as a numpy complex, taken once per QParam."""
+        return np.log(complex(self.alpha))
+
 
 def qpochhammer_inf(x, qp):
     """Infinite q-Pochhammer product (x; alpha)_inf = prod_{p>=0} (1 - x alpha^p).
@@ -125,7 +138,11 @@ def qpochhammer_inf(x, qp):
     as the plain product did.  No factor is tested for a zero here; the
     kernel callers raise QPochhammerPoleError for that (_poch_guarded).
     """
-    prod, e = _qpochhammer_parts(x, qp)
+    return _poch_value(*_qpochhammer_parts(x, qp.alpha))
+
+
+def _poch_value(prod, e):
+    """prod exp(e), the value of (x; alpha)_inf from its parts."""
     if e == 0:  # nothing left after the factors: (0; alpha)_inf = 1
         return prod
     try:
@@ -145,22 +162,28 @@ def _series_table(a):
     return [math.log(_EPS * (1.0 - abs(a)) / abs(1.0 - a)), [], 0.0, 1.0]
 
 
-def _qpochhammer_parts(x, qp, log=False):
-    """(prod, e) with (x; alpha)_inf = prod exp(e): prod multiplies out the
-    factors with |x alpha^p| >= THETA (log=True: sums their logs), e is the
-    log series of the rest (0 when the rest is (0; alpha)_inf = 1), its
-    denominators from the per-alpha table.  See `qpochhammer_inf`."""
-    a = qp.alpha
+def _qpochhammer_parts(x, a, log=False, guard=False):
+    """(prod, e) with (x; alpha)_inf = prod exp(e) at alpha = a: prod
+    multiplies out the factors with |x alpha^p| >= THETA (log=True: sums
+    their logs), e is the log series of the rest (0 when the rest is
+    (0; alpha)_inf = 1), its denominators from the per-alpha table.  See
+    `qpochhammer_inf`.  guard=True raises QPochhammerPoleError at the first
+    factor |1 - x alpha^p| < POLE_TOL; only factors with |x alpha^p| near 1
+    come that close to 0, and all of them are multiplied out."""
     if not abs(a) < 1:
         raise ValueError("(x; alpha)_inf requires |alpha| < 1")
-    x = complex(x)
+    x0 = x = complex(x)
     prod = 0j if log else 1.0 + 0.0j
     if abs(x) >= THETA:
         n = math.ceil(math.log(abs(x) / THETA) / -math.log(abs(a)))
         if n > MAX_FACTORS:
             raise ValueError("q-Pochhammer truncation exceeds term cap")
-        for _ in range(n):
-            prod = prod + cmath.log(1.0 - x) if log else prod * (1.0 - x)
+        for p in range(n):
+            f = 1.0 - x
+            if guard and abs(f) < POLE_TOL:
+                raise QPochhammerPoleError(
+                    f"vanishing Pochhammer factor 1 - x alpha^{p} at x={x0}")
+            prod = prod + cmath.log(f) if log else prod * f
             x *= a
     if x == 0:
         return prod, 0.0
@@ -231,10 +254,12 @@ def jackson_integral(f, k, qp, b, a=None, point=None):
     one twice as many, so a polynomial integrand at alpha = 1/2 takes one
     call.  A bound's sum stops at its first term below JACKSON_TAIL
     max(|partial sum|, largest |term| so far); an all-zero integrand stops
-    at once, at 0.  Each bound adds its terms in node order, so it equals
-    its node-by-node sum bit for bit whatever bounds share the call; f may
-    be evaluated beyond a stop in the last block.  With no stop within
-    JACKSON_MAX_NODES nodes it raises ValueError.
+    at once, at 0, and a NaN or infinite term ends its bound's sum with a
+    NaN or infinite value, which a residual reports as a FAIL.  Each bound
+    adds its terms in node order, so it equals its node-by-node sum bit
+    for bit whatever bounds share the call; f may be evaluated beyond a
+    stop in the last block.  With no stop within JACKSON_MAX_NODES nodes
+    it raises ValueError.
     """
     alpha = qp.alpha
     if abs(alpha) >= 1:
@@ -275,7 +300,9 @@ def jackson_integral(f, k, qp, b, a=None, point=None):
         top = np.maximum.accumulate(np.concatenate([top[:, None], mags], 1),
                                     1)[:, 1:]
         scale = np.maximum(np.hypot(sums.real, sums.imag), top)
-        small = (mags < JACKSON_TAIL * scale) | (scale == 0)
+        # a NaN or infinite term ends the sum too, at a non-finite value
+        small = ((mags < JACKSON_TAIL * scale) | (scale == 0)
+                 | ~np.isfinite(mags))
         hit = small.any(axis=1)
         rows = np.flatnonzero(hit)
         out[live[rows]] = sums[rows, small[rows].argmax(axis=1)]
@@ -330,23 +357,29 @@ class KernelSite:
             raise ValueError("mu and both rtilde parameters must be nonzero")
 
 
-def _poch_guarded(x, qp):
-    """(x; alpha)_inf, raising QPochhammerPoleError where a factor vanishes.
+_BITS = struct.Struct("<4d").pack
 
-    A factor counts as vanishing when |1 - x alpha^p| < POLE_TOL.  Only the
-    factors with |x alpha^p| near 1 can do so, so the two integers p >= 0
-    on either side of p* = -ln|x| / ln|alpha| are tested.  A value that is
-    merely small, with no factor near zero, is returned as it is.
+
+def _poch_guarded(x, qp):
+    """(x; alpha)_inf and its parts (prod, e), (x; alpha)_inf = prod exp(e),
+    raising QPochhammerPoleError where a factor vanishes.
+
+    A factor counts as vanishing when |1 - x alpha^p| < POLE_TOL; the
+    factor loop of `_qpochhammer_parts` tests each factor it multiplies
+    out, which takes in every factor with |x alpha^p| near 1.  A value that
+    is merely small, with no factor near zero, is returned as it is.  The
+    results of the last POCH_CACHE_SIZE arguments are kept, keyed on the
+    bits of x and alpha (so 0.5+0j and 0.5-0j are two arguments) and on
+    the type of alpha; a pole is not kept, so it raises on every call.
     """
-    v = qpochhammer_inf(x, qp)
-    if x != 0:
-        a = qp.alpha
-        p_star = -math.log(abs(x)) / math.log(abs(a))
-        for p in (math.floor(p_star), math.ceil(p_star)):
-            if p >= 0 and abs(1.0 - x * a**p) < POLE_TOL:
-                raise QPochhammerPoleError(
-                    f"vanishing Pochhammer factor 1 - x alpha^{p} at x={x}")
-    return v
+    x, a = complex(x), qp.alpha
+    return _guarded_memo(_BITS(x.real, x.imag, a.real, a.imag), x, a)
+
+
+@functools.lru_cache(maxsize=POCH_CACHE_SIZE, typed=True)
+def _guarded_memo(bits, x, a):
+    parts = _qpochhammer_parts(x, a, guard=True)
+    return _poch_value(*parts), parts
 
 
 def rho_site(ks, qp, r_k):
@@ -361,22 +394,23 @@ def rho_site(ks, qp, r_k):
     Near alpha = 1 one Pochhammer can underflow to 0 while the other
     overflows (at alpha = 1 - 1e-4, (0.2; alpha)_inf ~ e^-2110 and
     (-0.2; alpha)_inf ~ e^1908).  Where their product is 0 or not finite,
-    the two are combined in logs, from the parts prod exp(e) that
-    `qpochhammer_inf` splits each into, and where a part prod itself
-    leaves the normal double range, its log is summed factor by factor.
+    the two are combined in logs, from the memoised parts prod exp(e) of
+    `_poch_guarded`, and where a part prod itself leaves the normal double
+    range, its log is summed factor by factor.
     """
     x1 = r_k / ks.rtilde_km1
     x2 = -r_k / (ks.mu**2 * ks.rtilde_k)
-    v = _poch_guarded(x1, qp) * _poch_guarded(x2, qp)
+    v1, parts1 = _poch_guarded(x1, qp)
+    v2, parts2 = _poch_guarded(x2, qp)
+    v = v1 * v2
     if v != 0 and cmath.isfinite(v):
         return 1.0 / v
     z = 0j
-    for x in (x1, x2):
-        prod, e = _qpochhammer_parts(x, qp)
+    for x, (prod, e) in ((x1, parts1), (x2, parts2)):
         if 2.0**-1022 <= abs(prod) < math.inf:  # a normal double
             z -= cmath.log(prod) + e
         else:  # underflowed (subnormal or 0), overflowed or NaN
-            z -= sum(_qpochhammer_parts(x, qp, log=True))
+            z -= sum(_qpochhammer_parts(x, qp.alpha, log=True))
     try:
         return cmath.exp(z)
     except OverflowError:
@@ -401,8 +435,7 @@ def ghat(z, qp):
     z = complex(z)
     if z == 0 or (z.real < 0 and z.imag == 0):
         raise ValueError("ghat branch error: z on the closed negative axis")
-    la = np.log(complex(qp.alpha))
-    return z ** (0.5 - np.log(z) / (2.0 * la))
+    return z ** (0.5 - np.log(z) / (2.0 * qp.log_alpha))
 
 
 def kernel_G(c, cp, mu, qp):
@@ -416,8 +449,8 @@ def kernel_G(c, cp, mu, qp):
     z = c / cp
     if z == 0 or (complex(z).real < 0 and complex(z).imag == 0):
         raise ValueError("kernel_G branch error: c/c' on the closed negative axis")
-    la = np.log(complex(qp.alpha))
-    return (1.0 / cp) * z ** (2.0 * np.log(complex(mu)) / la) * ghat(z, qp)
+    return ((1.0 / cp) * z ** (2.0 * np.log(complex(mu)) / qp.log_alpha)
+            * ghat(z, qp))
 
 
 def kernel_F(c_k, c_k1, r_k, mu, qp):
@@ -431,8 +464,8 @@ def kernel_F(c_k, c_k1, r_k, mu, qp):
 
 
 def _kernel_F_slots(u, v, w, mu, qp):
-    p1 = _poch_guarded(-w / (mu**2 * v), qp)
-    p2 = _poch_guarded(qp.alpha * w / u, qp)
+    p1 = _poch_guarded(-w / (mu**2 * v), qp)[0]
+    p2 = _poch_guarded(qp.alpha * w / u, qp)[0]
     return kernel_G(u, v, mu, qp) / (p1 * p2)
 
 

@@ -11,8 +11,9 @@ from albaxter.backlund import bt_apply, dressing_matrix
 from albaxter.bethe import transfer_poly_roots
 from albaxter.classical_chain import ChainState
 from albaxter.qcalc import (JACKSON_MAX_NODES, JACKSON_TAIL, MAX_FACTORS,
-                            THETA, _kernel_F_slots, jackson_integral,
-                            jackson_op)
+                            POLE_TOL, THETA, QPochhammerPoleError,
+                            _kernel_F_slots, jackson_integral, jackson_op,
+                            qpochhammer_inf)
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +313,12 @@ def _jackson_loop(f, k, qp, b, a, point, stop):
 def jackson_integral_loop(f, k, qp, b, a=None, point=None):
     """qcalc.jackson_integral node by node, with its relative stop rule:
     the first term below JACKSON_TAIL * max(|partial sum|, largest |term|
-    so far), or at once where every term so far is zero."""
+    so far), or at once where every term so far is zero, or at a NaN or
+    infinite term."""
     def stop(term, acc, top):
         scale = max(acc, top)
-        return term < JACKSON_TAIL * scale or scale == 0
+        return (term < JACKSON_TAIL * scale or scale == 0
+                or not math.isfinite(term))
     return _jackson_loop(f, k, qp, b, a, point, stop)
 
 
@@ -465,6 +468,22 @@ def qpochhammer_parts_loop(x, qp):
         aj *= a
         s += xj / (j * g)
     return prod, -s / (1.0 - a)
+
+
+def poch_guarded_two_pass(x, qp):
+    """qcalc._poch_guarded as it was, unmemoised and in two passes: the
+    value (x; alpha)_inf first, then a pole test of the two factors
+    1 - x alpha^p on either side of p* = -ln|x| / ln|alpha|, with
+    alpha^p taken as a power.  Returns the value, not the parts."""
+    v = qpochhammer_inf(x, qp)
+    if x != 0:
+        a = qp.alpha
+        p_star = -math.log(abs(x)) / math.log(abs(a))
+        for p in (math.floor(p_star), math.ceil(p_star)):
+            if p >= 0 and abs(1.0 - x * a**p) < POLE_TOL:
+                raise QPochhammerPoleError(
+                    f"vanishing Pochhammer factor 1 - x alpha^{p} at x={x}")
+    return v
 
 
 def feq_residuals_loop(c_k, c_k1, r_k, mu, qp):

@@ -148,16 +148,39 @@ def test_baxter_suite_passes_below_mu_one(mu):
 
 
 def test_baxter_suite_pochhammer_calls(monkeypatch):
-    # each Pochhammer the suite needs is evaluated once: 269 calls at the
-    # default config, from 437 when feq_residuals evaluated F 11 times per
-    # draw and delta_action_residual f 3^N + 1 times per point
-    kernel = qcalc.qpochhammer_inf
+    # each Pochhammer the suite needs is evaluated once: 120 evaluations at
+    # the default config (111 distinct guarded arguments and 9 qexp), from
+    # 269 when every guarded call evaluated its argument, and 437 when
+    # feq_residuals evaluated F 11 times per draw and delta_action_residual
+    # f 3^N + 1 times per point
+    kernel = qcalc._qpochhammer_parts
     calls = []
 
-    def counted(x, qp):
+    def counted(x, a, **kw):
         calls.append(x)
-        return kernel(x, qp)
+        return kernel(x, a, **kw)
 
-    monkeypatch.setattr(qcalc, "qpochhammer_inf", counted)
+    monkeypatch.setattr(qcalc, "_qpochhammer_parts", counted)
+    qcalc._guarded_memo.cache_clear()
     suite_baxter(RunConfig(seed=0), np.random.default_rng(0))
-    assert len(calls) <= 269
+    assert len(calls) <= 120
+
+
+def test_baxter_suite_one_evaluation_per_distinct_argument(monkeypatch):
+    # the guarded kernel evaluates (cache misses) as many arguments as the
+    # suite asks for distinct (x, alpha) bits, and serves the rest (149 of
+    # 260 calls at the default config) from the cache
+    guarded = qcalc._poch_guarded
+    keys = []
+
+    def recorded(x, qp):
+        x, a = complex(x), qp.alpha
+        keys.append((x.real.hex(), x.imag.hex(), complex(a).real.hex(),
+                     complex(a).imag.hex(), type(a)))
+        return guarded(x, qp)
+
+    monkeypatch.setattr(qcalc, "_poch_guarded", recorded)
+    qcalc._guarded_memo.cache_clear()
+    suite_baxter(RunConfig(seed=0), np.random.default_rng(0))
+    info = qcalc._guarded_memo.cache_info()
+    assert info.misses == len(set(keys)) < len(keys) == info.hits + info.misses

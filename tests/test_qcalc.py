@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from albaxter import qcalc
-from albaxter.qcalc import (JACKSON_TAIL, THETA, KernelSite, QParam,
-                            QPochhammerPoleError, _qpochhammer_parts,
+from albaxter.qcalc import (JACKSON_TAIL, POCH_CACHE_SIZE, THETA,
+                            KernelSite, QParam, QPochhammerPoleError,
+                            _poch_guarded, _qpochhammer_parts,
                             _series_table, feq_residuals, ghat,
                             jackson_derivative, jackson_integral, jackson_op,
                             kernel_F, kernel_G, qexp, qhat_kernel,
@@ -17,8 +18,8 @@ from albaxter.qcalc import (JACKSON_TAIL, THETA, KernelSite, QParam,
                             rho_site)
 from oracles import (feq_residuals_loop, jackson_integral_absolute_loop,
                      jackson_integral_loop, leibniz_parts_loop,
-                     qpochhammer_log_mp, qpochhammer_mp,
-                     qpochhammer_parts_loop)
+                     poch_guarded_two_pass, qpochhammer_log_mp,
+                     qpochhammer_mp, qpochhammer_parts_loop)
 
 QP = QParam(0.5)
 
@@ -165,7 +166,7 @@ class TestSeriesTable:
         for m in mods:
             for phase in (0.0, math.pi, rng.uniform(-math.pi, math.pi)):
                 x = m if phase == 0.0 else cmath.rect(m, phase)
-                got = _qpochhammer_parts(x, qp)
+                got = _qpochhammer_parts(x, qp.alpha)
                 want = qpochhammer_parts_loop(x, qp)
                 # bit for bit, NaN included (prod overflows at |x| = 2 and
                 # alpha = 1 - 1e-4)
@@ -179,7 +180,7 @@ class TestSeriesTable:
         # 0.5 == 0.5 + 0j, but a complex alpha builds complex denominators
         for alpha in (0.5, 0.5 + 0j, 0.5):
             qp = QParam(alpha, allow_complex=True)
-            assert (_qpochhammer_parts(0.2 + 0.1j, qp)
+            assert (_qpochhammer_parts(0.2 + 0.1j, qp.alpha)
                     == qpochhammer_parts_loop(0.2 + 0.1j, qp))
         assert isinstance(_series_table(0.5)[1][-1], float)
         assert isinstance(_series_table(0.5 + 0j)[1][-1], complex)
@@ -506,6 +507,36 @@ class TestJacksonStopRule:
                              a=-rng.uniform(0.05, 2.0, 5))
             assert widths == [10 * first]
 
+    def test_nan_term_ends_the_sum_with_nan(self):
+        # the NaN stops the sum in the first block, not at the node cap
+        # with a "tail not decaying" ValueError
+        widths = []
+
+        def f(r):
+            widths.append(r.shape[1])
+            return np.nan * r[0]
+        assert cmath.isnan(jackson_integral(f, 1, QP, 0.7))
+        assert len(widths) == 1
+        assert cmath.isnan(jackson_integral_loop(lambda r: np.nan * r[0], 1,
+                                                 QP, 0.7))
+
+    def test_nan_column_among_finite_bounds(self):
+        # r_2 = NaN in the middle column only: that bound's sum is NaN, the
+        # others keep their node-by-node bits, all in one block
+        widths = []
+
+        def f(r):
+            widths.append(np.shape(r[0]))
+            return r[0] * r[1] + 1.0
+        b = np.array([0.7, 0.5, 0.3])
+        point = np.array([[0.0, 0.0, 0.0], [1.5, np.nan, -2.0]])
+        got = jackson_integral(f, 1, QP, b, point=point)
+        assert len(widths) == 1
+        assert cmath.isnan(got[1])
+        for i in (0, 2):
+            assert got[i] == jackson_integral_loop(f, 1, QP, b[i],
+                                                   point=point[:, i])
+
 
 class TestLeibnizParts:
     """The q-product rule and q-integration by parts for ten pairs in one
@@ -567,6 +598,72 @@ class TestCalculusLaws:
             worst_parts = max(worst_parts, abs(lhs2 - rhs2))
         assert worst_leib < 1e-12
         assert worst_parts < 1e-10
+
+
+def _outcome(kernel, x, qp):
+    """The bits of kernel(x, qp), or the exception type it raises."""
+    try:
+        return np.array(kernel(x, qp)).tobytes()
+    except ValueError as exc:
+        return type(exc)
+
+
+def _guarded_value(x, qp):
+    return _poch_guarded(x, qp)[0]
+
+
+class TestPochGuarded:
+    """The pole test folded into the factor loop, memoised, against the
+    two-pass guard it replaced (oracles.poch_guarded_two_pass)."""
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9, 1 - 1e-4, 0.6 + 0.3j])
+    def test_bit_identical_to_two_pass_guard(self, alpha):
+        qp = QParam(alpha, allow_complex=True)
+        rng = np.random.default_rng(48)
+        mods = np.exp(rng.uniform(math.log(1e-3), math.log(50.0), 40))
+        xs = [cmath.rect(m, rng.uniform(-math.pi, math.pi)) for m in mods]
+        # real arguments with either sign of a zero imaginary part
+        xs += [complex(m, z) for m in (0.3, -2.0, 7.5) for z in (0.0, -0.0)]
+        # inner-factor poles x = alpha^-p, and points just off them
+        for p in range(4):
+            pole = qp.alpha ** -p
+            xs += [pole, pole * (1 + 1e-13), pole * (1 + 1e-11)]
+        raised = 0
+        for x in xs:
+            want = _outcome(poch_guarded_two_pass, x, qp)
+            # the first call evaluates, the second reads the cache
+            assert _outcome(_guarded_value, x, qp) == want
+            assert _outcome(_guarded_value, x, qp) == want
+            raised += want is QPochhammerPoleError
+        assert raised == 8  # alpha^-p and alpha^-p (1 + 1e-13), p = 0..3
+
+    def test_signed_zeros_are_separate_arguments(self):
+        # 0.5+0j == 0.5-0j, but the cache keys on bits: four entries for
+        # the signs of zero in x and in a complex alpha, two more at the
+        # real alpha 0.5
+        qcalc._guarded_memo.cache_clear()
+        qps = [QParam(complex(0.5, z), allow_complex=True)
+               for z in (0.0, -0.0)] + [QP]
+        for qp in qps:
+            for x in (complex(-0.5, 0.0), complex(-0.5, -0.0)):
+                assert (_outcome(_guarded_value, x, qp)
+                        == _outcome(poch_guarded_two_pass, x, qp))
+        assert qcalc._guarded_memo.cache_info().misses == 6
+
+    def test_pole_raises_on_every_call(self):
+        qcalc._guarded_memo.cache_clear()
+        for _ in range(3):
+            with pytest.raises(QPochhammerPoleError):
+                _poch_guarded(1.0, QP)
+        info = qcalc._guarded_memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
+
+    def test_cache_stays_bounded(self):
+        qcalc._guarded_memo.cache_clear()
+        for x in np.linspace(0.01, 0.9, 3 * POCH_CACHE_SIZE):
+            _poch_guarded(x, QP)
+        info = qcalc._guarded_memo.cache_info()
+        assert info.currsize == info.maxsize == POCH_CACHE_SIZE
 
 
 class TestRhoSite:
@@ -645,7 +742,7 @@ class TestRhoSite:
         qp = QParam(1.0 - 1e-4)
         for x in (0.2, 0.5, 0.9, -0.2, -0.5, -0.9):
             want = complex(qpochhammer_log_mp(x, qp.alpha))
-            got = sum(_qpochhammer_parts(x, qp, log=True))
+            got = sum(_qpochhammer_parts(x, qp.alpha, log=True))
             assert abs(got - want) <= 1e-10 * abs(want)
 
     def test_products_beyond_the_double_range(self):
