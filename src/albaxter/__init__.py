@@ -14,18 +14,18 @@ from .classical_chain import (
     ConservedSet,
     DegenerateStateError,
     classical_rmatrix,
-    conserved_det_bracket,
-    conserved_gradients,
     conserved_quantities,
     dense_monodromy,
     entry_brackets,
     eom_rhs,
-    monodromy_det_eval,
+    monodromy_det_residuals,
     monodromy_matrix,
     rk4_step,
     rmatrix_relation_residual,
     rmatrix_relation_residuals,
     trace_bracket,
+    trace_det_bracket,
+    trace_difference,
 )
 from .backlund import (
     BTError,

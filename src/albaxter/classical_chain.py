@@ -14,28 +14,36 @@ The Poisson structure is ultralocal:
 
 equivalent to the linear r-matrix relation {L (x) L} = [r, L (x) L].
 
-The checks run on one dense transfer kernel.  The monodromy is a
-(2, 2, 2N+1) complex array of Laurent coefficients (index e + N holds the
-coefficient of lam^e), built in N steps L_k M where multiplying by
-lam^(+-1) is an index shift.  Its coefficients are not pruned: they are
-sums of monomials with no cancellation, and their spread outgrows the
-1e-15 relative pruning of :class:`~albaxter.algebra.LaurentPoly` near
-N = 512, where that rule would zero H_0 and H_1.  The Laurent determinant
-does cancel down to one constant, so its products are pruned by that rule.
-Exact bracket gradients come from prefix and suffix products,
+The checks run on numeric 2x2 products at spectral points.  Exact bracket
+gradients come from prefix and suffix products,
 
     dL/dq_k = P_{>k} E12 P_{<k},   dL/dr_k = P_{>k} E21 P_{<k},
 
-with P_{<k} = L_{k-1} ... L_1 and P_{>k} = L_N ... L_{k+1}: numeric 2x2
-products at spectral points for the r-matrix and trace-involution checks,
-dense Laurent arrays for brackets of the H_i.  The numeric products run
-batched: one N-step loop of stacked 2x2 products serves a whole stack of
-states, each at its own points, so the r-matrix check takes all its draws
-through one loop.  numpy's stacked 2x2 product gives each matrix the same
+with P_{<k} = L_{k-1} ... L_1 and P_{>k} = L_N ... L_{k+1}, and the last
+prefix product is the monodromy itself.  The products run batched: one
+N-step loop of stacked 2x2 products serves a whole stack of states, each at
+its own points, so a check takes all its draws through one loop in O(N)
+time and memory.  numpy's stacked 2x2 product gives each matrix the same
 bits at any stack size, so a state's gradients do not depend on the batch
 it came in.  Every bracket is the one weighted sum `_bracket` over such
-gradients.  The tests check the kernel against the same objects built
-over generic LaurentPoly/MultiDual arithmetic (`tests/oracles.py`).
+gradients.
+
+Identities between Laurent polynomials in lam are checked at points, not
+coefficient by coefficient: two Laurent polynomials of degree N that agree
+at a random point agree everywhere with probability one (Schwartz-Zippel).
+Since Tr L(lam) = sum_i H_i lam^(N-2i), one point of {Tr L(lam), det L}
+tests {H_i, det L} = 0 for every i at once, and one point of the trace of a
+cyclically shifted state tests every H_i.  The points lie on |lam| = 1,
+where the monodromy grows least with N.
+
+The coefficients themselves come from one dense kernel: the monodromy as a
+(2, 2, 2N+1) complex array of Laurent coefficients (index e + N holds the
+coefficient of lam^e), built in N steps L_k M where multiplying by
+lam^(+-1) is an index shift.  It costs O(N^2) time and memory and serves
+only where the H_i are read one by one: `conserved_quantities`, for the
+CLI's records and the drift of the H_i under a Backlund map.  The tests
+check both kernels against the same objects built over generic
+LaurentPoly/MultiDual arithmetic (`tests/oracles.py`).
 """
 
 from dataclasses import dataclass
@@ -145,15 +153,6 @@ def monodromy_matrix(state, lam):
     return np.array([[m11, m12], [m21, m22]], dtype=complex)
 
 
-def _prune(a):
-    """Zero, in place, the coefficients (last axis) below 1e-15 times the
-    largest of their polynomial, or below 1e-300: LaurentPoly's rule."""
-    mag = np.abs(a)
-    top = mag.max(axis=-1, keepdims=True)
-    a[(mag < 1e-15 * top) | (mag <= 1e-300)] = 0.0
-    return a
-
-
 def _roll(a, k):
     """np.roll(a, k, axis=0) for k = +-1, as one concatenation of slices:
     _roll(a, 1)[j] = a[j - 1] and _roll(a, -1)[j] = a[j + 1], cyclic."""
@@ -177,28 +176,12 @@ def _lax_left(M, qk, rk):
     return out
 
 
-def _lax_right(M, qk, rk):
-    """M L_k for a dense (2, 2, 2N+1) monodromy factor; the diagonal of
-    L_k shifts column 0 up and column 1 down one power, as in `_lax_left`."""
-    out = np.empty_like(M)
-    np.multiply(rk, M[:, 1], out=out[:, 0])
-    np.multiply(qk, M[:, 0], out=out[:, 1])
-    up, down = out[:, 0, 1:], out[:, 1, :-1]
-    np.add(up, M[:, 0, :-1], out=up)
-    np.add(down, M[:, 1, 1:], out=down)
-    return out
-
-
-def _dense_identity(N):
-    M = np.zeros((2, 2, 2 * N + 1), dtype=complex)
-    M[0, 0, N] = M[1, 1, N] = 1.0
-    return M
-
-
 def dense_monodromy(state):
     """Monodromy L_N ... L_1 as a (2, 2, 2N+1) complex array of Laurent
     coefficients; index e + N holds the coefficient of lam^e."""
-    M = _dense_identity(state.N)
+    N = state.N
+    M = np.zeros((2, 2, 2 * N + 1), dtype=complex)
+    M[0, 0, N] = M[1, 1, N] = 1.0
     for qk, rk in zip(state.q, state.r):
         M = _lax_left(M, qk, rk)
     return M
@@ -220,41 +203,46 @@ def conserved_quantities(state):
     return ConservedSet(H=tr[2 * N::-2], det=lax_det(state))
 
 
-def monodromy_det_eval(state, lam):
-    """Laurent determinant of the dense monodromy, evaluated at lam.
-
-    Exactly, the result is prod_k (1 - q_k r_k): every other coefficient
-    cancels.  The products M11 M22 and M12 M21 and their difference are
-    pruned like LaurentPoly arithmetic, which removes most of that
-    cancellation's roundoff before the powers of lam amplify it.
-    """
-    N = state.N
-    M = dense_monodromy(state)
-    det = _prune(_prune(np.convolve(M[0, 0], M[1, 1]))
-                 - _prune(np.convolve(M[0, 1], M[1, 0])))
-    return complex(np.sum(det * lam ** np.arange(-2 * N, 2 * N + 1,
-                                                 dtype=float)))
-
-
 def _bracket(fq, fr, gq, gr, w):
     """sum_k (df/dq_k dg/dr_k - df/dr_k dg/dq_k)(1 - q_k r_k), last axis."""
     return np.sum((fq * gr - fr * gq) * w, axis=-1)
+
+
+def _lax_stack(q, r, lams):
+    """The local Lax matrices of a stack of B states, q and r of shape
+    (B, N), each at its own n points, lams of shape (B, n): an array of
+    shape (N, B, n, 2, 2) whose [k] holds L_{k+1}."""
+    lams = np.asarray(lams, dtype=complex)
+    L = np.empty((q.shape[1],) + lams.shape + (2, 2), dtype=complex)
+    L[..., 0, 0] = lams
+    L[..., 0, 1] = q.T[:, :, None]
+    L[..., 1, 0] = r.T[:, :, None]
+    L[..., 1, 1] = 1.0 / lams
+    return L
+
+
+def _monodromies(q, r, lams):
+    """Numeric monodromies L_N ... L_1 of a stack of B states, q and r of
+    shape (B, N), each at its own n points, lams of shape (B, n): shape
+    (B, n, 2, 2), one stacked 2x2 product per site.  They are the bits of
+    the last prefix product of `_entry_gradients`."""
+    L = _lax_stack(q, r, lams)
+    M = np.broadcast_to(np.eye(2, dtype=complex), L.shape[1:])
+    for Lk in L:
+        M = Lk @ M
+    return M
 
 
 def _entry_gradients(q, r, lams):
     """Exact gradients dL/dq, dL/dr of the monodromy entries for a stack of
     B states, q and r of shape (B, N), each at its own n points, lams of
     shape (B, n).  Returns two arrays of shape (B, n, 2, 2, N), from
-    dL/dq_k = P_{>k} E12 P_{<k} and dL/dr_k = P_{>k} E21 P_{<k}; every
-    prefix and suffix step is one stacked 2x2 product over all B n pairs.
+    dL/dq_k = P_{>k} E12 P_{<k} and dL/dr_k = P_{>k} E21 P_{<k}, and the
+    monodromies (B, n, 2, 2), the last prefix product; every prefix and
+    suffix step is one stacked 2x2 product over all B n pairs.
     """
     N = q.shape[1]
-    lams = np.asarray(lams, dtype=complex)
-    L = np.empty((N,) + lams.shape + (2, 2), dtype=complex)
-    L[..., 0, 0] = lams
-    L[..., 0, 1] = q.T[:, :, None]
-    L[..., 1, 0] = r.T[:, :, None]
-    L[..., 1, 1] = 1.0 / lams
+    L = _lax_stack(q, r, lams)
     pre = np.empty((N + 1,) + L.shape[1:], dtype=complex)
     suf = np.empty_like(pre)
     pre[0] = suf[N] = np.eye(2)
@@ -265,57 +253,60 @@ def _entry_gradients(q, r, lams):
     # (S E12 P)_ab = S_a0 P_1b and (S E21 P)_ab = S_a1 P_0b
     dq = np.einsum("kmna,kmnb->mnabk", S[..., :, 0], P[..., 1, :])
     dr = np.einsum("kmna,kmnb->mnabk", S[..., :, 1], P[..., 0, :])
-    return dq, dr
+    return dq, dr, pre[N].copy()
+
+
+def _trace_gradients(state, lams):
+    """d Tr L(lam)/dq and d Tr L(lam)/dr of one state at each of its n
+    points lams, each of shape (n, N)."""
+    dq, dr, _ = _entry_gradients(state.q[None], state.r[None],
+                                 np.asarray(lams)[None])
+    return dq[0, :, 0, 0] + dq[0, :, 1, 1], dr[0, :, 0, 0] + dr[0, :, 1, 1]
 
 
 def trace_bracket(state, lam, nu):
     """{Tr L(lam), Tr L(nu)} from exact prefix/suffix gradients."""
-    dq, dr = _entry_gradients(state.q[None], state.r[None], [[lam, nu]])
-    tq = dq[0, :, 0, 0] + dq[0, :, 1, 1]
-    tr = dr[0, :, 0, 0] + dr[0, :, 1, 1]
+    tq, tr = _trace_gradients(state, [lam, nu])
     w = 1.0 - state.q * state.r
     return complex(_bracket(tq[0], tr[0], tq[1], tr[1], w))
 
 
-def _coeff_of_product(A, B, e):
-    """Coefficient of lam^e in A(lam) B(lam) for dense Laurent arrays of
-    length 2N+1 (last axis), batched over the leading axes."""
-    n2 = A.shape[-1] - 1
-    lo, hi = max(e, 0), min(e, 0) + n2 + 1
-    return np.sum(A[..., lo:hi] * B[..., lo:hi][..., ::-1], axis=-1)
-
-
-def conserved_gradients(state, i):
-    """Exact (dH_i/dq, dH_i/dr) from dense prefix/suffix products: the
-    coefficient of lam^(N-2i) in Tr(P_{>k} E12 P_{<k}) and with E21."""
-    if not 0 <= i <= state.N:
-        raise IndexError(f"H_{i} out of range 0..{state.N}")
-    q, r = state.q, state.r
-    N = state.N
-    pre = np.empty((N + 1, 2, 2, 2 * N + 1), dtype=complex)
-    suf = np.empty_like(pre)
-    pre[0] = suf[N] = _dense_identity(N)
-    for k in range(N):
-        pre[k + 1] = _lax_left(pre[k], q[k], r[k])
-        suf[N - 1 - k] = _lax_right(suf[N - k], q[N - 1 - k], r[N - 1 - k])
-    S, P = suf[1:], pre[:-1]
-    e = N - 2 * i
-    # Tr(S E12 P) = sum_a S_a0 P_1a and Tr(S E21 P) = sum_a S_a1 P_0a
-    dq = sum(_coeff_of_product(S[:, a, 0], P[:, 1, a], e) for a in (0, 1))
-    dr = sum(_coeff_of_product(S[:, a, 1], P[:, 0, a], e) for a in (0, 1))
-    return dq, dr
-
-
-def conserved_det_bracket(state, i):
-    """{H_i, det L} with exact gradients; d det/dq_k = -r_k prod_{j!=k} w_j
-    and d det/dr_k = -q_k prod_{j!=k} w_j, where w_j = 1 - q_j r_j."""
-    hq, hr = conserved_gradients(state, i)
+def trace_det_bracket(state, lams):
+    """{Tr L(lam), det L} at each point of lams, and the bracket's condition
+    scale sum_k (|f_q g_r| + |f_r g_q|) |w_k|, the size of the terms its sum
+    cancels.  Both of shape (n,).  Exactly, the bracket is
+    sum_i lam^(N-2i) {H_i, det L} = 0.  The gradients of det L are
+    d det/dq_k = -r_k prod_{j!=k} w_j and d det/dr_k = -q_k prod_{j!=k} w_j,
+    where w_j = 1 - q_j r_j."""
+    fq, fr = _trace_gradients(state, lams)
     w = 1.0 - state.q * state.r
     # prod_{j != k} w_j as exclusive prefix times exclusive suffix products
     before = np.concatenate(([1.0], np.cumprod(w[:-1])))
     after = np.concatenate((np.cumprod(w[:0:-1])[::-1], [1.0]))
     excl = before * after
-    return complex(_bracket(hq, hr, -state.r * excl, -state.q * excl, w))
+    gq, gr = -state.r * excl, -state.q * excl
+    scale = np.sum((np.abs(fq * gr) + np.abs(fr * gq)) * np.abs(w), axis=-1)
+    return _bracket(fq, fr, gq, gr, w), scale
+
+
+def trace_difference(a, b, lams):
+    """|Tr L_a(lam) - Tr L_b(lam)| of two states of one size at each point
+    of lams, relative to the largest diagonal entry of their two
+    monodromies there; shape (n,)."""
+    M = _monodromies(np.stack((a.q, b.q)), np.stack((a.r, b.r)),
+                    np.stack((lams, lams)))
+    diag = np.abs(np.diagonal(M, axis1=-2, axis2=-1))
+    tr = M[..., 0, 0] + M[..., 1, 1]
+    return np.abs(tr[0] - tr[1]) / diag.max(axis=(0, 2))
+
+
+def monodromy_det_residuals(state, lams):
+    """|M11 M22 - M12 M21 - det L| of the monodromy at each point of lams,
+    relative to max(|M11 M22|, |M12 M21|), the terms the difference
+    cancels; det L is `lax_det`.  Shape (n,)."""
+    M = _monodromies(state.q[None], state.r[None], np.asarray(lams)[None])[0]
+    d, o = M[:, 0, 0] * M[:, 1, 1], M[:, 0, 1] * M[:, 1, 0]
+    return np.abs(d - o - lax_det(state)) / np.maximum(np.abs(d), np.abs(o))
 
 
 def eom_rhs(state):
@@ -382,25 +373,24 @@ def entry_brackets(state, lam, nu):
     entries, from exact prefix/suffix gradients; Kronecker indexing follows
     T_{ab,gd} = {L(lam)_ab, L(nu)_gd}.
     """
-    dq, dr = _entry_gradients(state.q[None], state.r[None], [[lam, nu]])
+    dq, dr, _ = _entry_gradients(state.q[None], state.r[None], [[lam, nu]])
     return _brackets_of(dq[0], dr[0], 1.0 - state.q * state.r)
 
 
 def rmatrix_relation_residuals(states, lams, nus):
     """Max-entry residuals of {L(lam) (x) L(nu)} = [r, L(lam) (x) L(nu)],
     one per draw (states[i], lams[i], nus[i]); the states share one N.
-    The left sides of all draws come from one `_entry_gradients` loop, the
-    monodromies in K from `monodromy_matrix`."""
+    The left sides of all draws and the monodromies in K come from one
+    `_entry_gradients` loop."""
     for lam, nu in zip(lams, nus):
         if lam == 0 or nu == 0 or abs(lam**2 - nu**2) == 0:
             raise ZeroDivisionError("singular spectral parameters")
-    dq, dr = _entry_gradients(np.stack([s.q for s in states]),
-                              np.stack([s.r for s in states]),
-                              np.column_stack((lams, nus)))
+    dq, dr, M = _entry_gradients(np.stack([s.q for s in states]),
+                                 np.stack([s.r for s in states]),
+                                 np.column_stack((lams, nus)))
     lhs = _brackets_of(dq, dr, 1.0 - np.stack([s.q * s.r for s in states]))
     # K = L(lam) (x) L(nu) per draw: K[(a, g), (b, d)] = L(lam)_ab L(nu)_gd
-    Ml = np.stack([monodromy_matrix(s, lam) for s, lam in zip(states, lams)])
-    Mn = np.stack([monodromy_matrix(s, nu) for s, nu in zip(states, nus)])
+    Ml, Mn = M[:, 0], M[:, 1]
     K = (Ml[:, :, None, :, None] * Mn[:, None, :, None, :]).reshape(-1, 4, 4)
     rmat = classical_rmatrix(np.asarray(lams), np.asarray(nus))
     diff = np.abs(lhs - (rmat @ K - K @ rmat))

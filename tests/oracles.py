@@ -151,17 +151,6 @@ def lax_left_zeros(M, qk, rk):
     return out
 
 
-def lax_right_zeros(M, qk, rk):
-    """M L_k in the zeroed-buffer form that classical_chain._lax_right
-    replaced."""
-    out = np.zeros_like(M)
-    out[:, 0, 1:] = M[:, 0, :-1]
-    out[:, 1, :-1] = M[:, 1, 1:]
-    out[:, 0] += rk * M[:, 1]
-    out[:, 1] += qk * M[:, 0]
-    return out
-
-
 def intertwining_loop(bt, lam):
     """Max-entry residual of L~_k(lam) D_k(lam) - D_{k+1}(lam) L_k(lam) by
     the per-site loop of single 2x2 products that
@@ -420,12 +409,13 @@ def baxter_qdiff_residual_loop(cfg, nu_samples):
 
 def rmatrix_relation_residuals_loop(states, lams, nus):
     """classical_chain.rmatrix_relation_residuals with the per-draw tail it
-    replaced: per draw, the 4x4 brackets, np.kron of the two monodromies,
-    the r-matrix and the commutator.  Returns the residuals and, per draw,
+    replaced: per draw, the 4x4 brackets, np.kron of the two monodromies
+    (the last prefix products of the gradient loop), the r-matrix and the
+    commutator.  Returns the residuals and, per draw,
     the largest |entry| of the brackets, |r| |K| and |K| |r|."""
-    dq, dr = chain._entry_gradients(np.stack([s.q for s in states]),
-                                    np.stack([s.r for s in states]),
-                                    np.column_stack((lams, nus)))
+    dq, dr, M = chain._entry_gradients(np.stack([s.q for s in states]),
+                                       np.stack([s.r for s in states]),
+                                       np.column_stack((lams, nus)))
     res, scale = [], []
     for i, (state, lam, nu) in enumerate(zip(states, lams, nus)):
         w = 1.0 - state.q * state.r
@@ -433,8 +423,7 @@ def rmatrix_relation_residuals_loop(states, lams, nus):
                             dr[i][0][:, :, None, None],
                             dq[i][1][None, None], dr[i][1][None, None], w)
         lhs = br.transpose(0, 2, 1, 3).reshape(4, 4)
-        K = np.kron(chain.monodromy_matrix(state, lam),
-                    chain.monodromy_matrix(state, nu))
+        K = np.kron(M[i][0], M[i][1])
         rmat = chain.classical_rmatrix(lam, nu)
         res.append(np.abs(lhs - (rmat @ K - K @ rmat)).max())
         r, k = np.abs(rmat), np.abs(K)

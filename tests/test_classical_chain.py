@@ -5,15 +5,15 @@ import pytest
 
 from albaxter import classical_chain as chain
 from albaxter.classical_chain import (ChainState, DegenerateStateError,
-                                      classical_rmatrix, conserved_det_bracket,
-                                      conserved_gradients,
-                                      conserved_quantities, dense_monodromy,
-                                      entry_brackets, eom_rhs,
-                                      monodromy_det_eval, monodromy_matrix,
-                                      rk4_step, rmatrix_relation_residual,
-                                      trace_bracket)
+                                      classical_rmatrix, conserved_quantities,
+                                      dense_monodromy, entry_brackets,
+                                      eom_rhs, monodromy_det_residuals,
+                                      monodromy_matrix, rk4_step,
+                                      rmatrix_relation_residual,
+                                      trace_bracket, trace_det_bracket,
+                                      trace_difference)
 
-from oracles import (lax_left_zeros, lax_right_zeros, local_lax, monodromy,
+from oracles import (lax_left_zeros, local_lax, monodromy,
                      observable_conserved, observable_det, observable_entry,
                      observable_trace, poisson_bracket,
                      rmatrix_relation_residuals_loop)
@@ -100,8 +100,13 @@ def _relative(got, want):
 KERNEL_SIZES = (1, 2, 3, 5, 8)
 
 
+# points on |lam| = 1, where the suite draws its point checks, and two off it
+POINTS = np.array([np.exp(0.7j), np.exp(-2.1j), 1.3 + 0.2j, 0.7 - 0.5j])
+
+
 class TestDenseKernel:
-    """The dense transfer kernel against the LaurentPoly/MultiDual oracles."""
+    """The dense and the point kernels against the LaurentPoly/MultiDual
+    oracles."""
 
     @pytest.mark.parametrize("N", KERNEL_SIZES)
     def test_monodromy_coefficients(self, N):
@@ -140,12 +145,15 @@ class TestDenseKernel:
         assert cons.H[0] == 1.0 and cons.H[512] == 1.0
 
     def test_det_eval_against_laurent_det(self):
+        # M11 M22 - M12 M21 of the numeric monodromy at a point is the
+        # Laurent determinant there, and both are prod_k (1 - q_k r_k)
         for N in KERNEL_SIZES:
             st = ChainState.random(N, np.random.default_rng(90 + N))
-            want = monodromy(st).det().eval(1.7)
-            assert _relative(monodromy_det_eval(st, 1.7), want) < 1e-13
-            assert _relative(monodromy_det_eval(st, 1.7),
-                             np.prod(1 - st.q * st.r)) < 1e-12
+            det = monodromy(st).det()
+            for lam in POINTS:
+                assert _relative(det.eval(lam), np.prod(1 - st.q * st.r)) \
+                    < 1e-13
+            assert (monodromy_det_residuals(st, POINTS) < 1e-14).all()
 
     @pytest.mark.parametrize("N", (1, 2, 3, 4, 6))
     def test_trace_bracket_against_multidual(self, N):
@@ -162,38 +170,67 @@ class TestDenseKernel:
 
     @pytest.mark.parametrize("N", (1, 2, 3, 4, 6))
     def test_conserved_det_bracket_against_multidual(self, N):
+        # {Tr L(lam), det L} at a point is sum_i lam^(N-2i) {H_i, det L},
+        # each {H_i, det L} from MultiDual gradients of the Laurent trace
         st = ChainState.random(N, np.random.default_rng(110 + N))
-        for i in range(N + 1):
-            want = poisson_bracket(observable_conserved(i),
-                                   observable_det, st)
-            assert abs(conserved_det_bracket(st, i) - want) < 1e-13
+        h_det = [poisson_bracket(observable_conserved(i), observable_det, st)
+                 for i in range(N + 1)]
+        got, scale = trace_det_bracket(st, POINTS)
+        assert got.shape == scale.shape == (len(POINTS),)
+        for lam, g, sc in zip(POINTS, got, scale):
+            want = sum(lam ** (N - 2 * i) * h for i, h in enumerate(h_det))
+            # at N = 1 the trace does not depend on q, r: both are 0
+            assert abs(g - want) <= 1e-15 * sc
+            assert abs(g) <= 1e-15 * sc
 
     @pytest.mark.parametrize("N", (1, 2, 3, 4, 6))
     def test_conserved_gradients_against_multidual(self, N):
-        # {H_i, r_k} = dH_i/dq_k w_k and {q_k, H_i} = dH_i/dr_k w_k
+        # the trace gradients at a point are the generating function of
+        # the conserved ones: d Tr L(lam)/dq_k = sum_i lam^(N-2i) dH_i/dq_k,
+        # with {H_i, r_k} = dH_i/dq_k w_k and {q_k, H_i} = dH_i/dr_k w_k
         st = ChainState.random(N, np.random.default_rng(140 + N))
         w = 1 - st.q * st.r
+        hq = np.zeros((N + 1, N), dtype=complex)
+        hr = np.zeros((N + 1, N), dtype=complex)
         for i in range(N + 1):
-            hq, hr = conserved_gradients(st, i)
             h = observable_conserved(i)
             for k in range(N):
-                want_q = poisson_bracket(h, lambda q, r: r[k], st) / w[k]
-                want_r = poisson_bracket(lambda q, r: q[k], h, st) / w[k]
-                assert abs(hq[k] - want_q) < 1e-13
-                assert abs(hr[k] - want_r) < 1e-13
+                hq[i, k] = poisson_bracket(h, lambda q, r: r[k], st) / w[k]
+                hr[i, k] = poisson_bracket(lambda q, r: q[k], h, st) / w[k]
+        tq, tr = chain._trace_gradients(st, POINTS)
+        for lam, gq, gr in zip(POINTS, tq, tr):
+            powers = lam ** (N - 2.0 * np.arange(N + 1))
+            scale = np.abs(powers) @ (np.abs(hq) + np.abs(hr))
+            assert (np.abs(gq - powers @ hq) <= 1e-14 * scale).all()
+            assert (np.abs(gr - powers @ hr) <= 1e-14 * scale).all()
 
     def test_h1_gradients_closed_form(self):
-        # H_1 = sum_k r_k q_{k+1}: dH_1/dq_k = r_{k-1}, dH_1/dr_k = q_{k+1}
-        st = ChainState.random(64, np.random.default_rng(150))
-        hq, hr = conserved_gradients(st, 1)
-        assert np.abs(hq - np.roll(st.r, 1)).max() < 1e-14
-        assert np.abs(hr - np.roll(st.q, -1)).max() < 1e-14
+        # H_1 = sum_k r_k q_{k+1}: dH_1/dq_k = r_{k-1}, dH_1/dr_k = q_{k+1}.
+        # On the N+1 points lam_j = exp(i pi j/(N+1)) the powers
+        # lam^(N-2i) are orthogonal, so the coefficient of lam^(N-2) is a
+        # discrete Fourier sum over the trace gradients at those points
+        N = 64
+        st = ChainState.random(N, np.random.default_rng(150))
+        lams = np.exp(1j * np.pi * np.arange(N + 1) / (N + 1))
+        tq, tr = chain._trace_gradients(st, lams)
+        weight = lams ** -(N - 2.0) / (N + 1)
+        # roundoff of the sum: a few eps times the largest gradient entry
+        tol = 1e-14 * max(np.abs(tq).max(), np.abs(tr).max())
+        assert np.abs(weight @ tq - np.roll(st.r, 1)).max() < tol
+        assert np.abs(weight @ tr - np.roll(st.q, -1)).max() < tol
 
-    def test_conserved_index_range(self):
-        with pytest.raises(IndexError):
-            conserved_det_bracket(N2_STATE, 3)
-        with pytest.raises(IndexError):
-            conserved_gradients(N2_STATE, -1)
+    @pytest.mark.parametrize("N", (1, 2, 5, 8))
+    def test_trace_difference_against_laurent_trace(self, N):
+        # Tr L(lam) of a state and its cyclic shifts agree at every point;
+        # each trace against the Laurent oracle's
+        st = ChainState.random(N, np.random.default_rng(230 + N))
+        tr = monodromy(st).trace()
+        M = chain._monodromies(st.q[None], st.r[None], POINTS[None])[0]
+        for lam, m in zip(POINTS, M):
+            assert _relative(np.trace(m), tr.eval(lam)) < 1e-14
+        for shift in range(N):
+            rolled = ChainState(np.roll(st.q, shift), np.roll(st.r, shift))
+            assert (trace_difference(st, rolled, POINTS) < 1e-14).all()
 
     @pytest.mark.parametrize("N", (1, 2, 3, 4, 6))
     def test_entry_brackets_against_multidual(self, N):
@@ -243,13 +280,18 @@ class TestBatchedKernels:
         states, lams = _draws(N, B, 180 + N + B)
         q = np.stack([s.q for s in states])
         r = np.stack([s.r for s in states])
-        dq, dr = chain._entry_gradients(q, r, lams)
+        dq, dr, M = chain._entry_gradients(q, r, lams)
         assert dq.shape == dr.shape == (B, 2, 2, 2, N)
+        assert np.array_equal(M, chain._monodromies(q, r, lams))
         for i in range(B):
-            one_q, one_r = chain._entry_gradients(q[i:i + 1], r[i:i + 1],
-                                                  lams[i:i + 1])
+            one_q, one_r, one_m = chain._entry_gradients(
+                q[i:i + 1], r[i:i + 1], lams[i:i + 1])
             assert np.array_equal(dq[i], one_q[0])
             assert np.array_equal(dr[i], one_r[0])
+            assert np.array_equal(M[i], one_m[0])
+            for lam, m in zip(lams[i], M[i]):
+                want = monodromy_matrix(states[i], lam)
+                assert np.abs(m - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("N", (1, 2, 16))
     def test_rmatrix_residuals_match_single_draws(self, N):
@@ -284,8 +326,6 @@ class TestBatchedKernels:
         for qk, rk in zip(st.q, st.r):
             assert np.array_equal(chain._lax_left(M, qk, rk),
                                   lax_left_zeros(M, qk, rk))
-            assert np.array_equal(chain._lax_right(M, qk, rk),
-                                  lax_right_zeros(M, qk, rk))
 
     @pytest.mark.parametrize("N", (1, 2, 5))
     @pytest.mark.parametrize("k", (1, -1))

@@ -26,6 +26,34 @@ def test_one_tree_against_itself_has_no_differences():
         assert old == new and float(old) >= 0.0, check
 
 
+def test_suite_mode_runs_one_suite_per_seed_and_size():
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT),
+         "--suite", "classical", "--N", "2,3", "--seeds", "0-1"],
+        capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("suite classical at N=2,3, seeds 0-1: ")
+    # seven checks, each at two sizes and two seeds
+    assert lines[-1] == "28 ops, 0 changed, 0 pass->fail, 0 fail->pass"
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:-1]}
+    assert sorted(rows) == sorted(
+        ["classical.rmatrix_relation", "classical.trace_involution",
+         "classical.bracket_weight", "classical.conserved_involution",
+         "classical.cyclic_trace", "classical.monodromy_det",
+         "classical.rk4_drift_order"])
+    assert all(row[:3] == ["4", "0", "0"] for row in rows.values())
+
+
+def test_suite_mode_needs_sizes():
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT),
+         "--suite", "classical", "--seeds", "0"],
+        capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 2
+    assert "--suite needs --N" in proc.stderr
+
+
 def _tool():
     sys.path.insert(0, str(TOOL.parent))
     try:

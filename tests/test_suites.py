@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -60,11 +62,17 @@ def test_bt_suite_passes_at_default_config(seed):
     assert all(r.passed for r in records)
 
 
+def _classical_points(seed):
+    """The suite's three points of |lam| = 1, from its own stream."""
+    rng = np.random.default_rng([seed, zlib.crc32(b"classical.points")])
+    return np.exp(2j * np.pi * rng.uniform(size=3))
+
+
 @pytest.mark.parametrize("N", (2, 16))
 def test_classical_suite_matches_direct_calls(N):
-    # the suite runs its ten r-matrix draws as one batch and builds the
-    # dense monodromy of its state once; replaying its draws through
-    # single calls gives the same bits
+    # the suite runs its ten r-matrix draws as one batch and its point
+    # checks at three points of a stream of their own; replaying its draws
+    # through single calls gives the same bits
     seed = 5
     records = {r.check_id: r.residual for r in suites.suite_classical(
         RunConfig(N=N, seed=seed), np.random.default_rng(seed))}
@@ -76,12 +84,96 @@ def test_classical_suite_matches_direct_calls(N):
             state, *suites._sample_spectral_pair(rng)))
     assert records["classical.rmatrix_relation"] == max(rrel)
     state = chain.ChainState.random(N, rng)
-    cons = chain.conserved_quantities(state)
+    points = _classical_points(seed)
+    bracket, scale = chain.trace_det_bracket(state, points)
+    assert records["classical.conserved_involution"] == max(
+        np.abs(bracket) / scale)
     rolled = chain.ChainState(np.roll(state.q, 1), np.roll(state.r, 1))
-    assert records["classical.cyclic_trace"] == float(
-        np.abs(cons.H - chain.conserved_quantities(rolled).H).max())
-    assert records["classical.monodromy_det"] == abs(
-        chain.monodromy_det_eval(state, 1.7) - cons.det)
+    assert records["classical.cyclic_trace"] == max(
+        chain.trace_difference(state, rolled, points))
+    assert records["classical.monodromy_det"] == max(
+        chain.monodromy_det_residuals(state, points))
+    h1 = [np.sum(s.r * np.roll(s.q, -1))
+          for s in (state, chain.rk4_step(state, 1e-2),
+                    chain.rk4_step(state, 5e-3))]
+    ratio = abs(h1[1] - h1[0]) / abs(h1[2] - h1[0])
+    assert records["classical.rk4_drift_order"] == abs(np.log2(ratio) - 5.0)
+
+
+POINT_CHECKS = ("classical.conserved_involution", "classical.cyclic_trace",
+                "classical.monodromy_det")
+
+
+def _classical_records(N, seed):
+    return {r.check_id: r for r in suites.suite_classical(
+        RunConfig(N=N, seed=seed), np.random.default_rng(seed))}
+
+
+@pytest.mark.parametrize("N", (2, 8, 16))
+def test_classical_point_checks_fail_under_small_defects(N, monkeypatch):
+    # each point check, healthy at the roundoff floor, reads orders of
+    # magnitude above its bound under a defect of 1e-9 (1e-6 for a weight)
+    seeds = range(10)
+    for seed in seeds:
+        records = _classical_records(N, seed)
+        assert all(records[c].passed for c in POINT_CHECKS)
+        # one site of the shifted state off by 1e-9
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            chain.ChainState.random(N, rng)
+            suites._sample_spectral_pair(rng)
+        state = chain.ChainState.random(N, rng)
+        q = np.roll(state.q, 1)
+        q[N // 2] *= 1 + 1e-9
+        bad = chain.ChainState(q, np.roll(state.r, 1))
+        assert suites._worst(chain.trace_difference(
+            state, bad, _classical_points(seed))) >= 2e-11
+    lax_det = chain.lax_det
+    monkeypatch.setattr(chain, "lax_det", lambda s: lax_det(s) * (1 + 1e-9))
+    bracket = chain._bracket
+
+    def one_weight_off(fq, fr, gq, gr, w):
+        w = np.array(w)
+        w[..., 0] *= 1 + 1e-6
+        return bracket(fq, fr, gq, gr, w)
+
+    monkeypatch.setattr(chain, "_bracket", one_weight_off)
+    for seed in seeds:
+        records = _classical_records(N, seed)
+        det = records["classical.monodromy_det"]
+        involution = records["classical.conserved_involution"]
+        assert det.residual >= 1e-11 and not det.passed
+        assert involution.residual >= 2e-8 and not involution.passed
+
+
+def test_classical_overflow_reads_nan(monkeypatch):
+    # at 20 times the usual amplitude the monodromy overflows by N ~ 200;
+    # each point check then reads NaN, a FAIL, never 0 off an overflow
+    random = chain.ChainState.random
+
+    def loud(N, rng):
+        s = random(N, rng)
+        return chain.ChainState(20 * s.q, 20 * s.r)
+
+    monkeypatch.setattr(chain.ChainState, "random", staticmethod(loud))
+    with np.errstate(all="ignore"):
+        records = _classical_records(400, 0)
+    for check in POINT_CHECKS:
+        assert np.isnan(records[check].residual), check
+        assert not records[check].passed
+
+
+def test_classical_suite_memory_is_linear_in_N():
+    # no O(N^2) Laurent array: at N = 2048 the dense kernels peaked at
+    # ~1.1 GB
+    tracemalloc.start()
+    try:
+        with np.errstate(all="ignore"):
+            _classical_records(2048, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # Per suite at the default config, seeds 0-3: the generator's (state,

@@ -1,13 +1,19 @@
-"""Compare the check outcomes of two source trees on one benchmark workload.
+"""Compare the check outcomes of two source trees on one benchmark workload,
+or on one suite at sizes the benchmark does not reach.
 
     python3 tools/outcome_diff.py OLD_ROOT NEW_ROOT --workload chain-scale \
         --seeds 1-50
+    python3 tools/outcome_diff.py OLD_ROOT NEW_ROOT --suite classical \
+        --N 512,2048 --seeds 0-9
 
 Each root is a source checkout.  For each tree, one subprocess imports that
 tree's `src/albaxter` and `perfbench/workloads.py` (read, never edited),
 builds the workload's tasks at every seed of the range and runs each task
 once, untimed, with BLAS pinned to one thread as the benchmark pins it.
-Every residual is judged by the tree's own `workloads.judge`.
+With `--suite NAME --N LIST` the tasks are instead one call of
+`suites.SUITES[NAME]` per (seed, N), at `RunConfig(N=N, seed=seed)` with a
+generator seeded by the seed, as `albaxter verify NAME --N N --seed seed`
+runs it.  Every residual is judged by the tree's own `workloads.judge`.
 
 Per check id it prints how many residuals changed bits, the largest
 relative change, and the worst residual/bound ratio on each tree (the bound
@@ -39,7 +45,29 @@ def parse_seeds(text):
     return list(range(lo, hi + 1))
 
 
-def collect(root, workload, seeds):
+def parse_sizes(text):
+    """'A,B,...' as a list of ints."""
+    return [int(n) for n in text.split(",")]
+
+
+def suite_tasks(workloads, name, sizes, seed):
+    """One task per size: the suite `name` at that N and `seed`."""
+    import numpy as np
+    from albaxter import suites
+    from albaxter.report import RunConfig
+
+    def task(N):
+        cfg = RunConfig(N=N, seed=seed)
+
+        def run():
+            recs = suites.SUITES[name](cfg, np.random.default_rng(seed))
+            return [(r.check_id, r.residual) for r in recs]
+        return workloads.Task(f"suite.{name}", f"{name}/N={N}", run,
+                              workloads.SUITE_CHECKS[name])
+    return [task(N) for N in sizes]
+
+
+def collect(root, workload, seeds, suite=None, sizes=()):
     """Run every task of every seed on the tree at `root`; one JSON line
     per task to stdout.  Runs inside the subprocess."""
     root = Path(root).resolve()
@@ -51,21 +79,24 @@ def collect(root, workload, seeds):
     import workloads
     print(json.dumps({"tolerances": workloads.TOLERANCES}))
     for seed in seeds:
-        for task in workloads.build_tasks(workload, seed):
+        tasks = (suite_tasks(workloads, suite, sizes, seed) if suite
+                 else workloads.build_tasks(workload, seed))
+        for task in tasks:
             res = workloads.run_task(task)
             print(json.dumps({"seed": seed, "task": res.label,
                               "error": res.error, "ops": res.ops,
                               "missing": list(res.missing)}))
 
 
-def run_tree(root, workload, seeds):
+def run_tree(root, target, seeds):
     """{(seed, task): ({check_id: (residual or None, passed)}, error)} of
-    one tree and its tolerance table, from a subprocess running `collect`."""
+    one tree and its tolerance table, from a subprocess running `collect`.
+    `target` is the command-line selection: ["--workload", W] or
+    ["--suite", NAME, "--N", LIST]."""
     env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
     env.pop("PYTHONPATH", None)
     cmd = [sys.executable, str(Path(__file__).resolve()), "--collect",
-           str(root), "--workload", workload,
-           "--seeds", f"{seeds[0]}-{seeds[-1]}"]
+           str(root), *target, "--seeds", f"{seeds[0]}-{seeds[-1]}"]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
                           check=False)
     if proc.returncode != 0:
@@ -157,18 +188,31 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("old_root", nargs="?")
     p.add_argument("new_root", nargs="?")
-    p.add_argument("--workload", required=True)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--workload")
+    which.add_argument("--suite", help="one suite, at the sizes of --N")
+    p.add_argument("--N", type=parse_sizes, metavar="LIST",
+                   help="comma-separated chain lengths for --suite")
     p.add_argument("--seeds", type=parse_seeds, required=True)
     p.add_argument("--collect", metavar="ROOT", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
+    if args.suite and not args.N:
+        p.error("--suite needs --N")
     if args.collect:
-        collect(args.collect, args.workload, args.seeds)
+        collect(args.collect, args.workload, args.seeds, args.suite,
+                args.N or ())
         return 0
     if args.old_root is None or args.new_root is None:
         p.error("OLD_ROOT and NEW_ROOT are required")
-    old, old_tol = run_tree(args.old_root, args.workload, args.seeds)
-    new, new_tol = run_tree(args.new_root, args.workload, args.seeds)
-    print(f"{args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}: "
+    if args.suite:
+        sizes = ",".join(map(str, args.N))
+        target, title = ["--suite", args.suite, "--N", sizes], \
+            f"suite {args.suite} at N={sizes}"
+    else:
+        target, title = ["--workload", args.workload], args.workload
+    old, old_tol = run_tree(args.old_root, target, args.seeds)
+    new, new_tol = run_tree(args.new_root, target, args.seeds)
+    print(f"{title}, seeds {args.seeds[0]}-{args.seeds[-1]}: "
           f"{args.old_root} -> {args.new_root}")
     ratios = (worst_ratios(old, old_tol), worst_ratios(new, new_tol))
     return 1 if report(*compare(old, new), ratios) else 0
