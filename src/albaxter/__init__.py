@@ -66,7 +66,6 @@ from .fock import (
 from .bethe import (
     BetheConfig,
     BetheConvergenceError,
-    baxter_qdiff_residual,
     solve_bethe,
 )
 from .funspace import (

@@ -13,23 +13,19 @@ branch cuts,
                                 b_k = prod_{j != k} (x_j - (1+eta) x_k),
 
 continued in eta from eta = 0, where F_k = a_k (1 - x_k^N) and the roots
-are 2N-th roots of unity.  The associated transfer eigenvalue is
-
-    t(nu) = nu^N/(1+eta)^m prod_j (1 - eta nu^2/(lam_j^2 - nu^2))
-          + nu^-N/(1+eta)^m prod_j (1 + eta lam_j^2/(lam_j^2 - nu^2)),
-
-which on shell is a Laurent polynomial with exponents N, N-2, ..., -N.  In
-x = nu^2 the three-term identity t(nu) psi(nu) = delta nu^N psi(nu/sa) +
-nu^-N psi(nu sa) (sa = sqrt(alpha), delta = alpha^m, psi = prod_j (nu^2 -
-lam_j^2)) reads
+are 2N-th roots of unity.  On shell the transfer eigenvalue t(nu) is a
+Laurent polynomial with exponents N, N-2, ..., -N, and the q-difference
+Baxter equation t(nu) psi(nu) = delta nu^N psi(nu/sa) + nu^-N psi(nu sa)
+(sa = sqrt(alpha), delta = alpha^m, psi = prod_j (nu^2 - lam_j^2)) reads,
+in x = nu^2 with t(nu) = P(x)/nu^N,
 
     P(x) Psi(x) = x^N Psi_-(x) + alpha^m Psi_+(x),
 
-with Psi_-+(x) = prod_j (x - alpha^{+-1} lam_j^2), so the polynomial part
-P of t is obtained by long division; the division remainder vanishes
-precisely on shell, which is what gives the off-shell negative control its
-teeth (evaluating the product formula for t against the identity is an
-algebraic tautology for any root set).
+with Psi_-+(x) = prod_j (x - alpha^{+-1} lam_j^2).  P is the quotient of
+the right-hand side by Psi, and the division remainder vanishes exactly
+when the roots are on shell: this polynomial identity is the whole check,
+with no sampling in nu, and the same remainder on perturbed roots is its
+negative control.
 """
 
 from dataclasses import dataclass
@@ -182,76 +178,27 @@ def bethe_residuals_roots(roots, N, qp):
                   - roots ** (2 * N))
 
 
-def transfer_eigenvalue_roots(roots, N, qp, nu):
-    """Transfer eigenvalue t(nu) from the product formula."""
-    roots = np.asarray(roots, dtype=complex)
-    eta = qp.eta
-    lam2 = roots**2
-    d = lam2 - nu**2
-    if nu == 0 or np.any(np.abs(d) < 1e-12):
-        raise ZeroDivisionError("t(nu) pole: nu^2 collides with a root")
-    m = roots.size
-    pref = (1.0 + eta) ** (-m)
-    return (nu**N * pref * np.prod(1.0 - eta * nu**2 / d)
-            + nu ** (-N) * pref * np.prod(1.0 + eta * lam2 / d))
-
-
 def transfer_poly_roots(roots, N, qp):
-    """Polynomial part P(x) of t(nu) nu^N in x = nu^2, by long division
-    by the monic psi(x) = prod_j (x - lam_j^2); returns the ascending
-    coefficients of P and of psi.  The remainder, dropped here, vanishes
-    exactly when the roots are on shell.
+    """Polynomial part P(x) of t(nu) nu^N in x = nu^2, and the relative
+    TQ remainder.
+
+    P is the quotient of x^N Psi_-(x) + alpha^m Psi_+(x) by the monic
+    Psi(x) = prod_j (x - lam_j^2).  The remainder of that division is
+    divided by the size of the terms that cancel in it, the largest
+    coefficient of the dividend and of |P| * |Psi| (coefficient
+    convolution), so it sits at roundoff on shell and is O(1) off shell;
+    a NaN root reads NaN.  Returns the ascending coefficients of P and
+    that relative remainder.
     """
     roots = np.asarray(roots, dtype=complex)
-    a = qp.alpha
-    m = roots.size
+    a, m = qp.alpha, roots.size
     lam2 = roots**2
-    psi = npoly.polyfromroots(lam2) if m else np.array([1.0 + 0.0j])
-    psi_minus = npoly.polyfromroots(a * lam2) if m else np.array([1.0 + 0.0j])
-    psi_plus = npoly.polyfromroots(lam2 / a) if m else np.array([1.0 + 0.0j])
+    psi, psi_minus, psi_plus = (npoly.polyfromroots(z)
+                                for z in (lam2, a * lam2, lam2 / a))
     rhs = np.zeros(N + m + 1, dtype=complex)
-    rhs[N:N + m + 1] += psi_minus
+    rhs[N:] += psi_minus
     rhs[:m + 1] += a**m * psi_plus
-    quo, _ = npoly.polydiv(rhs, psi)
-    return quo, psi
-
-
-def baxter_qdiff_residual(cfg, nu_samples):
-    """Max relative residual of the q-difference transfer identity at
-    sample points.
-
-    t is taken as the Laurent polynomial induced by the root set (division
-    quotient), then the identity
-
-        t(nu) psi(nu) = delta nu^N psi(nu/sa) + nu^-N psi(nu sa)
-
-    and its rescaled normalization with psi_hat = psi nu^(-2m),
-
-        t(nu) psi_hat(nu) = nu^N psi_hat(nu/sa) + delta nu^-N psi_hat(nu sa),
-
-    are evaluated with delta = alpha^m; each residual is |LHS - RHS| over
-    the largest of its three terms.  On-shell roots drive both to zero;
-    off-shell root sets leave the division remainder behind, O(1) of the
-    terms near |nu| = 1 and shrinking like |nu|^-N away from it.
-    """
-    qp = cfg.qp
-    sa = qp.sqrt_alpha
-    delta = qp.alpha ** cfg.m
-    N, m = cfg.N, cfg.m
-    quo, psi_c = transfer_poly_roots(cfg.roots, N, qp)
-    nu = np.atleast_1d(np.asarray(nu_samples, dtype=complex))
-    if np.any(nu == 0):
-        raise ValueError("nu samples must be nonzero")
-
-    def relative(*terms):  # a NaN in any term is returned
-        return np.abs(terms[0] - terms[1] - terms[2]) \
-            / np.max(np.abs(terms), axis=0)
-
-    # psi and psi_hat at nu, nu / sa, nu sa, all samples as arrays
-    z = np.stack([nu, nu / sa, nu * sa])
-    psi = npoly.polyval(z**2, psi_c)
-    ph = psi * z ** (-2 * m)
-    t = npoly.polyval(nu**2, quo) / nu**N
-    res = [relative(t * psi[0], delta * nu**N * psi[1], nu ** (-N) * psi[2]),
-           relative(t * ph[0], nu**N * ph[1], delta * nu ** (-N) * ph[2])]
-    return float(np.max(res, initial=0.0))  # a NaN is returned, not skipped
+    quo, rem = npoly.polydiv(rhs, psi)
+    scale = max(np.abs(rhs).max(),
+                npoly.polymul(np.abs(quo), np.abs(psi)).max())
+    return quo, float(np.abs(rem).max() / scale)

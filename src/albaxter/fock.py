@@ -39,8 +39,6 @@ from math import comb
 
 import numpy as np
 
-from .bethe import transfer_eigenvalue_roots
-
 DIM_CAP = 200_000
 
 # Raisings each identity carries.  One step lower every identity but the
@@ -336,7 +334,9 @@ def delta_product(rep, X):
 
 
 # ---------------------------------------------------------------------------
-# Bethe states
+# Bethe states.  The eigenvalue t(nu) is an input here: the bethe suite
+# takes it from the TQ quotient, t(nu) = P(nu^2)/nu^N
+# (bethe.transfer_poly_roots), so this layer holds no Bethe formula.
 
 
 def bethe_state(rep, roots):
@@ -355,15 +355,15 @@ def bethe_state(rep, roots):
     return phi
 
 
-def eigen_residual(rep, state, roots, nu):
-    """Relative residual || Tr L(nu) phi - t(nu) phi || / || phi ||, with the
-    eigenvalue t(nu) from the transfer-eigenvalue product formula."""
-    roots = np.asarray(getattr(roots, "roots", roots), dtype=complex)
-    if nu == 0 or np.any(np.abs(roots**2 - nu**2) < 1e-9):
-        raise ValueError("nu collides with a Bethe root or zero")
-    t = transfer_eigenvalue_roots(roots, rep.N, rep.qp, nu)
+def eigen_residual(rep, state, t, nu):
+    """Relative residual of Tr L(nu) phi = t phi for the eigenvalue t at
+    nu, || (A + D) phi - t phi || / max(|| (A + D) phi ||, |t| || phi ||):
+    at roundoff for a Bethe state and its eigenvalue, whatever the size of
+    t(nu) ~ |nu|^N."""
     A, _, _, D = rep.blocks(nu, state)
-    return float(np.linalg.norm(A + D - t * state) / np.linalg.norm(state))
+    lhs = A + D
+    return float(np.linalg.norm(lhs - t * state)
+                 / max(np.linalg.norm(lhs), abs(t) * np.linalg.norm(state)))
 
 
 def delta_eigen_residual(rep, state, m):

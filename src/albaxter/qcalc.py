@@ -20,9 +20,11 @@ alpha^n w for all its bounds w instead of once per node: f takes a
 that broadcasts.  The bounds are scalars or arrays, with one point or one
 per bound.  The first block has ceil(ln(JACKSON_TAIL) / ln|alpha|) + 2
 nodes per bound, each next block twice as many, JACKSON_MAX_NODES in all.
-A bound's sum ends at its first term below JACKSON_TAIL max(|partial sum|,
-largest |term| so far), a relative rule, or at its first NaN or infinite
-term, with that non-finite value.  It adds its terms in node order, so it
+A bound's sum ends at its first nonzero term below JACKSON_TAIL
+max(|partial sum|, largest |term| so far), a relative rule, at its first
+zero term past the depth where |alpha|^n < JACKSON_TAIL, or at its first
+NaN or infinite term, with that non-finite value; a zero of f at a node
+above that depth does not end it.  It adds its terms in node order, so it
 equals the node-by-node sum bit for bit.
 
 Every Baxter kernel goes through one scalar kernel for (x; alpha)_inf,
@@ -59,8 +61,9 @@ POLE_TOL = 1e-12
 # Guarded (x; alpha)_inf parts kept for reuse; the suites repeat an argument
 # within a few dozen calls of its first use.
 POCH_CACHE_SIZE = 128
-# Jackson integral: the sum stops at the first term below JACKSON_TAIL times
-# max(|partial sum|, largest |term|); no stop in JACKSON_MAX_NODES raises.
+# Jackson integral: the sum stops at the first nonzero term below
+# JACKSON_TAIL times max(|partial sum|, largest |term|), or at a zero term
+# where |alpha|^n < JACKSON_TAIL; no stop in JACKSON_MAX_NODES raises.
 JACKSON_TAIL = 1e-16
 JACKSON_MAX_NODES = 10_000
 
@@ -252,14 +255,18 @@ def jackson_integral(f, k, qp, b, a=None, point=None):
     scalar that stands for all of them.  The first block has
     ceil(ln(JACKSON_TAIL) / ln|alpha|) + 2 nodes per bound and each next
     one twice as many, so a polynomial integrand at alpha = 1/2 takes one
-    call.  A bound's sum stops at its first term below JACKSON_TAIL
-    max(|partial sum|, largest |term| so far); an all-zero integrand stops
-    at once, at 0, and a NaN or infinite term ends its bound's sum with a
-    NaN or infinite value, which a residual reports as a FAIL.  Each bound
-    adds its terms in node order, so it equals its node-by-node sum bit
-    for bit whatever bounds share the call; f may be evaluated beyond a
-    stop in the last block.  With no stop within JACKSON_MAX_NODES nodes
-    it raises ValueError.
+    call.  A bound's sum stops at its first nonzero term below
+    JACKSON_TAIL max(|partial sum|, largest |term| so far).  A zero term
+    stops it only at a node alpha^n w with |alpha|^n < JACKSON_TAIL (the
+    last two nodes of the first block and beyond): f may vanish at one
+    node (r - w at r = w), and a difference inside f may cancel to 0 deep
+    in the tail.  So an all-zero integrand stops after one call, at 0.  A
+    NaN or infinite term ends its bound's sum with a NaN or infinite
+    value, which a residual reports as a FAIL.  Each bound adds its terms
+    in node order, so it equals its node-by-node sum bit for bit whatever
+    bounds share the call; f may be evaluated beyond a stop in the last
+    block.  With no stop within JACKSON_MAX_NODES nodes it raises
+    ValueError.
     """
     alpha = qp.alpha
     if abs(alpha) >= 1:
@@ -300,8 +307,10 @@ def jackson_integral(f, k, qp, b, a=None, point=None):
         top = np.maximum.accumulate(np.concatenate([top[:, None], mags], 1),
                                     1)[:, 1:]
         scale = np.maximum(np.hypot(sums.real, sums.imag), top)
-        # a NaN or infinite term ends the sum too, at a non-finite value
-        small = ((mags < JACKSON_TAIL * scale) | (scale == 0)
+        # a NaN or infinite term ends the sum too, at a non-finite value;
+        # a zero term only in the tail
+        deep = abs(alpha) ** np.arange(done, done + size) < JACKSON_TAIL
+        small = (np.where(mags > 0, mags < JACKSON_TAIL * scale, deep)
                  | ~np.isfinite(mags))
         hit = small.any(axis=1)
         rows = np.flatnonzero(hit)

@@ -8,7 +8,6 @@ import numpy as np
 from albaxter import classical_chain as chain, fock
 from albaxter.algebra import LaurentPoly, MultiDual
 from albaxter.backlund import bt_apply, dressing_matrix
-from albaxter.bethe import transfer_poly_roots
 from albaxter.classical_chain import ChainState
 from albaxter.qcalc import (JACKSON_MAX_NODES, JACKSON_TAIL, MAX_FACTORS,
                             POLE_TOL, THETA, QPochhammerPoleError,
@@ -272,7 +271,8 @@ def _jackson_loop(f, k, qp, b, a, point, stop):
     """Node-by-node Jackson integral: one integrand call on a
     (len(point),) point per node alpha^n b, the terms summed in node
     order, ending at the first node where stop(|term|, |partial sum|,
-    largest |term| so far) holds, at most JACKSON_MAX_NODES nodes."""
+    largest |term| so far, node index n) holds, at most JACKSON_MAX_NODES
+    nodes."""
     if abs(qp.alpha) >= 1:
         raise ValueError("Jackson integral requires |alpha| < 1")
     if point is None:
@@ -284,13 +284,13 @@ def _jackson_loop(f, k, qp, b, a, point, stop):
             return 0.0 + 0.0j
         acc, top = 0.0 + 0.0j, 0.0
         w = complex(bound)
-        for _ in range(JACKSON_MAX_NODES):
+        for n in range(JACKSON_MAX_NODES):
             pt = np.array(point, dtype=complex)
             pt[k - 1] = w
             term = w * f(pt)
             acc += term
             top = max(top, abs(term))
-            if stop(abs(term), abs(acc), top):
+            if stop(abs(term), abs(acc), top, n):
                 return acc
             w *= qp.alpha
         raise ValueError("Jackson integral tail not decaying within term cap")
@@ -301,13 +301,13 @@ def _jackson_loop(f, k, qp, b, a, point, stop):
 
 def jackson_integral_loop(f, k, qp, b, a=None, point=None):
     """qcalc.jackson_integral node by node, with its relative stop rule:
-    the first term below JACKSON_TAIL * max(|partial sum|, largest |term|
-    so far), or at once where every term so far is zero, or at a NaN or
-    infinite term."""
-    def stop(term, acc, top):
-        scale = max(acc, top)
-        return (term < JACKSON_TAIL * scale or scale == 0
-                or not math.isfinite(term))
+    the first nonzero term below JACKSON_TAIL * max(|partial sum|, largest
+    |term| so far), or a zero term at a node alpha^n b with |alpha|^n <
+    JACKSON_TAIL, or a NaN or infinite term."""
+    def stop(term, acc, top, n):
+        if term == 0:
+            return abs(qp.alpha) ** n < JACKSON_TAIL
+        return term < JACKSON_TAIL * max(acc, top) or not math.isfinite(term)
     return _jackson_loop(f, k, qp, b, a, point, stop)
 
 
@@ -316,7 +316,7 @@ def jackson_integral_absolute_loop(f, k, qp, b, a=None, point=None):
     relative: the first term below JACKSON_TAIL * max(1, |partial sum|),
     absolute wherever the integral is below 1."""
     return _jackson_loop(f, k, qp, b, a, point,
-                         lambda term, acc, top: term < JACKSON_TAIL
+                         lambda term, acc, top, _: term < JACKSON_TAIL
                          * max(1.0, acc))
 
 
@@ -371,40 +371,6 @@ def ybe_residual_loop(lams, nus, etas):
             np.einsum("icja,cmkb,anbr->ijkmnr", A1, A2, A3).max(),
             np.einsum("jakb,icbr,cman->ijkmnr", A3, A2, A1).max()))
     return np.array(res), np.array(scale)
-
-
-def baxter_qdiff_residual_loop(cfg, nu_samples):
-    """bethe.baxter_qdiff_residual by the per-sample loop it replaced, as
-    its two relative residuals per sample, shape (2, n), and the scale of
-    each: its largest term with every polynomial summed in |monomials|,
-    over its largest term (the rounding of a polynomial value is relative
-    to the first)."""
-    polyval = np.polynomial.polynomial.polyval
-    qp = cfg.qp
-    sa = qp.sqrt_alpha
-    delta = qp.alpha ** cfg.m
-    N, m = cfg.N, cfg.m
-    quo, psi_c = transfer_poly_roots(cfg.roots, N, qp)
-    psi = lambda nu: polyval(nu**2, psi_c)
-    ph = lambda z: psi(z) * z ** (-2 * m)
-    relative = lambda *t: abs(t[0] - t[1] - t[2]) / max(map(abs, t))
-    # the same terms with the polynomials summed in |monomials|
-    big = lambda c, z, p: polyval(abs(z) ** 2, np.abs(c)) * abs(z) ** p
-    res, scale = [], []
-    for nu in np.atleast_1d(nu_samples):
-        t = polyval(nu**2, quo) / nu**N
-        t18 = (t * psi(nu), delta * nu**N * psi(nu / sa),
-               nu ** (-N) * psi(nu * sa))
-        t19 = (t * ph(nu), nu**N * ph(nu / sa),
-               delta * nu ** (-N) * ph(nu * sa))
-        res.append((relative(*t18), relative(*t19)))
-        T = big(quo, nu, -N)
-        for p, terms, d in ((0, t18, (1, delta, 1)),
-                            (-2 * m, t19, (1, 1, delta))):
-            b = (T * big(psi_c, nu, p), d[1] * big(psi_c, nu / sa, N + p),
-                 d[2] * big(psi_c, nu * sa, -N + p))
-            scale.append(max(b) / max(map(abs, terms)))
-    return np.array(res).T, np.array(scale).reshape(-1, 2).T
 
 
 def rmatrix_relation_residuals_loop(states, lams, nus):
@@ -548,3 +514,37 @@ def bethe_roots_mp(roots, N, alpha, dps=50):
         sol = mpmath.findroot(equations, [mpmath.mpc(complex(z))
                                           for z in roots])
         return np.array([complex(sol[k]) for k in range(m)])
+
+
+def tq_remainder_mp(roots, N, alpha, dps=50):
+    """bethe.transfer_poly_roots's relative remainder at `dps` digits, on
+    the same roots (exact doubles): x^N Psi_-(x) + alpha^m Psi_+(x) long
+    divided by Psi(x) = prod_j (x - lam_j^2), max |remainder| over the
+    largest coefficient of the dividend and of |P| * |Psi|."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+        lam2 = [mpmath.mpc(complex(z)) ** 2 for z in roots]
+        m = len(lam2)
+
+        def from_roots(zs):  # ascending coefficients of prod (x - z)
+            c = [mpmath.mpc(1)]
+            for z in zs:
+                c = [-z * c[0]] + [c[i - 1] - z * c[i]
+                                   for i in range(1, len(c))] + [c[-1]]
+            return c
+        psi = from_roots(lam2)
+        rhs = [mpmath.mpc(0)] * (N + m + 1)
+        for i, c in enumerate(from_roots([a * z for z in lam2])):
+            rhs[N + i] += c
+        for i, c in enumerate(from_roots([z / a for z in lam2])):
+            rhs[i] += a**m * c
+        rem, quo = list(rhs), [mpmath.mpc(0)] * (N + 1)
+        for i in range(N, -1, -1):  # psi is monic
+            quo[i] = rem[i + m]
+            for j in range(m + 1):
+                rem[i + j] -= quo[i] * psi[j]
+        conv = [sum(abs(quo[i]) * abs(psi[k - i])
+                    for i in range(max(0, k - m), min(k, N) + 1))
+                for k in range(N + m + 1)]
+        scale = max(max(abs(c) for c in rhs), max(conv))
+        return float(max(abs(c) for c in rem[:m]) / scale)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.polynomial import polynomial as npoly
 
 from albaxter import bethe, suites
 from albaxter.qcalc import QParam
 from albaxter.report import RunConfig
-from oracles import baxter_qdiff_residual_loop, bethe_roots_mp
+from oracles import bethe_roots_mp, tq_remainder_mp
 
 QP = QParam(0.5)
 
@@ -56,17 +55,8 @@ def test_roots_agree_with_mpmath_polish(N, m, alpha):
     assert (np.abs(exact - roots) / np.abs(exact)).max() <= 1e-12
 
 
-def _division_remainder(roots, N, qp):
-    """Remainder of x^N Psi_-(x) + alpha^m Psi_+(x) after the division in
-    transfer_poly_roots, relative to the largest coefficient divided."""
-    lam2 = np.asarray(roots) ** 2
-    m, a = lam2.size, qp.alpha
-    rhs = np.zeros(N + m + 1, dtype=complex)
-    rhs[N:] += npoly.polyfromroots(a * lam2)
-    rhs[:m + 1] += a**m * npoly.polyfromroots(lam2 / a)
-    quo, psi = bethe.transfer_poly_roots(roots, N, qp)
-    rem = rhs - npoly.polymul(quo, psi)[:rhs.size]
-    return float(np.abs(rem).max() / np.abs(rhs).max())
+def _remainder(roots, N, qp):
+    return bethe.transfer_poly_roots(roots, N, qp)[1]
 
 
 @settings(max_examples=30)
@@ -76,8 +66,8 @@ def test_on_shell_roots_leave_no_division_remainder(N, m, alpha):
     m = min(m, N)
     qp = QParam(alpha)
     roots = bethe.solve_bethe(N, m, qp).roots
-    assert _division_remainder(roots, N, qp) < 1e-11
-    assert _division_remainder(roots * 1.1 + 0.03, N, qp) > 1e-2
+    assert _remainder(roots, N, qp) < 1e-11
+    assert _remainder(roots * 1.1 + 0.03, N, qp) > 1e-2
 
 
 @pytest.mark.parametrize("N, m", [(2, 1), (5, 2), (6, 2), (4, 3), (6, 3),
@@ -105,33 +95,28 @@ def test_failure_names_its_input(monkeypatch):
 
 @pytest.mark.parametrize("N, m", [(16, 3), (24, 2)])
 def test_qdiff_identity_is_relative_to_its_terms(N, m):
-    # the terms grow like |nu|^N (the absolute residuals of these samples
-    # are 6.6e-10 and 2.6e-8, above the 1e-10 bound); relative to the
-    # largest term the identity sits at roundoff, and the off-shell root
-    # set still misses it by O(1)
+    # the products P Psi that cancel against the dividend reach 11 and 5.4
+    # in |P| * |Psi| here, against a largest dividend coefficient of 1.3
+    # and 1.0; relative to them the identity sits at roundoff, and the
+    # off-shell root set still misses it by O(1)
     cfg = bethe.solve_bethe(N, m, QP)
-    rng = np.random.default_rng(0)
-    nus = rng.uniform(1.05, 1.9, 16) \
-        * np.exp(2j * np.pi * rng.uniform(size=16))
-    assert bethe.baxter_qdiff_residual(cfg, nus) < 1e-12
-    off = bethe.BetheConfig(N=N, m=m, qp=QP, roots=cfg.roots * 1.1 + 0.03,
-                            residual=np.inf)
-    assert bethe.baxter_qdiff_residual(off, nus) > 1e-2
+    assert _remainder(cfg.roots, N, QP) < 1e-13
+    assert _remainder(cfg.roots * 1.1 + 0.03, N, QP) > 0.1
 
 
-@pytest.mark.parametrize("N, m", [(2, 1), (4, 2), (6, 3), (16, 3), (24, 2)])
-def test_qdiff_stacked_equals_sample_loop(N, m):
-    # all samples as arrays, against the per-sample loop it replaced; each
-    # residual is relative to its largest term, so 4 ulp of that term is
-    # 4 ulp of the polynomials' scale over it
-    cfg = bethe.solve_bethe(N, m, QP)
-    off = bethe.BetheConfig(N=N, m=m, qp=QP, roots=cfg.roots * 1.1 + 0.03,
-                            residual=np.inf)
-    rng = np.random.default_rng(N + m)
-    for c in (cfg, off):
-        for _ in range(5):
-            nus = rng.uniform(1.05, 1.9, 16) \
-                * np.exp(2j * np.pi * rng.uniform(size=16))
-            want, scale = baxter_qdiff_residual_loop(c, nus)
-            got = bethe.baxter_qdiff_residual(c, nus)
-            assert abs(got - want.max()) <= 4 * np.spacing(scale.max())
+@pytest.mark.parametrize("N, m, alpha", [
+    (2, 1, 0.5), (4, 2, 0.5), (6, 3, 0.5), (8, 4, 0.2), (9, 4, 0.9),
+    (16, 3, 0.5), (24, 2, 0.5), (24, 4, 0.3)])
+def test_remainder_agrees_with_mpmath(N, m, alpha):
+    # the same roots at 50 digits: on shell the exact remainder is the
+    # roots' own rounding, <= 1.3e-15 here, and the float one adds its
+    # evaluation roundoff, measured worst 1.8e-14 at (24, 4, 0.3); off
+    # shell the two agree to 4.1e-13 relative there, <= 6.4e-15 elsewhere
+    qp = QParam(alpha)
+    roots = bethe.solve_bethe(N, m, qp).roots
+    assert tq_remainder_mp(roots, N, alpha) < 1e-14
+    assert abs(_remainder(roots, N, qp)
+               - tq_remainder_mp(roots, N, alpha)) <= 1e-13
+    off = roots * 1.1 + 0.03
+    want = tq_remainder_mp(off, N, alpha)
+    assert abs(_remainder(off, N, qp) - want) <= 1e-11 * want

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from albaxter import fock, suites
-from albaxter.bethe import BetheConfig, solve_bethe
+from albaxter.bethe import solve_bethe, transfer_poly_roots
 from albaxter.qcalc import QParam
 from albaxter.report import RunConfig
 from oracles import qboson_residual_loop, ybe_residual_loop
@@ -320,6 +320,12 @@ class TestMutations:
                 "quantum.occupation_grading"} <= failed
 
 
+def _eigenvalue(roots, N, nu):
+    """t(nu) = P(nu^2)/nu^N from the TQ quotient of the root set."""
+    P = transfer_poly_roots(roots, N, QP)[0]
+    return np.polynomial.polynomial.polyval(nu**2, P) / nu**N
+
+
 class TestBetheStates:
     @pytest.mark.parametrize("N, m", [(3, 1), (4, 2)])
     def test_eigen_residual(self, N, m):
@@ -327,7 +333,8 @@ class TestBetheStates:
         rep = fock.FockRep(N, m + 3, QP)
         phi = fock.bethe_state(rep, cfg)
         for nu in (1.3 * np.exp(0.4j), 1.5 * np.exp(2.2j), 1.2j + 0.5):
-            assert fock.eigen_residual(rep, phi, cfg, nu) < 1e-12
+            t = _eigenvalue(cfg.roots, N, nu)
+            assert fock.eigen_residual(rep, phi, t, nu) < 1e-12
         assert fock.delta_eigen_residual(rep, phi, m) < 1e-12
 
     def test_state_matches_oracle(self):
@@ -344,11 +351,12 @@ class TestBetheStates:
     def test_off_shell_state_is_not_an_eigenvector(self):
         N, m = 3, 1
         cfg = solve_bethe(N, m, QP)
-        bad = BetheConfig(N=N, m=m, qp=QP, roots=cfg.roots * 1.1 + 0.03,
-                          residual=np.inf)
+        bad = cfg.roots * 1.1 + 0.03
         rep = fock.FockRep(N, m + 3, QP)
         phi = fock.bethe_state(rep, bad)
-        assert fock.eigen_residual(rep, phi, bad, 1.3 * np.exp(0.4j)) > 1e-3
+        nu = 1.3 * np.exp(0.4j)
+        assert fock.eigen_residual(rep, phi, _eigenvalue(bad, N, nu), nu) \
+            > 1e-3
 
     def test_headroom_required(self):
         rep = fock.FockRep(2, 2, QP)
@@ -363,7 +371,9 @@ class TestBetheStates:
         monkeypatch.setitem(fock.HEADROOM, "bethe_state", 0)
         rep = fock.FockRep(N, m, QP)
         phi = fock.bethe_state(rep, cfg)
-        assert fock.eigen_residual(rep, phi, cfg, 1.3 * np.exp(0.4j)) > 0.1
+        nu = 1.3 * np.exp(0.4j)
+        t = _eigenvalue(cfg.roots, N, nu)
+        assert fock.eigen_residual(rep, phi, t, nu) > 0.1
 
 
 def _ybe_draws(n, seed):

@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,40 @@ def test_suite_mode_runs_one_suite_per_seed_and_size():
          "classical.cyclic_trace", "classical.monodromy_det",
          "classical.rk4_drift_order"])
     assert all(row[:3] == ["4", "0", "0"] for row in rows.values())
+
+
+def test_suite_mode_takes_magnon_numbers():
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT),
+         "--suite", "bethe", "--N", "4:2,5", "--seeds", "0-1"],
+        capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("suite bethe at N=4:2,5, seeds 0-1: ")
+    # seven checks, each at two sizes and two seeds
+    assert lines[-1] == "28 ops, 0 changed, 0 pass->fail, 0 fail->pass"
+    assert _tool().parse_sizes("16:3,20") == [{"N": 16, "m": 3}, {"N": 20}]
+    with pytest.raises(argparse.ArgumentTypeError):
+        _tool().parse_sizes("16:3:1")
+
+
+def test_suite_tasks_run_at_the_given_magnon_number(monkeypatch):
+    from albaxter import bethe
+    tool = _tool()
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    tasks = tool.suite_tasks(workloads, "bethe", tool.parse_sizes("6:3,4"), 0)
+    assert [t.label for t in tasks] == ["bethe/N=6/m=3", "bethe/N=4"]
+    solve, sizes = bethe.solve_bethe, []
+    monkeypatch.setattr(bethe, "solve_bethe", lambda N, m, qp: (
+        sizes.append((N, m)), solve(N, m, qp))[1])
+    tasks[0].run()
+    tasks[1].run()
+    # the suite's own roots first, then its m = 1 roots
+    assert sizes == [(6, 3), (6, 1), (4, 1), (4, 1)]
 
 
 def test_suite_mode_needs_sizes():

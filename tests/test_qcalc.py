@@ -454,8 +454,36 @@ class TestJacksonArrayBounds:
 
 
 class TestJacksonStopRule:
-    """The sum of a bound stops at its first term below JACKSON_TAIL times
-    max(|partial sum|, largest |term| so far)."""
+    """The sum of a bound stops at its first nonzero term below JACKSON_TAIL
+    times max(|partial sum|, largest |term| so far), or at a zero term in
+    the tail, where |alpha|^n < JACKSON_TAIL."""
+
+    @pytest.mark.parametrize("c", [0.7, 0.35])
+    def test_zero_at_a_node_does_not_end_the_sum(self, c):
+        # r - c vanishes at the node 0.7 alpha^n = c, n = 0 and 1: the sum
+        # used to end there, at 0 and at 0.245
+        widths = []
+
+        def f(r):
+            widths.append(r.shape[1])
+            return r[0] - c
+        b, a = mpmath.mpf(0.7), mpmath.mpf(QP.alpha)
+        want = float(b**2 / (1 - a**2) - c * b / (1 - a))
+        got = jackson_integral(f, 1, QP, 0.7)
+        assert abs(got - want) <= 1e-15 * abs(want)
+        assert len(widths) == 1
+        assert got == jackson_integral_loop(lambda r: r[0] - c, 1, QP, 0.7)
+
+    def test_integrand_vanishing_below_a_node_stops_in_the_tail(self):
+        # zero from the third node on: the sum is exact after two terms and
+        # the zeros end it within the first block
+        widths = []
+
+        def f(r):
+            widths.append(r.shape[1])
+            return (r[0].real > 0.3) * 1.0
+        assert jackson_integral(f, 1, QP, 0.7) == 0.7 + 0.35
+        assert len(widths) == 1
 
     @pytest.mark.parametrize("c", [1e-17, 1e-30, 1e-10, 1.0])
     def test_small_integrals_keep_their_precision(self, c):

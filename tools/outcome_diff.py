@@ -5,15 +5,18 @@ or on one suite at sizes the benchmark does not reach.
         --seeds 1-50
     python3 tools/outcome_diff.py OLD_ROOT NEW_ROOT --suite classical \
         --N 512,2048 --seeds 0-9
+    python3 tools/outcome_diff.py OLD_ROOT NEW_ROOT --suite bethe \
+        --N 16:3,20:2,24:2 --seeds 0-199
 
 Each root is a source checkout.  For each tree, one subprocess imports that
 tree's `src/albaxter` and `perfbench/workloads.py` (read, never edited),
 builds the workload's tasks at every seed of the range and runs each task
 once, untimed, with BLAS pinned to one thread as the benchmark pins it.
 With `--suite NAME --N LIST` the tasks are instead one call of
-`suites.SUITES[NAME]` per (seed, N), at `RunConfig(N=N, seed=seed)` with a
-generator seeded by the seed, as `albaxter verify NAME --N N --seed seed`
-runs it.  Every residual is judged by the tree's own `workloads.judge`.
+`suites.SUITES[NAME]` per (seed, entry), at `RunConfig(N=N, seed=seed)`
+with a generator seeded by the seed, as `albaxter verify NAME --N N --seed
+seed` runs it; an entry `N:m` also sets the magnon number m, as `--m m`
+does.  Every residual is judged by the tree's own `workloads.judge`.
 
 Per check id it prints how many residuals changed bits, the largest
 relative change, and the worst residual/bound ratio on each tree (the bound
@@ -46,25 +49,35 @@ def parse_seeds(text):
 
 
 def parse_sizes(text):
-    """'A,B,...' as a list of ints."""
-    return [int(n) for n in text.split(",")]
+    """'A,B:m,...' as a list of RunConfig size fields: {'N': A} for an entry
+    A, {'N': B, 'm': m} for an entry B:m."""
+    sizes = [entry.split(":") for entry in text.split(",")]
+    if any(len(fields) > 2 for fields in sizes):
+        raise argparse.ArgumentTypeError(f"entries are N or N:m, not {text!r}")
+    return [dict(zip(("N", "m"), map(int, fields))) for fields in sizes]
+
+
+def format_sizes(sizes):
+    """The inverse of parse_sizes."""
+    return ",".join(":".join(map(str, size.values())) for size in sizes)
 
 
 def suite_tasks(workloads, name, sizes, seed):
-    """One task per size: the suite `name` at that N and `seed`."""
+    """One task per size: the suite `name` at those fields and `seed`."""
     import numpy as np
     from albaxter import suites
     from albaxter.report import RunConfig
 
-    def task(N):
-        cfg = RunConfig(N=N, seed=seed)
+    def task(size):
+        cfg = RunConfig(**size, seed=seed)
 
         def run():
             recs = suites.SUITES[name](cfg, np.random.default_rng(seed))
             return [(r.check_id, r.residual) for r in recs]
-        return workloads.Task(f"suite.{name}", f"{name}/N={N}", run,
+        label = "/".join([name] + [f"{k}={v}" for k, v in size.items()])
+        return workloads.Task(f"suite.{name}", label, run,
                               workloads.SUITE_CHECKS[name])
-    return [task(N) for N in sizes]
+    return [task(size) for size in sizes]
 
 
 def collect(root, workload, seeds, suite=None, sizes=()):
@@ -192,7 +205,8 @@ def main(argv=None):
     which.add_argument("--workload")
     which.add_argument("--suite", help="one suite, at the sizes of --N")
     p.add_argument("--N", type=parse_sizes, metavar="LIST",
-                   help="comma-separated chain lengths for --suite")
+                   help="comma-separated chain lengths N, or N:m with a "
+                        "magnon number, for --suite")
     p.add_argument("--seeds", type=parse_seeds, required=True)
     p.add_argument("--collect", metavar="ROOT", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
@@ -205,7 +219,7 @@ def main(argv=None):
     if args.old_root is None or args.new_root is None:
         p.error("OLD_ROOT and NEW_ROOT are required")
     if args.suite:
-        sizes = ",".join(map(str, args.N))
+        sizes = format_sizes(args.N)
         target, title = ["--suite", args.suite, "--N", sizes], \
             f"suite {args.suite} at N={sizes}"
     else:
