@@ -24,10 +24,12 @@ denominator-cleared first line P(q, r, r~) = 0: with J = dP/dr~, the
 cyclic lower-bidiagonal matrix Newton solves with, dr~/dr = -J^{-1} and
 dr~/dq = J^{-1} diag(mu^2 r~_k r~_{k-1}); the q~ blocks follow by the
 chain rule through the second line (`map_jacobian`).  Canonicity is
-checked on that exact Jacobian, after one solve of the map.
+checked on that exact Jacobian, after one solve of the map: `bt_apply`
+keeps its last solved maps, so a sweep point's checks share its solve.
 """
 
 import cmath
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,10 @@ class BTError(RuntimeError):
 # Newton iterations per solve, and step halvings per iteration.
 MAX_ITER = 100
 MAX_DAMPING = 30
+# Solved maps kept by `bt_apply`, least recent first: the bt suite's
+# canonicity check reuses its map after three more solves.
+BT_CACHE_SIZE = 4
+_solved = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,7 @@ class BTResult:
     source: ChainState
     target: ChainState
     gamma_site: np.ndarray
+    collinearity: np.ndarray
     newton_iters: int
     residual: float
 
@@ -180,14 +187,23 @@ def bt_apply(state, mu, opts=None):
     """Apply the Backlund map at parameter mu.
 
     One damped Newton solve of the first line at mu from `_backward_start`,
-    ended by a polish step (`_newton`); q~ is read off the second line.
-    With no warm start and no continuation in |mu|, the map is a function
-    of (state, mu, opts.tol) alone.  BTError is raised when the as-printed
+    ended by a polish step (`_newton`); q~ is read off the second line, and
+    gamma_k and its collinearity defect (`_gamma_least_squares`) are kept
+    for `spectrality`.  With no warm start and no continuation in |mu|, the
+    map is a function of (state, mu, opts.tol) alone, so the last
+    BT_CACHE_SIZE results, whose arrays are read-only, are returned again
+    for the same bits of q and r, type and bits of mu (0.3 and 0.3+0j stay
+    apart) and tol.  BTError is raised, on every call, when the as-printed
     residual of either line is not below opts.tol.
     """
     if mu == 0:
         raise BTError("Backlund parameter mu must be nonzero")
     opts = opts or SolverOptions()
+    key = (state.q.tobytes(), state.r.tobytes(), type(mu),
+           np.asarray(mu).tobytes(), opts.tol)
+    if key in _solved:
+        _solved.move_to_end(key)
+        return _solved[key]
     q, r = state.q, state.r
     if np.any(np.abs(r) < 1e-12):
         raise BTError("state has r_k ~ 0; Backlund denominators vanish")
@@ -200,12 +216,17 @@ def bt_apply(state, mu, opts=None):
         raise BTError(f"transformation residual {max(res1, res2):.3e} "
                       f"above tolerance {opts.tol:.1e} at mu={mu}")
     target = ChainState(qt, rt)
-    gam, _ = _gamma_least_squares(q, r, rt, mu)
+    gam, coll = _gamma_least_squares(q, r, rt, mu)
     if np.any(gam == 0):  # each factor: their product underflows at large N
         raise BTError("vanishing spectrality factor gamma")
-    return BTResult(mu=complex(mu), source=state, target=target,
-                    gamma_site=gam, newton_iters=iters,
-                    residual=max(res1, res2))
+    for arr in (gam, coll):
+        arr.setflags(write=False)
+    bt = _solved[key] = BTResult(
+        mu=complex(mu), source=state, target=target, gamma_site=gam,
+        collinearity=coll, newton_iters=iters, residual=max(res1, res2))
+    if len(_solved) > BT_CACHE_SIZE:
+        _solved.popitem(last=False)
+    return bt
 
 
 def dressing_matrix(bt, k, lam):
@@ -288,21 +309,18 @@ class SpectralityReport:
 def spectrality(bt):
     """Per-site proportionality factors and the trace formula residual.
 
-    gamma_k is extracted by least squares over the two components of
-    L_k(mu)|w_k> against |w_{k+1}>, with the collinearity defect reported;
-    then |Tr L(mu) - (det L(mu)/gamma + gamma)| closes the loop, with
-    det L(mu)/gamma from the logs of `_log_det_gamma`.
+    gamma_k, by least squares over the two components of L_k(mu)|w_k>
+    against |w_{k+1}>, and its collinearity defect come with the map from
+    `bt_apply`; |Tr L(mu) - (det L(mu)/gamma + gamma)| closes the loop,
+    with det L(mu)/gamma from the logs of `_log_det_gamma`.
     """
-    q, r, rt = bt.source.q, bt.source.r, bt.target.r
-    mu = bt.mu
-    gam, coll = _gamma_least_squares(q, r, rt, mu)
-    gamma = complex(np.prod(gam))
     log_det, log_gamma = _log_det_gamma(bt)
     det_over_gamma = complex(np.exp(log_det - log_gamma))
-    M = monodromy_matrix(bt.source, mu)
+    M = monodromy_matrix(bt.source, bt.mu)
     tr = M[0, 0] + M[1, 1]
-    trace_residual = float(abs(tr - (det_over_gamma + gamma)))
-    return SpectralityReport(gamma_site=gam, collinearity=coll, gamma=gamma,
+    trace_residual = float(abs(tr - (det_over_gamma + bt.gamma)))
+    return SpectralityReport(gamma_site=bt.gamma_site,
+                             collinearity=bt.collinearity, gamma=bt.gamma,
                              det_over_gamma=det_over_gamma,
                              trace_residual=trace_residual)
 
@@ -480,8 +498,9 @@ def map_jacobian(bt):
     A = apply_g(C)
     B = apply_g(D)
     idx = np.arange(len(q))
-    np.add.at(B, (idx, idx), -a / (den * rt))
-    np.add.at(B, (idx, (idx + 1) % len(q)), b / (den * rt))
+    # the indices of each statement are distinct; at N = 1 both hit B_00
+    B[idx, idx] += -a / (den * rt)
+    B[idx, (idx + 1) % len(q)] += b / (den * rt)
     return A, B, C, D
 
 
@@ -507,10 +526,11 @@ def _bracket_deviation(jac, w, wt):
 def canonicity_check(state, mu, opts=None):
     """Check that the map preserves the bracket, with the exact Jacobian.
 
-    Solves the map once, takes (A, B, C, D) from map_jacobian, and
-    requires the transformed brackets under the source bracket
-    {q_k, r_j} = (1 - q_k r_k) delta_kj to satisfy {q~_k, r~_j} =
-    (1 - q~_k r~_k) delta_kj and {q~, q~} = {r~, r~} = 0.  Returns the max
+    Takes the map from `bt_apply` (the kept one, after a call at the same
+    arguments), (A, B, C, D) from map_jacobian, and requires the
+    transformed brackets under the source bracket {q_k, r_j} =
+    (1 - q_k r_k) delta_kj to satisfy {q~_k, r~_j} = (1 - q~_k r~_k)
+    delta_kj and {q~, q~} = {r~, r~} = 0.  Returns the max
     deviation over the three blocks.  No finite-difference truncation
     enters: the deviation is limited by how closely the solved r~ meets
     the first line, as amplified through the second.

@@ -159,32 +159,28 @@ def _roll(a, k):
     return np.concatenate((a[-k:], a[:-k]))
 
 
-def _lax_left(M, qk, rk):
-    """L_k M for a dense (2, 2, 2N+1) monodromy factor; the lam and 1/lam
-    diagonal of L_k shift row 0 up and row 1 down one power.  The
-    off-diagonal products q_k M_1 and r_k M_0 fill an empty buffer and the
-    shifted rows are added to them in place: the same two-term sums as
-    adding the products to a zeroed buffer holding the shifted rows, so
-    the same bits.  The lowest power of row 0 and the highest of row 1
-    keep the product alone."""
-    out = np.empty_like(M)
-    np.multiply(qk, M[1], out=out[0])
-    np.multiply(rk, M[0], out=out[1])
-    up, down = out[0, :, 1:], out[1, :, :-1]
-    np.add(up, M[0, :, :-1], out=up)
-    np.add(down, M[1, :, 1:], out=down)
-    return out
-
-
 def dense_monodromy(state):
     """Monodromy L_N ... L_1 as a (2, 2, 2N+1) complex array of Laurent
-    coefficients; index e + N holds the coefficient of lam^e."""
+    coefficients; index e + N holds the coefficient of lam^e.
+
+    Row 1 is kept with its exponent axis reversed, so the lam of L_k and
+    its 1/lam both shift a row up one index.  A step L_k M is then the
+    products c_k S[::-1, :, ::-1], c_k = (q_k, r_k) down the rows, into the
+    other of two buffers, plus S shifted onto its [..., 1:]: the two-term
+    sums of the plain layout, so the same bits.  Row 1 is un-reversed last.
+    """
     N = state.N
-    M = np.zeros((2, 2, 2 * N + 1), dtype=complex)
-    M[0, 0, N] = M[1, 1, N] = 1.0
-    for qk, rk in zip(state.q, state.r):
-        M = _lax_left(M, qk, rk)
-    return M
+    S, T = np.zeros((2, 2, 2, 2 * N + 1), dtype=complex)
+    S[0, 0, N] = S[1, 1, N] = 1.0
+    steps = ((S[::-1, :, ::-1], T, T[..., 1:], S[..., :-1]),
+             (T[::-1, :, ::-1], S, S[..., 1:], T[..., :-1]))
+    c = np.stack((state.q, state.r), axis=-1)[:, :, None, None]
+    for k, ck in enumerate(c):
+        swapped, out, tail, head = steps[k % 2]
+        np.multiply(ck, swapped, out=out)
+        np.add(tail, head, out=tail)
+    out[1] = out[1, :, ::-1].copy()
+    return out
 
 
 def lax_det(state):

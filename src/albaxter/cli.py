@@ -128,11 +128,10 @@ def _write_roots_csv(cfg):
     print(f"wrote {out}")
 
 
-def _bt_record(state, mu, cfg):
+def _bt_record(state, before, mu, cfg):  # before: the state's H and det
     opts = backlund.SolverOptions(tol=cfg.newton_tol)
     bt = backlund.bt_apply(state, mu, opts)
     spec = backlund.spectrality(bt)
-    before = chain.conserved_quantities(state)
     after = chain.conserved_quantities(bt.target)
     return {
         "mu": _complex_pair(mu),
@@ -163,8 +162,7 @@ def cmd_bt(args):
             print(f"error: cannot load state: {exc}", file=sys.stderr)
             return 2
     else:
-        rng = np.random.default_rng(cfg.seed)
-        state = chain.ChainState.random(cfg.N, rng)
+        state = chain.ChainState.random(cfg.N, np.random.default_rng(cfg.seed))
 
     mus = [cfg.mu]
     if args.sweep:
@@ -172,7 +170,10 @@ def cmd_bt(args):
         mus = list(np.linspace(lo, hi, int(steps)))
 
     try:
-        recs = [_bt_record(state, m, cfg) for m in mus]
+        # an overflow stays in its record as inf or NaN, not on stderr
+        with np.errstate(all="ignore"):
+            before = chain.conserved_quantities(state)
+            recs = [_bt_record(state, before, m, cfg) for m in mus]
     except backlund.BTError as exc:
         print(f"error: Backlund solve failed: {exc}", file=sys.stderr)
         return 1
@@ -193,18 +194,14 @@ def cmd_evolve(args):
     if args.dt <= 0 or args.steps < 1:
         print("error: need dt > 0 and steps >= 1", file=sys.stderr)
         return 2
-    rng = np.random.default_rng(cfg.seed)
-    state = chain.ChainState.random(cfg.N, rng)
+    state = chain.ChainState.random(cfg.N, np.random.default_rng(cfg.seed))
     base = chain.conserved_quantities(state)
 
-    header = ["t"]
-    for k in range(1, cfg.N + 1):
-        header += [f"q{k}_re", f"q{k}_im"]
-    for k in range(1, cfg.N + 1):
-        header += [f"r{k}_re", f"r{k}_im"]
-    for i in range(cfg.N + 1):
-        header += [f"H{i}_re", f"H{i}_im"]
-    header += ["det_re", "det_im", "drift"]
+    sites = range(1, cfg.N + 1)
+    names = ([f"q{k}" for k in sites] + [f"r{k}" for k in sites]
+             + [f"H{i}" for i in range(cfg.N + 1)] + ["det"])
+    header = ["t"] + [f"{v}_{p}" for v in names for p in ("re", "im")]
+    header.append("drift")
 
     rows = []
     t = 0.0
@@ -212,15 +209,8 @@ def cmd_evolve(args):
         cons = chain.conserved_quantities(state)
         drift = max(float(np.abs(cons.H - base.H).max()),
                     abs(cons.det - base.det))
-        row = [t]
-        for z in state.q:
-            row += _complex_pair(z)
-        for z in state.r:
-            row += _complex_pair(z)
-        for h in cons.H:
-            row += _complex_pair(h)
-        row += _complex_pair(cons.det) + [drift]
-        rows.append(row)
+        rows.append([t] + [x for z in (*state.q, *state.r, *cons.H, cons.det)
+                           for x in _complex_pair(z)] + [drift])
         if step < args.steps:
             state = chain.rk4_step(state, args.dt)
             t += args.dt
@@ -257,22 +247,16 @@ def cmd_kernel(args):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    commands = {"verify": cmd_verify, "bt": cmd_bt, "evolve": cmd_evolve,
+                "kernel": cmd_kernel}
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "bt":
-            return cmd_bt(args)
-        if args.command == "evolve":
-            return cmd_evolve(args)
-        if args.command == "kernel":
-            return cmd_kernel(args)
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except chain.DegenerateStateError as exc:
         print(f"error: degenerate state rejected: {exc}", file=sys.stderr)
         return 1
-    parser.error("unknown command")
 
 
 if __name__ == "__main__":

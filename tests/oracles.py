@@ -138,16 +138,42 @@ def observable_det(q, r):
     return acc
 
 
+def lax_left(M, qk, rk):
+    """L_k M for a dense (2, 2, 2N+1) monodromy factor, one site of the
+    loop that classical_chain.dense_monodromy replaced: the lam and 1/lam
+    diagonal of L_k shift row 0 up and row 1 down one power.  The
+    off-diagonal products q_k M_1 and r_k M_0 fill an empty buffer and the
+    shifted rows are added to them in place; the lowest power of row 0 and
+    the highest of row 1 keep the product alone."""
+    out = np.empty_like(M)
+    np.multiply(qk, M[1], out=out[0])
+    np.multiply(rk, M[0], out=out[1])
+    up, down = out[0, :, 1:], out[1, :, :-1]
+    np.add(up, M[0, :, :-1], out=up)
+    np.add(down, M[1, :, 1:], out=down)
+    return out
+
+
 def lax_left_zeros(M, qk, rk):
-    """L_k M for a dense (2, 2, 2N+1) monodromy factor in the form that
-    classical_chain._lax_left replaced: a zeroed buffer takes the shifted
-    rows, then the off-diagonal products are added to it."""
+    """L_k M in the form that lax_left replaced: a zeroed buffer takes the
+    shifted rows, then the off-diagonal products are added to it."""
     out = np.zeros_like(M)
     out[0, :, 1:] = M[0, :, :-1]
     out[1, :, :-1] = M[1, :, 1:]
     out[0] += qk * M[1]
     out[1] += rk * M[0]
     return out
+
+
+def dense_monodromy_loop(state, step=lax_left):
+    """The dense (2, 2, 2N+1) monodromy L_N ... L_1 by one `step`
+    (lax_left or lax_left_zeros) per site, in the plain layout."""
+    N = state.N
+    M = np.zeros((2, 2, 2 * N + 1), dtype=complex)
+    M[0, 0, N] = M[1, 1, N] = 1.0
+    for qk, rk in zip(state.q, state.r):
+        M = step(M, qk, rk)
+    return M
 
 
 def intertwining_loop(bt, lam):

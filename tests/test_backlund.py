@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from albaxter import classical_chain as chain
-from albaxter.backlund import (BTError, BTResult, SolverOptions,
+from albaxter import backlund, classical_chain as chain
+from albaxter.backlund import (BT_CACHE_SIZE, BTError, BTResult, SolverOptions,
                                _bracket_deviation, _li2, bt_apply,
                                canonicity_check,
                                classical_baxter_check,
@@ -88,6 +90,7 @@ class TestBTApply:
         bumped = ChainState(bt3.target.q, bt3.target.r + np.array([1e-3, 0, 0]))
         fake = type(bt3)(mu=bt3.mu, source=bt3.source, target=bumped,
                          gamma_site=bt3.gamma_site,
+                         collinearity=bt3.collinearity,
                          newton_iters=bt3.newton_iters, residual=np.inf)
         res = intertwining_residual(fake, 1.1)
         assert 1e-5 < res < 1.0  # O(perturbation) growth
@@ -206,7 +209,8 @@ class TestGeneratingFunction:
         st = ChainState.random_real_positive(4, np.random.default_rng(95))
         other = bt_apply(st, 0.35)
         fake = BTResult(mu=0.3 + 0j, source=st, target=other.target,
-                        gamma_site=other.gamma_site, newton_iters=0,
+                        gamma_site=other.gamma_site,
+                        collinearity=other.collinearity, newton_iters=0,
                         residual=np.inf)
         out = generating_function_check(fake)
         assert out["grad_residual_rtilde"] >= 1e-2
@@ -293,7 +297,8 @@ class TestCanonicity:
         src = ChainState(np.zeros(2), np.array([0.3, 0.4]))
         tgt = ChainState(np.array([0.1, 0.2]), np.array([0.5, 0.6]))
         fake = BTResult(mu=1.0 + 0j, source=src, target=tgt,
-                        gamma_site=np.ones(2), newton_iters=0, residual=0.0)
+                        gamma_site=np.ones(2), collinearity=np.zeros(2),
+                        newton_iters=0, residual=0.0)
         with pytest.raises(BTError):
             map_jacobian(fake)
 
@@ -310,7 +315,95 @@ class TestResultInvariants:
         bt = bt_apply(st, 0.17)
         assert np.abs(bt.gamma_site).min() > 0.04
         assert bt.gamma == 0
-        assert spectrality(bt).collinearity.max() < 1e-10
+        # det L / gamma = exp(ln det - ln gamma) overflows; the report keeps
+        # the non-finite value
+        with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+            spec = spectrality(bt)
+        assert spec.collinearity.max() < 1e-10
+        assert not np.isfinite(spec.det_over_gamma)
+
+
+@pytest.fixture
+def cold_cache():
+    """An empty memo of solved maps, emptied again afterwards, for tests
+    that count solver calls or entries."""
+    backlund._solved.clear()
+    yield backlund._solved
+    backlund._solved.clear()
+
+
+@pytest.fixture
+def solver_calls(monkeypatch, cold_cache):
+    """Counts of the calls of `_newton` and `_gamma_least_squares`."""
+    calls = Counter()
+    for name in ("_newton", "_gamma_least_squares"):
+        def counted(*args, _fn=getattr(backlund, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(backlund, name, counted)
+    return calls
+
+
+class TestSolvedMapMemo:
+    def _state(self, N=16, seed=90):
+        return ChainState.random(N, np.random.default_rng(seed))
+
+    def test_sweep_point_solves_once(self, solver_calls):
+        # the calls of one `albaxter bt --sweep` point
+        st = self._state()
+        bt = bt_apply(st, 0.3)
+        spectrality(bt)
+        canonicity_check(st, 0.3)
+        assert solver_calls == {"_newton": 1, "_gamma_least_squares": 1}
+
+    def test_bt_suite_canonicity_reuses_its_map(self, solver_calls):
+        # bt_apply at mu, the three solves of commuting_parameters, then
+        # canonicity_check at mu, as suite_bt runs them
+        st, opts = self._state(), SolverOptions()
+        bt = bt_apply(st, 0.3, opts)
+        bt_apply(bt.target, 0.17, opts)
+        bt_apply(bt_apply(st, 0.17, opts).target, 0.3, opts)
+        canonicity_check(st, 0.3, opts=opts)
+        assert solver_calls["_newton"] == 4
+
+    def test_failure_raises_on_every_call(self, solver_calls, cold_cache):
+        st, opts = self._state(), SolverOptions(tol=1e-30)
+        for _ in range(3):
+            with pytest.raises(BTError):
+                bt_apply(st, 0.3, opts)
+        assert solver_calls["_newton"] == 3 and not cold_cache
+
+    def test_key_is_bits_of_state_type_of_mu_and_tol(self, cold_cache):
+        st = self._state()
+        a, b = bt_apply(st, 0.3), bt_apply(st, 0.3 + 0j)
+        assert a is not b and len(cold_cache) == 2
+        # a numpy scalar runs other scalar arithmetic than a Python float
+        assert bt_apply(st, np.float64(0.3)) is not a
+        assert bt_apply(ChainState(st.q.copy(), st.r.copy()), 0.3) is a
+        assert bt_apply(st, 0.3 + 0j) is b
+        assert bt_apply(st, 0.3, SolverOptions(tol=1e-11)) is not a
+        assert np.array_equal(a.target.r, b.target.r)
+
+    def test_kept_arrays_are_read_only(self, cold_cache):
+        bt = bt_apply(self._state(), 0.3)
+        for arr in (bt.gamma_site, bt.collinearity, bt.source.q,
+                    bt.source.r, bt.target.q, bt.target.r):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            bt.gamma_site[0] = 1.0
+
+    def test_size_stays_constant_least_recent_dropped(self, cold_cache):
+        st = self._state()
+        mus = 0.2 + 0.02 * np.arange(2 * BT_CACHE_SIZE)
+        kept = []
+        for mu in mus:
+            kept.append(bt_apply(st, mu))
+            bt_apply(st, mus[0])  # mus[0] stays the most recent use
+            assert len(cold_cache) <= BT_CACHE_SIZE
+        assert len(cold_cache) == BT_CACHE_SIZE
+        assert bt_apply(st, mus[0]) is kept[0]
+        assert bt_apply(st, mus[-1]) is kept[-1]
+        assert bt_apply(st, mus[1]) is not kept[1]
 
 
 class TestDirectSolve:

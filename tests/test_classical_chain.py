@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as hst
 
 from albaxter import classical_chain as chain
 from albaxter.classical_chain import (ChainState, DegenerateStateError,
@@ -13,9 +14,9 @@ from albaxter.classical_chain import (ChainState, DegenerateStateError,
                                       trace_bracket, trace_det_bracket,
                                       trace_difference)
 
-from oracles import (lax_left_zeros, local_lax, monodromy,
-                     observable_conserved, observable_det, observable_entry,
-                     observable_trace, poisson_bracket,
+from oracles import (dense_monodromy_loop, lax_left_zeros, local_lax,
+                     monodromy, observable_conserved, observable_det,
+                     observable_entry, observable_trace, poisson_bracket,
                      rmatrix_relation_residuals_loop)
 
 N2_STATE = ChainState(np.array([0.2, 0.1]), np.array([0.3, -0.4]))
@@ -319,13 +320,35 @@ class TestBatchedKernels:
         with pytest.raises(ZeroDivisionError):
             chain.rmatrix_relation_residuals(states, [1.4, 1.0], [0.7, -1.0])
 
-    @pytest.mark.parametrize("N", (1, 2, 5, 16))
-    def test_lax_products_match_zeroed_buffer_form(self, N):
+    @staticmethod
+    def _assert_dense_matches_loops(state):
+        # bit for bit, signed zeros and NaNs included; the zeroed-buffer
+        # form adds +0 where the products stand alone, so -0 reads +0 there
+        want = dense_monodromy_loop(state)
+        tr = want[0, 0] + want[1, 1]
+        assert dense_monodromy(state).tobytes() == want.tobytes()
+        assert (conserved_quantities(state).H.tobytes()
+                == tr[2 * state.N::-2].tobytes())
+        assert np.array_equal(dense_monodromy_loop(state, lax_left_zeros),
+                              want, equal_nan=True)
+
+    @pytest.mark.parametrize("N", (1, 2, 3, 5, 16, 257))
+    def test_dense_monodromy_matches_site_loop(self, N):
         st = ChainState.random(N, np.random.default_rng(200 + N))
-        M = dense_monodromy(st)
-        for qk, rk in zip(st.q, st.r):
-            assert np.array_equal(chain._lax_left(M, qk, rk),
-                                  lax_left_zeros(M, qk, rk))
+        self._assert_dense_matches_loops(st)
+
+    @given(N=hst.integers(1, 12), data=hst.data())
+    def test_dense_monodromy_matches_site_loop_zero_and_large(self, N, data):
+        # exact zeros, signed zeros and entries large enough that the
+        # coefficients overflow to inf and NaN
+        entry = hst.sampled_from([0.0, -0.0, 1e-300, 0.3, -2.5, 1e150,
+                                  -1e200, 1e300])
+        pair = hst.tuples(entry, entry).map(lambda p: complex(*p))
+        q, r = (np.array(data.draw(hst.lists(pair, min_size=N, max_size=N)))
+                for _ in range(2))
+        with np.errstate(all="ignore"):
+            assume(np.abs(1.0 - q * r).min() >= chain.DEGENERACY_TOL)
+            self._assert_dense_matches_loops(ChainState(q, r))
 
     @pytest.mark.parametrize("N", (1, 2, 5))
     @pytest.mark.parametrize("k", (1, -1))

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import albaxter
-from albaxter import cli
+from albaxter import backlund, classical_chain as chain, cli
+from albaxter.report import RunConfig
 
 
 def test_bt_sweep_writes_conserving_records(tmp_path, capsys):
@@ -28,6 +29,50 @@ def test_bt_sweep_writes_conserving_records(tmp_path, capsys):
         drift = np.abs(after - before) / np.maximum(np.abs(before), 1.0)
         assert drift.max() < 1e-10
     assert f"wrote {out}" in capsys.readouterr().out
+
+
+def _bt_record_per_mu(state, mu, tol):
+    """An `albaxter bt` record by direct calls at one mu, the source's
+    conserved quantities taken anew."""
+    opts = backlund.SolverOptions(tol=tol)
+    bt = backlund.bt_apply(state, mu, opts)
+    spec = backlund.spectrality(bt)
+    before = chain.conserved_quantities(state)
+    after = chain.conserved_quantities(bt.target)
+    pair = lambda z: [float(np.real(z)), float(np.imag(z))]
+    return {
+        "mu": pair(mu),
+        "iters": bt.newton_iters,
+        "residuals": {
+            "bt": bt.residual,
+            "intertwine": backlund.intertwining_residual(bt, 0.9 + 0.4j),
+            "spectrality": float(spec.collinearity.max()),
+            "trace": spec.trace_residual,
+            "canonicity": backlund.canonicity_check(state, mu, opts=opts),
+        },
+        "H_before": [pair(h) for h in before.H],
+        "H_after": [pair(h) for h in after.H],
+        "det_before": pair(before.det),
+        "det_after": pair(after.det),
+        "gamma": [pair(g) for g in bt.gamma_site],
+        "target": bt.target.to_json_dict(),
+    }
+
+
+def test_bt_sweep_output_equals_per_mu_records(tmp_path):
+    # the sweep takes the source's conserved quantities once
+    out = tmp_path / "sweep.json"
+    assert cli.main(["bt", "--N", "8", "--sweep", "0.1", "0.45", "3",
+                     "--out", str(out)]) == 0
+    backlund._solved.clear()  # the records below solve anew
+    cfg = RunConfig()
+    state = chain.ChainState.random(8, np.random.default_rng(cfg.seed))
+    recs = [_bt_record_per_mu(state, mu, cfg.newton_tol)
+            for mu in np.linspace(0.1, 0.45, 3)]
+    want = json.dumps({"schema": "albaxter-bt/1",
+                       "source": state.to_json_dict(), "records": recs},
+                      sort_keys=True, indent=2)
+    assert out.read_text(encoding="utf-8") == want
 
 
 def test_bt_sweep_canonicity_at_roundoff(tmp_path):
@@ -135,12 +180,16 @@ def test_verify_bt_n512_reports_every_check(tmp_path):
         "bt.trace_formula", "bt.gamma_eigenvalues", "bt.classical_baxter"}
 
 
-def test_bt_n512_small_mu_writes_a_record(tmp_path):
+def test_bt_n512_small_mu_writes_a_record(tmp_path, capsys):
     out = tmp_path / "bt.json"
     assert cli.main(["bt", "--N", "512", "--mu", "0.17",
                      "--out", str(out)]) == 0
     [rec] = json.loads(out.read_text(encoding="utf-8"))["records"]
     assert rec["mu"] == [0.17, 0.0] and rec["residuals"]["bt"] < 1e-12
+    # det L / gamma overflows in spectrality: the trace residual keeps the
+    # NaN that follows, and no numpy warning reaches stderr
+    assert np.isnan(rec["residuals"]["trace"])
+    assert capsys.readouterr().err == ""
 
 
 def _read_csv(path):

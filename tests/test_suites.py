@@ -55,6 +55,7 @@ def test_intertwining_residual_propagates_nan():
     bad = backlund.BTResult(mu=bt.mu, source=bt.source,
                             target=chain.ChainState(q, bt.target.r),
                             gamma_site=bt.gamma_site,
+                            collinearity=bt.collinearity,
                             newton_iters=bt.newton_iters,
                             residual=bt.residual)
     assert np.isnan(backlund.intertwining_residual(bad, 0.9 + 0.2j))
