@@ -13,11 +13,13 @@ branch cuts,
                                 b_k = prod_{j != k} (x_j - (1+eta) x_k),
 
 continued in eta from eta = 0, where F_k = a_k (1 - x_k^N) and the roots
-are 2N-th roots of unity.  On shell the transfer eigenvalue t(nu) is a
-Laurent polynomial with exponents N, N-2, ..., -N, and the q-difference
-Baxter equation t(nu) psi(nu) = delta nu^N psi(nu/sa) + nu^-N psi(nu sa)
-(sa = sqrt(alpha), delta = alpha^m, psi = prod_j (nu^2 - lam_j^2)) reads,
-in x = nu^2 with t(nu) = P(x)/nu^N,
+are 2N-th roots of unity: each step predicts along the tangent
+dx/d(1+eta) and corrects by damped Newton, under step control (Allgower
+& Georg, Numerical Continuation Methods, 1990).  On shell the transfer
+eigenvalue t(nu) is a Laurent polynomial with exponents N, N-2, ..., -N,
+and the q-difference Baxter equation t(nu) psi(nu) = delta nu^N
+psi(nu/sa) + nu^-N psi(nu sa) (sa = sqrt(alpha), delta = alpha^m,
+psi = prod_j (nu^2 - lam_j^2)) reads, in x = nu^2 with t(nu) = P(x)/nu^N,
 
     P(x) Psi(x) = x^N Psi_-(x) + alpha^m Psi_+(x),
 
@@ -38,6 +40,11 @@ from .qcalc import QParam
 # Newton stopping residual max_k |a_k - x_k^N b_k| / (|a_k| + |x_k^N b_k|)
 TOL = 1e-13
 MAX_ITER = 100  # Newton iterations per homotopy step
+# eta step control, measured on alpha in {0.05, 0.2, 0.5, 0.9} x N <= 12
+# x m <= min(N, 6) and x N in {13, 16, 20, 24, 32} x m in {2, 3, 4, 6}: a
+# first Newton correction above STEP_CAP * max|x| refuses the step, and a
+# step done in at most FAST_ITERS iterations doubles the next
+STEP_CAP, FAST_ITERS = 0.05, 3
 
 
 class BetheConvergenceError(RuntimeError):
@@ -74,25 +81,27 @@ def _residual(x, N, ope):
 
 
 def _jacobian(x, N, ope, D):
-    """dF/dx from the row cofactors prod_{l != j} of D.T and D, which are
-    the derivatives of a_k and b_k in their j-th factor (no division)."""
+    """dF/dx and dF/d(1+eta) from the row cofactors prod_{l != j} of D.T
+    and D, which are the derivatives of a_k and b_k in their j-th factor
+    (no division)."""
     m = x.size
     off = ~np.eye(m, dtype=bool)
     C = np.where(off, np.array([D.T, D])[:, :, None, :], 1.0).prod(axis=3)
     Ca, Cb = C * off
     sign = (-1) ** (m - 1)
     xN = x**N
+    sb = Cb.sum(axis=1)
     J = -ope * sign * Ca - xN[:, None] * Cb
-    J.flat[::m + 1] = (sign * Ca.sum(axis=1) + ope * xN * Cb.sum(axis=1)
+    J.flat[::m + 1] = (sign * Ca.sum(axis=1) + ope * xN * sb
                        - N * x ** (N - 1) * D.prod(axis=1))
-    return J
+    return J, -sign * (Ca @ x) + xN * x * sb
 
 
 def _newton(x, N, ope):
     """Damped Newton on F at fixed 1+eta, stopped below a relative residual
-    of TOL; returns the solution and the iteration count.  A solution with
-    x_j, x_k or x_j, (1+eta) x_k within 1e-9 (j != k) is refused as a
-    collision."""
+    of TOL; returns the solution, the iteration count and its pair array.
+    It refuses a start whose first correction exceeds STEP_CAP * max|x|,
+    and x_j, x_k or x_j, (1+eta) x_k within 1e-9 (j != k) as a collision."""
     F, rel, D = _residual(x, N, ope)
     it = 0
     while not rel < TOL:  # a NaN residual never counts as converged
@@ -101,10 +110,13 @@ def _newton(x, N, ope):
                 f"Newton stalled at relative residual {rel:.3e}")
         it += 1
         try:
-            delta = np.linalg.solve(_jacobian(x, N, ope, D), F)
+            delta = np.linalg.solve(_jacobian(x, N, ope, D)[0], F)
         except np.linalg.LinAlgError as exc:
             raise BetheConvergenceError(
                 f"singular Jacobian at relative residual {rel:.3e}") from exc
+        if it == 1 and np.abs(delta).max() > STEP_CAP * np.abs(x).max():
+            raise BetheConvergenceError(
+                f"first correction too large at relative residual {rel:.3e}")
         step = 1.0
         for _ in range(30):
             cand = x - step * delta
@@ -121,7 +133,7 @@ def _newton(x, N, ope):
     if np.minimum(gap, np.abs(D)).min() < 1e-9:
         raise BetheConvergenceError(
             f"root collision at relative residual {rel:.3e}")
-    return x, it
+    return x, it, D
 
 
 def solve_bethe(N, m, qp):
@@ -129,12 +141,14 @@ def solve_bethe(N, m, qp):
     eta-homotopy on F (module docstring) from lam_j = exp(i pi j/N), j < m:
     2N-th roots of unity whose squares are distinct for m <= N.
 
-    Each step is a damped Newton solve from the last point.  The step in
-    eta starts at eta/10 and halves whenever Newton fails or roots
-    collide, aborting below a 1e-6 relative floor.  Each
-    lam_k = +-sqrt(x_k) takes the sign nearer its value at the previous
-    step, so roots keep the order and sign of their seeds.  The residual
-    is the final relative residual of F.
+    Seeds on shell at the target (always at m = 1, F = 1 - x^N) take no
+    step.  The step in the eta fraction starts at 0.1, doubles after at
+    most FAST_ITERS Newton iterations and halves whenever Newton fails,
+    its first correction exceeds STEP_CAP or roots collide, aborting below
+    a 1e-6 floor; the last step ends at the fraction 1.0 exactly.  Each
+    lam_k = +-sqrt(x_k) takes the sign nearer its previous value, so roots
+    keep the order and sign of their seeds.  The residual is the final
+    relative residual of F.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -142,18 +156,23 @@ def solve_bethe(N, m, qp):
         raise ValueError("need m <= N for pairwise-distinct seed squares")
     roots = np.exp(1j * np.pi * np.arange(m) / N)
     x = roots**2
-
-    eta_target = qp.eta
     path = [(0.0, 0)]
-    s, step = 0.0, 0.1  # path fraction along eta = s * eta_target
+    s, step, ope, D, tangent = 0.0, 0.1, 1.0, _pairs(x, 1.0), None
+    if _residual(x, N, qp.one_plus_eta)[1] < TOL:  # seeds on shell
+        s, path = 1.0, [(0.0, 0), (1.0, 0)]
     while s < 1.0:
         if len(path) > 10_000:
             raise BetheConvergenceError(f"homotopy exceeded 10,000 steps at "
                                         f"N={N}, m={m}, eta fraction {s:.6g}")
-        s_next = min(s + step, 1.0)
+        s_next = s + step if s + step < 1.0 - 1e-12 else 1.0
+        ope_next = 1.0 + s_next * qp.eta if s_next < 1.0 else qp.one_plus_eta
         try:
-            x_next, iters = _newton(x, N, 1.0 + s_next * eta_target)
-        except BetheConvergenceError as exc:
+            if tangent is None:  # dx/d(1+eta) = -J^-1 dF/d(1+eta)
+                J, dF = _jacobian(x, N, ope, D)
+                tangent = -np.linalg.solve(J, dF)
+            x_next, iters, D_next = _newton(
+                x + (ope_next - ope) * tangent, N, ope_next)
+        except (BetheConvergenceError, np.linalg.LinAlgError) as exc:
             step *= 0.5
             if step < 1e-6:
                 raise BetheConvergenceError(
@@ -162,11 +181,12 @@ def solve_bethe(N, m, qp):
             continue
         lam = np.sqrt(x_next)
         roots = np.where((lam * roots.conj()).real < 0, -lam, lam)
-        x, s = x_next, s_next
+        x, s, ope, D, tangent = x_next, s_next, ope_next, D_next, None
         path.append((float(s), iters))
+        step *= 2.0 if iters <= FAST_ITERS else 1.0
 
-    residual = _residual(x, N, qp.one_plus_eta)[1]
-    return BetheConfig(N=N, m=m, qp=qp, roots=roots, residual=residual,
+    return BetheConfig(N=N, m=m, qp=qp, roots=roots,
+                       residual=_residual(x, N, qp.one_plus_eta)[1],
                        homotopy_path=tuple(path))
 
 

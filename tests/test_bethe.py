@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,8 @@ from albaxter.report import RunConfig
 from oracles import bethe_roots_mp, tq_remainder_mp
 
 QP = QParam(0.5)
+CONTINUATION = json.loads((Path(__file__).parent / "golden"
+                           / "bethe_continuation_alpha005.json").read_text())
 
 # roots at alpha = 0.5 as an independent logarithmic-form solver found
 # them, in the order and sign their seeds fix; every (N, 1) root is 1
@@ -120,3 +125,58 @@ def test_remainder_agrees_with_mpmath(N, m, alpha):
     off = roots * 1.1 + 0.03
     want = tq_remainder_mp(off, N, alpha)
     assert abs(_remainder(off, N, qp) - want) <= 1e-11 * want
+
+
+@pytest.mark.parametrize("fast_iters", [bethe.FAST_ITERS, -1])
+@pytest.mark.parametrize("N, m, alpha", [
+    (2, 1, 0.5), (4, 3, 0.5), (6, 3, 0.5), (16, 3, 0.5), (24, 2, 0.5),
+    (8, 4, 0.05), (12, 6, 0.05), (9, 4, 0.9), (6, 2, 0.2)])
+def test_path_ends_at_exactly_the_target(N, m, alpha, fast_iters,
+                                          monkeypatch):
+    # without step growth (fast_iters = -1) ten steps of 0.1 sum to
+    # 0.9999999999999999: the last step must snap to 1.0 rather than leave
+    # a zero-iteration step behind it
+    monkeypatch.setattr(bethe, "FAST_ITERS", fast_iters)
+    fractions = [s for s, _ in
+                 bethe.solve_bethe(N, m, QParam(alpha)).homotopy_path]
+    assert fractions[-1] == 1.0
+    assert not any(1.0 - 1e-12 < s < 1.0 for s in fractions)
+    assert fractions == sorted(set(fractions))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5])
+@pytest.mark.parametrize("N, m", [(5, 2), (6, 3), (16, 3)])
+def test_eta_derivative_matches_central_difference(N, m, alpha):
+    # F is a polynomial of degree m - 1 in 1+eta, so the central
+    # difference is exact up to rounding: measured <= 2.3e-11 relative
+    x = bethe.solve_bethe(N, m, QParam(alpha)).roots ** 2
+    ope, h = 1.0 / alpha, 1e-3
+    dF = bethe._jacobian(x, N, ope, bethe._pairs(x, ope))[1]
+    central = (bethe._residual(x, N, ope + h)[0]
+               - bethe._residual(x, N, ope - h)[0]) / (2 * h)
+    assert np.abs(dF - central).max() <= 1e-9 * np.abs(dF).max()
+
+
+@pytest.mark.parametrize("cfg", CONTINUATION["configs"],
+                         ids=lambda c: f"N={c['N']}-m={c['m']}")
+def test_roots_follow_their_seeds_continuation(cfg):
+    # a fixed first eta step of 1.9 landed these on other valid states
+    want = np.array([complex(*z) for z in cfg["roots"]])
+    roots = bethe.solve_bethe(cfg["N"], cfg["m"],
+                              QParam(CONTINUATION["alpha"])).roots
+    assert (np.abs(roots - want) / np.abs(want)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("N, m", [(5, 2), (6, 2), (4, 3), (6, 3)])
+def test_newton_work_per_solve(N, m):
+    # the quantum-scale benchmark's configs, guarded by a count, not a
+    # timing: about half the 36-40 iterations of fixed steps of 0.1
+    path = bethe.solve_bethe(N, m, QP).homotopy_path
+    assert sum(iters for _, iters in path) <= 20
+
+
+@pytest.mark.parametrize("N", [1, 2, 6, 16])
+def test_one_root_is_on_shell_from_its_seed(N):
+    cfg = bethe.solve_bethe(N, 1, QP)
+    assert cfg.roots.tolist() == [1 + 0j]
+    assert cfg.homotopy_path == ((0.0, 0), (1.0, 0))
