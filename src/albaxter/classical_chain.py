@@ -200,8 +200,25 @@ def conserved_quantities(state):
 
 
 def _bracket(fq, fr, gq, gr, w):
-    """sum_k (df/dq_k dg/dr_k - df/dr_k dg/dq_k)(1 - q_k r_k), last axis."""
-    return np.sum((fq * gr - fr * gq) * w, axis=-1)
+    """sum_k (df/dq_k dg/dr_k - df/dr_k dg/dq_k)(1 - q_k r_k) over the last
+    axis, and its condition scale sum_k (|f_q g_r| + |f_r g_q|) |w_k|, the
+    size of the terms the sum cancels."""
+    a, b = fq * gr, fr * gq
+    scale = np.abs(a)
+    scale += np.abs(b)
+    scale *= np.abs(w)
+    return np.sum((a - b) * w, axis=-1), np.sum(scale, axis=-1)
+
+
+def _relative(diff, scale):
+    """diff / scale elementwise; 0 where the scale is 0 (a sum with no
+    terms), and NaN wherever diff or scale is not finite, so an overflow
+    reads as a FAIL and never as 0."""
+    diff, scale = np.asarray(diff, dtype=float), np.asarray(scale, dtype=float)
+    finite = np.isfinite(diff) & np.isfinite(scale)
+    rel = np.divide(diff, scale, out=np.zeros_like(diff),
+                    where=finite & (scale > 0))
+    return np.where(finite, rel, np.nan)
 
 
 def _lax_stack(q, r, lams):
@@ -261,10 +278,12 @@ def _trace_gradients(state, lams):
 
 
 def trace_bracket(state, lam, nu):
-    """{Tr L(lam), Tr L(nu)} from exact prefix/suffix gradients."""
+    """{Tr L(lam), Tr L(nu)} from exact prefix/suffix gradients, and its
+    condition scale (see `_bracket`)."""
     tq, tr = _trace_gradients(state, [lam, nu])
     w = 1.0 - state.q * state.r
-    return complex(_bracket(tq[0], tr[0], tq[1], tr[1], w))
+    bracket, scale = _bracket(tq[0], tr[0], tq[1], tr[1], w)
+    return complex(bracket), float(scale)
 
 
 def trace_det_bracket(state, lams):
@@ -280,9 +299,7 @@ def trace_det_bracket(state, lams):
     before = np.concatenate(([1.0], np.cumprod(w[:-1])))
     after = np.concatenate((np.cumprod(w[:0:-1])[::-1], [1.0]))
     excl = before * after
-    gq, gr = -state.r * excl, -state.q * excl
-    scale = np.sum((np.abs(fq * gr) + np.abs(fr * gq)) * np.abs(w), axis=-1)
-    return _bracket(fq, fr, gq, gr, w), scale
+    return _bracket(fq, fr, -state.r * excl, -state.q * excl, w)
 
 
 def trace_difference(a, b, lams):
@@ -355,13 +372,14 @@ def classical_rmatrix(lam, nu):
 def _brackets_of(dq, dr, w):
     """The 4x4 {L(lam) (x) L(nu)} per state of a stack, from its gradients
     at (lam, nu), dq and dr of shape (..., 2, 2, 2, N), and its weights w
-    of shape (..., N)."""
+    of shape (..., N); and the 4x4 condition scales of its entries."""
     # br[..., a, b, g, d] = {L(lam)_ab, L(nu)_gd}
     at_lam = lambda g: g[..., 0, :, :, None, None, :]
     at_nu = lambda g: g[..., 1, None, None, :, :, :]
-    br = _bracket(at_lam(dq), at_lam(dr), at_nu(dq), at_nu(dr),
-                  w[..., None, None, None, None, :])
-    return br.swapaxes(-3, -2).reshape(br.shape[:-4] + (4, 4))
+    as4x4 = lambda t: t.swapaxes(-3, -2).reshape(t.shape[:-4] + (4, 4))
+    br, scale = _bracket(at_lam(dq), at_lam(dr), at_nu(dq), at_nu(dr),
+                         w[..., None, None, None, None, :])
+    return as4x4(br), as4x4(scale)
 
 
 def entry_brackets(state, lam, nu):
@@ -370,27 +388,33 @@ def entry_brackets(state, lam, nu):
     T_{ab,gd} = {L(lam)_ab, L(nu)_gd}.
     """
     dq, dr, _ = _entry_gradients(state.q[None], state.r[None], [[lam, nu]])
-    return _brackets_of(dq[0], dr[0], 1.0 - state.q * state.r)
+    return _brackets_of(dq[0], dr[0], 1.0 - state.q * state.r)[0]
 
 
 def rmatrix_relation_residuals(states, lams, nus):
-    """Max-entry residuals of {L(lam) (x) L(nu)} = [r, L(lam) (x) L(nu)],
-    one per draw (states[i], lams[i], nus[i]); the states share one N.
-    The left sides of all draws and the monodromies in K come from one
-    `_entry_gradients` loop."""
+    """Residuals of {L(lam) (x) L(nu)} = [r, L(lam) (x) L(nu)], one per draw
+    (states[i], lams[i], nus[i]); the states share one N.  A draw's largest
+    entry difference is taken relative to the larger of the sizes of the
+    two sides: the largest condition scale of a bracket entry (see
+    `_bracket`) and the largest entry of |r| |K| + |K| |r|.  NaN where
+    either is not finite.  The left sides of all draws and the monodromies
+    in K come from one `_entry_gradients` call."""
     for lam, nu in zip(lams, nus):
         if lam == 0 or nu == 0 or abs(lam**2 - nu**2) == 0:
             raise ZeroDivisionError("singular spectral parameters")
     dq, dr, M = _entry_gradients(np.stack([s.q for s in states]),
                                  np.stack([s.r for s in states]),
                                  np.column_stack((lams, nus)))
-    lhs = _brackets_of(dq, dr, 1.0 - np.stack([s.q * s.r for s in states]))
+    lhs, lhs_scale = _brackets_of(
+        dq, dr, 1.0 - np.stack([s.q * s.r for s in states]))
     # K = L(lam) (x) L(nu) per draw: K[(a, g), (b, d)] = L(lam)_ab L(nu)_gd
     Ml, Mn = M[:, 0], M[:, 1]
     K = (Ml[:, :, None, :, None] * Mn[:, None, :, None, :]).reshape(-1, 4, 4)
     rmat = classical_rmatrix(np.asarray(lams), np.asarray(nus))
-    diff = np.abs(lhs - (rmat @ K - K @ rmat))
-    return diff.reshape(len(states), -1).max(axis=1)
+    per_draw = lambda a: a.reshape(len(states), -1).max(axis=1)
+    ra, ka = np.abs(rmat), np.abs(K)
+    scale = np.maximum(per_draw(lhs_scale), per_draw(ra @ ka + ka @ ra))
+    return _relative(per_draw(np.abs(lhs - (rmat @ K - K @ rmat))), scale)
 
 
 def rmatrix_relation_residual(state, lam, nu):

@@ -69,7 +69,8 @@ def suite_classical(cfg, rng):
 
     def involution():
         lam, nu = _sample_spectral_pair(rng)
-        return abs(chain.trace_bracket(state, lam, nu))
+        bracket, scale = chain.trace_bracket(state, lam, nu)
+        return chain._relative(abs(bracket), scale)
 
     _timed(records, "classical.trace_involution", {"N": N}, 1e-10, involution)
 
@@ -79,7 +80,7 @@ def suite_classical(cfg, rng):
         k = int(rng.integers(1, N + 1))
         e_k = np.eye(1, N, k - 1)[0]
         got = complex(chain._bracket(e_k, 0.0, 0.0, e_k,
-                                     1.0 - state.q * state.r))
+                                     1.0 - state.q * state.r)[0])
         want = 1.0 - state.q[k - 1] * state.r[k - 1]
         return abs(got - want)
 
@@ -88,7 +89,7 @@ def suite_classical(cfg, rng):
     def h_det_involution():
         bracket, scale = chain.trace_det_bracket(state, points)
         # at N = 1 the trace does not depend on q, r: every term is 0
-        return _worst(np.abs(bracket) / np.where(scale > 0, scale, 1.0))
+        return _worst(chain._relative(np.abs(bracket), scale))
 
     _timed(records, "classical.conserved_involution", {"N": N}, 1e-10,
            h_det_involution)

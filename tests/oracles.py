@@ -403,24 +403,27 @@ def rmatrix_relation_residuals_loop(states, lams, nus):
     """classical_chain.rmatrix_relation_residuals with the per-draw tail it
     replaced: per draw, the 4x4 brackets, np.kron of the two monodromies
     (the last prefix products of the gradient loop), the r-matrix and the
-    commutator.  Returns the residuals and, per draw,
-    the largest |entry| of the brackets, |r| |K| and |K| |r|."""
+    commutator.  Each draw's largest entry difference is divided by the
+    larger of the largest bracket term sum sum_k (|f_q g_r| + |f_r g_q|)
+    |w_k| and the largest entry of |r| |K| + |K| |r|."""
     dq, dr, M = chain._entry_gradients(np.stack([s.q for s in states]),
                                        np.stack([s.r for s in states]),
                                        np.column_stack((lams, nus)))
-    res, scale = [], []
+    res = []
     for i, (state, lam, nu) in enumerate(zip(states, lams, nus)):
         w = 1.0 - state.q * state.r
-        br = chain._bracket(dq[i][0][:, :, None, None],
-                            dr[i][0][:, :, None, None],
-                            dq[i][1][None, None], dr[i][1][None, None], w)
+        fq, fr = dq[i][0][:, :, None, None], dr[i][0][:, :, None, None]
+        gq, gr = dq[i][1][None, None], dr[i][1][None, None]
+        br = np.sum((fq * gr - fr * gq) * w, axis=-1)
+        terms = np.sum((np.abs(fq * gr) + np.abs(fr * gq)) * np.abs(w),
+                       axis=-1)
         lhs = br.transpose(0, 2, 1, 3).reshape(4, 4)
         K = np.kron(M[i][0], M[i][1])
         rmat = chain.classical_rmatrix(lam, nu)
-        res.append(np.abs(lhs - (rmat @ K - K @ rmat)).max())
         r, k = np.abs(rmat), np.abs(K)
-        scale.append(max(np.abs(lhs).max(), (r @ k).max(), (k @ r).max()))
-    return np.array(res), np.array(scale)
+        scale = max(terms.max(), (r @ k + k @ r).max())
+        res.append(np.abs(lhs - (rmat @ K - K @ rmat)).max() / scale)
+    return np.array(res)
 
 
 def qpochhammer_parts_loop(x, qp):

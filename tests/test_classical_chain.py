@@ -163,11 +163,15 @@ class TestDenseKernel:
         lam, nu = 1.3 + 0.2j, 0.7 - 0.5j
         want = poisson_bracket(observable_trace(lam),
                                observable_trace(nu), st)
-        got = trace_bracket(st, lam, nu)
-        # the bracket vanishes; compare on the scale of its gradient terms
-        scale = max(np.abs(monodromy_matrix(st, lam)).max()
-                    * np.abs(monodromy_matrix(st, nu)).max(), 1.0)
-        assert abs(got - want) < 1e-13 * scale
+        got, scale = trace_bracket(st, lam, nu)
+        # the bracket vanishes; compare on the size of the terms it cancels,
+        # which is at most the size of the gradient products
+        size = max(np.abs(monodromy_matrix(st, lam)).max()
+                   * np.abs(monodromy_matrix(st, nu)).max(), 1.0)
+        assert abs(got - want) < 1e-13 * size
+        assert scale <= 8 * N * size
+        # at N = 1 the trace does not depend on q, r: both are 0
+        assert abs(got) <= 1e-15 * scale
 
     @pytest.mark.parametrize("N", (1, 2, 3, 4, 6))
     def test_conserved_det_bracket_against_multidual(self, N):
@@ -311,9 +315,11 @@ class TestBatchedKernels:
             states, lams = _draws(N, 10, 300 + 10 * N + seed)
             got = chain.rmatrix_relation_residuals(states, lams[:, 0],
                                                    lams[:, 1])
-            want, scale = rmatrix_relation_residuals_loop(
-                states, lams[:, 0], lams[:, 1])
-            assert (np.abs(got - want) <= 4 * np.spacing(scale)).all()
+            want = rmatrix_relation_residuals_loop(states, lams[:, 0],
+                                                   lams[:, 1])
+            # the two differences agree to a few ulps of the largest entry
+            # they compare, which is at most the scale both divide by
+            assert (np.abs(got - want) <= 4 * np.finfo(float).eps).all()
 
     def test_rmatrix_residuals_singular_guard(self):
         states = [ChainState.zeros(2)] * 2
@@ -422,17 +428,26 @@ class TestRK4:
 
 
 class TestPoissonBrackets:
+    def test_relative_reads_nan_off_non_finite_parts(self):
+        diff = [1.0, 0.0, 1.0, np.inf, np.nan, 1.0]
+        scale = [2.0, 0.0, np.inf, np.inf, 1.0, np.nan]
+        got = chain._relative(diff, scale)
+        assert got[:2].tolist() == [0.5, 0.0]
+        assert np.isnan(got[2:]).all()
+
     @pytest.mark.parametrize("N", (2, 16, 128))
     def test_kernel_coordinate_bracket_against_oracle(self, N):
         # {q_k, r_k} for every site from the kernel's bracket sum on the
         # coordinate gradients, as the classical.bracket_weight check takes it
         st = ChainState.random(N, np.random.default_rng(160 + N))
         eye = np.eye(N)
-        got = chain._bracket(eye, 0.0, 0.0, eye, 1.0 - st.q * st.r)
+        w = 1.0 - st.q * st.r
+        got, scale = chain._bracket(eye, 0.0, 0.0, eye, w)
         want = [poisson_bracket(lambda q, r, k=k: q[k],
                                 lambda q, r, k=k: r[k], st)
                 for k in range(N)]
         assert np.array_equal(got, want)
+        assert np.array_equal(scale, np.abs(w))
 
     def test_weighted_canonical_pair(self):
         rng = np.random.default_rng(7)

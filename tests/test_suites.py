@@ -151,20 +151,68 @@ def test_classical_point_checks_fail_under_small_defects(N, monkeypatch):
             state, bad, _classical_points(seed))) >= 2e-11
     lax_det = chain.lax_det
     monkeypatch.setattr(chain, "lax_det", lambda s: lax_det(s) * (1 + 1e-9))
-    bracket = chain._bracket
-
-    def one_weight_off(fq, fr, gq, gr, w):
-        w = np.array(w)
-        w[..., 0] *= 1 + 1e-6
-        return bracket(fq, fr, gq, gr, w)
-
-    monkeypatch.setattr(chain, "_bracket", one_weight_off)
+    monkeypatch.setattr(chain, "_bracket", _one_weight_off(chain._bracket))
     for seed in seeds:
         records = _classical_records(N, seed)
         det = records["classical.monodromy_det"]
         involution = records["classical.conserved_involution"]
         assert det.residual >= 1e-11 and not det.passed
         assert involution.residual >= 2e-8 and not involution.passed
+
+
+def _one_weight_off(bracket):
+    """`_bracket` with the weight w_1 of site 1 off by 1e-6."""
+    def patched(fq, fr, gq, gr, w):
+        w = np.array(w)
+        w[..., 0] *= 1 + 1e-6
+        return bracket(fq, fr, gq, gr, w)
+    return patched
+
+
+@pytest.mark.parametrize("N", (2, 16, 128))
+def test_rmatrix_relation_fails_under_a_scaled_bracket(N, monkeypatch):
+    # relative to the sizes of its two sides, the r-matrix relation sits at
+    # the roundoff floor, and reads far above its bound when every bracket
+    # is 1e-6 off
+    seeds = range(5)
+    for seed in seeds:
+        assert _classical_records(N, seed)["classical.rmatrix_relation"].passed
+    bracket = chain._bracket
+
+    def scaled(*args):
+        value, scale = bracket(*args)
+        return value * (1 + 1e-6), scale
+
+    monkeypatch.setattr(chain, "_bracket", scaled)
+    for seed in seeds:
+        record = _classical_records(N, seed)["classical.rmatrix_relation"]
+        assert record.residual >= 1e-8 and not record.passed
+
+
+@pytest.mark.parametrize("N", (16, 128))
+def test_trace_involution_fails_under_one_weight_off(N, monkeypatch):
+    # at N = 2 the trace gradients do not depend on lam, so each site's
+    # term of {Tr L(lam), Tr L(nu)} is 0 whatever its weight; from N = 3 on
+    # one weight off by 1e-6 reads 5e-10 to 8e-8 over seeds 0-9
+    seeds = range(5)
+    for seed in seeds:
+        assert _classical_records(N, seed)["classical.trace_involution"].passed
+    monkeypatch.setattr(chain, "_bracket", _one_weight_off(chain._bracket))
+    for seed in seeds:
+        record = _classical_records(N, seed)["classical.trace_involution"]
+        assert record.residual >= 2e-10 and not record.passed
+
+
+def test_bracket_checks_read_nan_past_overflow():
+    # at N = 2048 the monodromies overflow off |lam| = 1: the two bracket
+    # checks then read NaN, a FAIL, never 0
+    for seed in (0, 1):
+        with np.errstate(all="ignore"):
+            records = _classical_records(2048, seed)
+        for check in ("classical.rmatrix_relation",
+                      "classical.trace_involution"):
+            assert np.isnan(records[check].residual), check
+            assert not records[check].passed
 
 
 def test_classical_overflow_reads_nan(monkeypatch):
