@@ -20,13 +20,22 @@ gradients come from prefix and suffix products,
     dL/dq_k = P_{>k} E12 P_{<k},   dL/dr_k = P_{>k} E21 P_{<k},
 
 with P_{<k} = L_{k-1} ... L_1 and P_{>k} = L_N ... L_{k+1}, and the last
-prefix product is the monodromy itself.  The products run batched: one
-N-step loop of stacked 2x2 products serves a whole stack of states, each at
-its own points, so a check takes all its draws through one loop in O(N)
-time and memory.  numpy's stacked 2x2 product gives each matrix the same
-bits at any stack size, so a state's gradients do not depend on the batch
-it came in.  Every bracket is the one weighted sum `_bracket` over such
-gradients.
+prefix product is the monodromy itself.  All prefix and suffix products of
+a whole stack of states, each at its own points, come from one doubling
+(Hillis-Steele) scan in an entries-first layout (2, 2, N, B, n): step d
+multiplies every partial product by the one d sites below it, as a single
+broadcast 2x2 product over all sites, states and points at once.  So a
+check takes all its draws through ceil(log2 N) numpy passes, in
+O(N log N) work and O(N) memory.  The products are elementwise, so each
+matrix gets the same bits at any stack size, and a state's gradients do
+not depend on the batch it came in.
+
+Every bracket is the one weighted sum `_bracket` over such gradients, which
+also returns the bracket's condition scale: the sum of the absolute values
+of the terms it adds up.  An identity between brackets is judged against
+that scale and against the size of its other side, so a residual reads at
+the roundoff floor at any N until the products overflow, and NaN from
+there, never 0.
 
 Identities between Laurent polynomials in lam are checked at points, not
 coefficient by coefficient: two Laurent polynomials of degree N that agree
@@ -43,7 +52,8 @@ lam^(+-1) is an index shift.  It costs O(N^2) time and memory and serves
 only where the H_i are read one by one: `conserved_quantities`, for the
 CLI's records and the drift of the H_i under a Backlund map.  The tests
 check both kernels against the same objects built over generic
-LaurentPoly/MultiDual arithmetic (`tests/oracles.py`).
+LaurentPoly/MultiDual arithmetic, and the scan against a sequential loop of
+stacked 2x2 products (`tests/oracles.py`).
 """
 
 from dataclasses import dataclass
@@ -207,7 +217,9 @@ def _bracket(fq, fr, gq, gr, w):
     scale = np.abs(a)
     scale += np.abs(b)
     scale *= np.abs(w)
-    return np.sum((a - b) * w, axis=-1), np.sum(scale, axis=-1)
+    a -= b
+    del b
+    return np.sum(a * w, axis=-1), np.sum(scale, axis=-1)
 
 
 def _relative(diff, scale):
@@ -224,26 +236,62 @@ def _relative(diff, scale):
 def _lax_stack(q, r, lams):
     """The local Lax matrices of a stack of B states, q and r of shape
     (B, N), each at its own n points, lams of shape (B, n): an array of
-    shape (N, B, n, 2, 2) whose [k] holds L_{k+1}."""
+    shape (2, 2, N, B, n), entries first, whose [:, :, k] holds L_{k+1}."""
     lams = np.asarray(lams, dtype=complex)
-    L = np.empty((q.shape[1],) + lams.shape + (2, 2), dtype=complex)
-    L[..., 0, 0] = lams
-    L[..., 0, 1] = q.T[:, :, None]
-    L[..., 1, 0] = r.T[:, :, None]
-    L[..., 1, 1] = 1.0 / lams
+    L = np.empty((2, 2, q.shape[1]) + lams.shape, dtype=complex)
+    L[0, 0] = lams
+    L[0, 1] = q.T[:, :, None]
+    L[1, 0] = r.T[:, :, None]
+    L[1, 1] = 1.0 / lams
     return L
+
+
+def _ordered_products(L, suffixes=True):
+    """Prefix products P_{<k} = L_{k-1} ... L_1 of a stack L of shape
+    (2, 2, N, ...) as made by `_lax_stack`, and with suffixes the suffix
+    products P_{>k} = L_N ... L_{k+1}.  Returns shape (2, 2, 2, N + 1, ...)
+    (with suffixes) or (2, 2, 1, N + 1, ...): [:, :, 0, k] holds P_{<k+1},
+    so [:, :, 0, N] is the monodromy, and [:, :, 1, k] holds P_{>k}.
+
+    Both run as one Hillis-Steele doubling scan.  After the step of offset
+    d every inclusive prefix L_j ... L_{j-2d+1} is the product of the
+    prefixes at j and j - d, and every inclusive suffix likewise of those
+    at j + d and j: for both ways the one broadcast product
+    A[:, 0, None] B[None, 0] + A[:, 1, None] B[None, 1] of the stack A from
+    offset d with the stack B up to offset -d.  So ceil(log2 N) steps do
+    all N sites, each element on the same bits whatever the stack around
+    it."""
+    N, rest = L.shape[2], L.shape[3:]
+    ways = 2 if suffixes else 1
+    out = np.empty((2, 2, ways, N + 1) + rest, dtype=complex)
+    eye = np.eye(2).reshape((2, 2) + (1,) * len(rest))
+    out[:, :, 0, 0] = eye
+    if suffixes:
+        out[:, :, 1, N] = eye
+    # prefixes from the first slot, suffixes up to the last: one view, in
+    # which [:, :, w, j] holds the inclusive product of way w at site j + 1
+    flat = out.reshape((2, 2, ways * (N + 1)) + rest)
+    scan = flat[:, :, 1:ways * N + 1].reshape((2, 2, ways, N) + rest)
+    scan[...] = L[:, :, None]
+    d = 1
+    while d < N:
+        A, B = scan[:, :, :, d:], scan[:, :, :, :-d]
+        prod = A[:, 0, None] * B[None, 0]
+        prod += A[:, 1, None] * B[None, 1]
+        scan[:, :, 0, d:] = prod[:, :, 0]
+        if suffixes:
+            scan[:, :, 1, :-d] = prod[:, :, 1]
+        d *= 2
+    return out
 
 
 def _monodromies(q, r, lams):
     """Numeric monodromies L_N ... L_1 of a stack of B states, q and r of
     shape (B, N), each at its own n points, lams of shape (B, n): shape
-    (B, n, 2, 2), one stacked 2x2 product per site.  They are the bits of
-    the last prefix product of `_entry_gradients`."""
-    L = _lax_stack(q, r, lams)
-    M = np.broadcast_to(np.eye(2, dtype=complex), L.shape[1:])
-    for Lk in L:
-        M = Lk @ M
-    return M
+    (B, n, 2, 2), the last prefix product of `_ordered_products`, so the
+    bits of the monodromies `_entry_gradients` returns."""
+    P = _ordered_products(_lax_stack(q, r, lams), suffixes=False)
+    return P[:, :, 0, -1].transpose(2, 3, 0, 1).copy()
 
 
 def _entry_gradients(q, r, lams):
@@ -251,22 +299,21 @@ def _entry_gradients(q, r, lams):
     B states, q and r of shape (B, N), each at its own n points, lams of
     shape (B, n).  Returns two arrays of shape (B, n, 2, 2, N), from
     dL/dq_k = P_{>k} E12 P_{<k} and dL/dr_k = P_{>k} E21 P_{<k}, and the
-    monodromies (B, n, 2, 2), the last prefix product; every prefix and
-    suffix step is one stacked 2x2 product over all B n pairs.
+    monodromies (B, n, 2, 2), the last prefix product; the prefix and
+    suffix products come from one doubling scan over all sites and all
+    B n pairs (`_ordered_products`).
     """
     N = q.shape[1]
-    L = _lax_stack(q, r, lams)
-    pre = np.empty((N + 1,) + L.shape[1:], dtype=complex)
-    suf = np.empty_like(pre)
-    pre[0] = suf[N] = np.eye(2)
-    for k in range(N):  # pre[k] = L_k ... L_1, suf[k] = L_N ... L_{k+1}
-        np.matmul(L[k], pre[k], out=pre[k + 1])
-        np.matmul(suf[N - k], L[N - 1 - k], out=suf[N - 1 - k])
-    S, P = suf[1:], pre[:-1]  # P_{>k}, P_{<k} for sites k = 1..N
-    # (S E12 P)_ab = S_a0 P_1b and (S E21 P)_ab = S_a1 P_0b
-    dq = np.einsum("kmna,kmnb->mnabk", S[..., :, 0], P[..., 1, :])
-    dr = np.einsum("kmna,kmnb->mnabk", S[..., :, 1], P[..., 0, :])
-    return dq, dr, pre[N].copy()
+    prods = _ordered_products(_lax_stack(q, r, lams))
+    P, S = prods[:, :, 0, :N], prods[:, :, 1, 1:]  # sites k = 1..N
+    # (S E12 P)_ab = S_a0 P_1b and (S E21 P)_ab = S_a1 P_0b, each written
+    # through an entries-first view of its (B, n, 2, 2, N) result
+    grads = np.empty((2,) + P.shape[3:] + (2, 2, N), dtype=complex)
+    view = grads.transpose(0, 3, 4, 5, 1, 2)
+    np.multiply(S[:, 0, None], P[None, 1], out=view[0])
+    np.multiply(S[:, 1, None], P[None, 0], out=view[1])
+    M = prods[:, :, 0, N].transpose(2, 3, 0, 1).copy()
+    return grads[0], grads[1], M
 
 
 def _trace_gradients(state, lams):

@@ -176,6 +176,28 @@ def dense_monodromy_loop(state, step=lax_left):
     return M
 
 
+def prefix_products_loop(q, r, lams):
+    """The prefix and suffix products of the local Lax matrices of a stack
+    of B states, q and r of shape (B, N), each at its own n points, lams of
+    shape (B, n), by the N-step loop of stacked 2x2 matmuls that
+    classical_chain's doubling scan replaced.  Returns pre and suf of shape
+    (N + 1, B, n, 2, 2): pre[k] = L_k ... L_1 and suf[k] = L_N ... L_{k+1}."""
+    lams = np.asarray(lams, dtype=complex)
+    N = q.shape[1]
+    L = np.empty((N,) + lams.shape + (2, 2), dtype=complex)
+    L[..., 0, 0] = lams
+    L[..., 0, 1] = q.T[:, :, None]
+    L[..., 1, 0] = r.T[:, :, None]
+    L[..., 1, 1] = 1.0 / lams
+    pre = np.empty((N + 1,) + L.shape[1:], dtype=complex)
+    suf = np.empty_like(pre)
+    pre[0] = suf[N] = np.eye(2)
+    for k in range(N):
+        np.matmul(L[k], pre[k], out=pre[k + 1])
+        np.matmul(suf[N - k], L[N - 1 - k], out=suf[N - 1 - k])
+    return pre, suf
+
+
 def intertwining_loop(bt, lam):
     """Max-entry residual of L~_k(lam) D_k(lam) - D_{k+1}(lam) L_k(lam) by
     the per-site loop of single 2x2 products that

@@ -17,7 +17,7 @@ from albaxter.classical_chain import (ChainState, DegenerateStateError,
 from oracles import (dense_monodromy_loop, lax_left_zeros, local_lax,
                      monodromy, observable_conserved, observable_det,
                      observable_entry, observable_trace, poisson_bracket,
-                     rmatrix_relation_residuals_loop)
+                     prefix_products_loop, rmatrix_relation_residuals_loop)
 
 N2_STATE = ChainState(np.array([0.2, 0.1]), np.array([0.3, -0.4]))
 
@@ -267,8 +267,9 @@ class TestBatchedKernels:
     """The batched kernels give each state the bits it gets alone."""
 
     def test_stacked_2x2_matmul_is_batch_invariant(self):
-        # what the batched gradients rest on: numpy's stacked 2x2 product
-        # gives each matrix the same bits at any stack size
+        # numpy's stacked matrix product gives each matrix the same bits at
+        # any stack size; the r-matrix commutators of a batch of draws rest
+        # on it
         rng = np.random.default_rng(170)
         shape = (10, 2, 2, 2)
         A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -278,6 +279,56 @@ class TestBatchedKernels:
             assert np.array_equal(whole[i:i + 1], A[i:i + 1] @ B[i:i + 1])
             for j in range(2):
                 assert np.array_equal(whole[i, j], A[i, j] @ B[i, j])
+
+    def test_broadcast_2x2_product_is_batch_invariant(self):
+        # what the doubling scan rests on: its entries-first product gives
+        # each matrix the same bits at any stack size and in any slice
+        rng = np.random.default_rng(171)
+        shape = (2, 2, 17, 10, 2)
+        A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        B = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        product = lambda A, B: (A[:, 0, None] * B[None, 0]
+                                + A[:, 1, None] * B[None, 1])
+        whole = product(A, B)
+        assert np.abs(whole.transpose(2, 3, 4, 0, 1)
+                      - A.transpose(2, 3, 4, 0, 1)
+                      @ B.transpose(2, 3, 4, 0, 1)).max() < 1e-14
+        for k in (0, 5, 16):
+            for i in range(10):
+                one = product(A[:, :, k:k + 1, i:i + 1],
+                              B[:, :, k:k + 1, i:i + 1])
+                assert np.array_equal(whole[:, :, k:k + 1, i:i + 1], one)
+        assert np.array_equal(whole[:, :, 3:], product(A[:, :, 3:],
+                                                        B[:, :, 3:]))
+
+    @pytest.mark.parametrize("N", (1, 2, 3, 5, 16, 17, 100, 1000))
+    def test_scan_matches_sequential_loop(self, N):
+        # the doubling scan against the N-step loop it replaced, on points
+        # of |lam| = 1 and off it.  Each partial product is within 1e-13 of
+        # the same product of the factors' absolute values, |L_k| having
+        # entries |lam|, |q_k|, |r_k|, 1/|lam|: no entry of a computed
+        # product can exceed it, and it is at most prod_k ||L_k||
+        states, lams = _draws(N, 3, 200 + N)
+        lams[:, 1] = np.exp(2j * np.pi * np.random.default_rng(N).uniform(
+            size=3))
+        # |lam| <= 2^min(1, 8/N), so that no product overflows at N = 1000
+        lams[:, 0] *= np.abs(lams[:, 0]) ** (min(1.0, 8.0 / N) - 1.0)
+        q = np.stack([s.q for s in states])
+        r = np.stack([s.r for s in states])
+        L = chain._lax_stack(q, r, lams)
+        got = chain._ordered_products(L)
+        pre, suf = prefix_products_loop(q, r, lams)
+        sizes = prefix_products_loop(np.abs(q), np.abs(r), np.abs(lams))
+        for k in range(N + 1):
+            for way in (0, 1):
+                want, size = pre[k] if way == 0 else suf[k], sizes[way][k]
+                err = np.abs(got[:, :, way, k].transpose(2, 3, 0, 1) - want)
+                assert (err.max(axis=(-2, -1))
+                        <= 1e-13 * np.abs(size).max(axis=(-2, -1))).all()
+        # the prefixes alone are the same bits as with the suffixes
+        alone = chain._ordered_products(L, suffixes=False)
+        assert alone.shape == (2, 2, 1, N + 1, 3, 2)
+        assert np.array_equal(alone[:, :, 0], got[:, :, 0])
 
     @pytest.mark.parametrize("N", (1, 2, 16, 128))
     @pytest.mark.parametrize("B", (1, 10))
