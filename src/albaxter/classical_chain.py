@@ -212,14 +212,20 @@ def conserved_quantities(state):
 def _bracket(fq, fr, gq, gr, w):
     """sum_k (df/dq_k dg/dr_k - df/dr_k dg/dq_k)(1 - q_k r_k) over the last
     axis, and its condition scale sum_k (|f_q g_r| + |f_r g_q|) |w_k|, the
-    size of the terms the sum cancels."""
-    a, b = fq * gr, fr * gq
+    size of the terms the sum cancels.  The bracket is summed, and its
+    products dropped, before |f_r g_q| is taken, so that where f and g
+    broadcast, at most two and a half arrays of the full shape are alive."""
+    a = np.multiply(fq, gr, dtype=np.result_type(fq, fr, gq, gr, w))
     scale = np.abs(a)
-    scale += np.abs(b)
-    scale *= np.abs(w)
+    b = fr * gq
     a -= b
+    a *= w
+    bracket = np.sum(a, axis=-1)
+    del a
+    scale += np.abs(b)
     del b
-    return np.sum(a * w, axis=-1), np.sum(scale, axis=-1)
+    scale *= np.abs(w)
+    return bracket, np.sum(scale, axis=-1)
 
 
 def _relative(diff, scale):
@@ -246,12 +252,13 @@ def _lax_stack(q, r, lams):
     return L
 
 
-def _ordered_products(L, suffixes=True):
-    """Prefix products P_{<k} = L_{k-1} ... L_1 of a stack L of shape
-    (2, 2, N, ...) as made by `_lax_stack`, and with suffixes the suffix
-    products P_{>k} = L_N ... L_{k+1}.  Returns shape (2, 2, 2, N + 1, ...)
-    (with suffixes) or (2, 2, 1, N + 1, ...): [:, :, 0, k] holds P_{<k+1},
-    so [:, :, 0, N] is the monodromy, and [:, :, 1, k] holds P_{>k}.
+def _ordered_products(q, r, lams, suffixes=True):
+    """Prefix products P_{<k} = L_{k-1} ... L_1 of the Lax stack
+    `_lax_stack(q, r, lams)`, and with suffixes the suffix products
+    P_{>k} = L_N ... L_{k+1}.  Returns shape (2, 2, 2, N + 1, B, n) (with
+    suffixes) or (2, 2, 1, N + 1, B, n): [:, :, 0, k] holds P_{<k+1}, so
+    [:, :, 0, N] is the monodromy, and [:, :, 1, k] holds P_{>k}.  The
+    stack is copied into the result and dropped before the first step.
 
     Both run as one Hillis-Steele doubling scan.  After the step of offset
     d every inclusive prefix L_j ... L_{j-2d+1} is the product of the
@@ -261,7 +268,7 @@ def _ordered_products(L, suffixes=True):
     offset d with the stack B up to offset -d.  So ceil(log2 N) steps do
     all N sites, each element on the same bits whatever the stack around
     it."""
-    N, rest = L.shape[2], L.shape[3:]
+    N, rest = q.shape[1], np.shape(lams)
     ways = 2 if suffixes else 1
     out = np.empty((2, 2, ways, N + 1) + rest, dtype=complex)
     eye = np.eye(2).reshape((2, 2) + (1,) * len(rest))
@@ -272,7 +279,7 @@ def _ordered_products(L, suffixes=True):
     # which [:, :, w, j] holds the inclusive product of way w at site j + 1
     flat = out.reshape((2, 2, ways * (N + 1)) + rest)
     scan = flat[:, :, 1:ways * N + 1].reshape((2, 2, ways, N) + rest)
-    scan[...] = L[:, :, None]
+    scan[...] = _lax_stack(q, r, lams)[:, :, None]
     d = 1
     while d < N:
         A, B = scan[:, :, :, d:], scan[:, :, :, :-d]
@@ -290,7 +297,7 @@ def _monodromies(q, r, lams):
     shape (B, N), each at its own n points, lams of shape (B, n): shape
     (B, n, 2, 2), the last prefix product of `_ordered_products`, so the
     bits of the monodromies `_entry_gradients` returns."""
-    P = _ordered_products(_lax_stack(q, r, lams), suffixes=False)
+    P = _ordered_products(q, r, lams, suffixes=False)
     return P[:, :, 0, -1].transpose(2, 3, 0, 1).copy()
 
 
@@ -304,7 +311,7 @@ def _entry_gradients(q, r, lams):
     B n pairs (`_ordered_products`).
     """
     N = q.shape[1]
-    prods = _ordered_products(_lax_stack(q, r, lams))
+    prods = _ordered_products(q, r, lams)
     P, S = prods[:, :, 0, :N], prods[:, :, 1, 1:]  # sites k = 1..N
     # (S E12 P)_ab = S_a0 P_1b and (S E21 P)_ab = S_a1 P_0b, each written
     # through an entries-first view of its (B, n, 2, 2, N) result

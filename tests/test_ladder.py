@@ -46,7 +46,7 @@ def test_raising_and_capped_rungs_are_reported():
         return call
 
     tool.LAYERS = {"toy": ("toy", make)}
-    rec = tool.ladder("toy", [8, 16, 32], 1, cap=60.0)
+    rec = tool.ladder("toy", [8, 16, 32], 1)
     assert rec["rungs"][1] == {"N": 16, "error": "ValueError: too big"}
     assert [("seconds" in r) for r in rec["rungs"]] == [True, False, True]
     assert len(rec["local_exponents"]) == 1

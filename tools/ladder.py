@@ -12,7 +12,7 @@ one thread before numpy loads.  The exponent is the least-squares slope of
 log(seconds) against log(N) over the rungs that ran, and `local_exponents`
 are the slopes between neighbouring ones: their spread shows how far the
 layer is from a single power law.  A rung that raises is reported with its
-error and left out of the fit; once a rung takes longer than --cap seconds
+error and left out of the fit; once a rung takes longer than CAP_S seconds
 per call, the larger rungs are reported as skipped.
 """
 
@@ -38,6 +38,7 @@ from albaxter import suites  # noqa: E402
 from albaxter.report import RunConfig  # noqa: E402
 
 SEED = 0
+CAP_S = 60.0  # seconds per call past which larger rungs are skipped
 
 
 def classical_call(N):
@@ -69,7 +70,7 @@ def slope(points):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def ladder(layer, sizes, k, cap):
+def ladder(layer, sizes, k, cap=CAP_S):
     """The JSON record of one layer's ladder."""
     name, make = LAYERS[layer]
     rungs, capped = [], False
@@ -101,9 +102,6 @@ def main(argv=None):
                    help="comma-separated sizes (default: %(default)s)")
     p.add_argument("--k", type=int, default=5,
                    help="timed calls per rung (default: %(default)s)")
-    p.add_argument("--cap", type=float, default=60.0,
-                   help="seconds per call past which larger rungs are "
-                        "skipped (default: %(default)s)")
     p.add_argument("--out", required=True, help="JSON file to write")
     args = p.parse_args(argv)
     sizes = [int(n) for n in args.N.split(",")]
@@ -116,7 +114,7 @@ def main(argv=None):
             "blas_threads": {v: os.environ.get(v) for v in THREAD_VARS},
         },
         "k": args.k,
-        "layers": {layer: ladder(layer, sizes, args.k, args.cap)
+        "layers": {layer: ladder(layer, sizes, args.k)
                    for layer in LAYERS},
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
