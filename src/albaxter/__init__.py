@@ -16,12 +16,10 @@ from .classical_chain import (
     classical_rmatrix,
     conserved_quantities,
     dense_monodromy,
-    entry_brackets,
     eom_rhs,
     monodromy_det_residuals,
     monodromy_matrix,
     rk4_step,
-    rmatrix_relation_residual,
     rmatrix_relation_residuals,
     trace_bracket,
     trace_det_bracket,
@@ -34,7 +32,6 @@ from .backlund import (
     bt_apply,
     canonicity_check,
     classical_baxter_check,
-    dressing_matrix,
     generating_function,
     generating_function_check,
     intertwining_residual,
@@ -45,10 +42,8 @@ from .qcalc import (
     KernelSite,
     QParam,
     feq_residuals,
-    jackson_derivative,
     jackson_integral,
     jackson_op,
-    kernel_F,
     qhat_kernel,
     qpochhammer_inf,
     rho_site,

@@ -6,11 +6,11 @@ relations (periodic in k):
     1 - q_k r_k   = (r~_{k-1} - r_k)(mu^2 r~_k + r_k) / (mu^2 r~_k r~_{k-1})
     1 - q~_k r~_k = (r~_k - r_{k+1})(mu^2 r~_k + r_k) / (mu^2 r~_{k+1} r~_{k-1})
 
-The first line is solved for r~ by one damped Newton solve at mu, from
-the attracting fixed point of that line solved backward around the ring
-(the shift guess r~_k = r_{k+1} at mu -> 0), ended by a polish step; there
-is no continuation in |mu| and no warm start.  q~ is then read off the
-second line.  The map is generated by the intertwining relation
+The first line is solved for r~ backward around the ring, from the
+attracting fixed point of a product of Moebius maps (the shift guess
+r~_k = r_{k+1} at mu -> 0), and polished by one Newton step; there is no
+continuation in |mu| and no warm start.  q~ is then read off the second
+line.  The map is generated by the intertwining relation
 L~_k D_k = D_{k+1} L_k with the dressing matrix
 
     D_k(lam) = [[lam^2 - mu^2 (1 - b_k c_k), lam b_k], [lam c_k, 1]],
@@ -21,7 +21,7 @@ b_k = q_k, c_k = r~_{k-1}, which is singular at lam = mu with kernel
 
 The Jacobian of the map comes from the implicit function theorem on the
 denominator-cleared first line P(q, r, r~) = 0: with J = dP/dr~, the
-cyclic lower-bidiagonal matrix Newton solves with, dr~/dr = -J^{-1} and
+cyclic lower-bidiagonal matrix of the polish step, dr~/dr = -J^{-1} and
 dr~/dq = J^{-1} diag(mu^2 r~_k r~_{k-1}); the q~ blocks follow by the
 chain rule through the second line (`map_jacobian`).  Canonicity is
 checked on that exact Jacobian, after one solve of the map: `bt_apply`
@@ -40,12 +40,9 @@ LOG_BRANCH_NOTE = "generating-function checks need real data with principal logs
 
 
 class BTError(RuntimeError):
-    """Newton non-convergence, singular Jacobian, or vanishing denominator."""
+    """Residual above tolerance, singular Jacobian, or vanishing denominator."""
 
 
-# Newton iterations per solve, and step halvings per iteration.
-MAX_ITER = 100
-MAX_DAMPING = 30
 # Solved maps kept by `bt_apply`, least recent first: the bt suite's
 # canonicity check reuses its map after three more solves.
 BT_CACHE_SIZE = 4
@@ -64,7 +61,7 @@ class BTResult:
     target: ChainState
     gamma_site: np.ndarray
     collinearity: np.ndarray
-    newton_iters: int
+    newton_iters: int  # always 1, the polish step
     residual: float
 
     @property
@@ -107,7 +104,7 @@ def _poly_jacobian(q, rt, mu):
 
 
 def _backward_start(q, r, mu):
-    """Newton's start: the first line solved backward around the ring.
+    """The first line solved backward around the ring, for `_polish`.
 
     Solved for r~_{k-1}, the first line is the Moebius map
     r~_{k-1} = (mu^2 r~_k + r_k) / (mu^2 q_k r~_k + 1), with matrix
@@ -139,55 +136,35 @@ def _backward_start(q, r, mu):
     return np.array(rt[::-1], dtype=complex)
 
 
-def _newton(q, r, rt, mu):
-    """Damped Newton on the denominator-cleared first line, then a polish.
+def _polish(q, r, rt, mu):
+    """One Newton step on the denominator-cleared first line from the
+    backward start, kept if it lowers max |P|.
 
-    Each step is halved until |P| falls.  Once |P| is below the roundoff
-    floor 64 eps (1 + |r| + |r~|), one more full step is kept if |P| falls:
-    q~ is read off r~ with an amplification of ~100 at mu = 0.3, so what r~
-    keeps of the floor shows in the as-printed residuals and in canonicity.
-    Returns r~ and the Newton step count, the polish included.
+    The start already meets P near its roundoff floor; q~ is read off r~
+    with an amplification of ~100 at mu = 0.3, so what r~ keeps of the
+    floor shows in the as-printed residuals and in canonicity.
     """
-    floor = 64 * np.finfo(float).eps * (1.0 + np.abs(r).max()
-                                        + np.abs(rt).max())
     with np.errstate(all="ignore"):
         F = _poly_residual(q, r, rt, mu)
     err = np.abs(F).max()
     if not np.isfinite(err):
         raise BTError("non-finite residual at Newton start")
-    for it in range(1, MAX_ITER + 1):
-        if np.any(np.abs(rt) < 1e-12):
-            raise BTError("vanishing r~ denominator during Newton")
-        try:
-            delta = np.linalg.solve(_poly_jacobian(q, rt, mu), F)
-        except np.linalg.LinAlgError as exc:
-            raise BTError("singular Jacobian in Backlund Newton") from exc
-        if err < floor:  # polish
-            cand = rt - delta
-            with np.errstate(all="ignore"):
-                errc = np.abs(_poly_residual(q, r, cand, mu)).max()
-            return (cand if errc < err else rt), it
-        for step in 0.5 ** np.arange(MAX_DAMPING):
-            cand = rt - step * delta
-            with np.errstate(all="ignore"):
-                Fc = _poly_residual(q, r, cand, mu)
-            errc = np.abs(Fc).max()
-            if (np.isfinite(errc) and (errc < err or errc < floor)
-                    and not np.any(np.abs(cand) < 1e-12)):
-                rt, F, err = cand, Fc, errc
-                break
-        else:
-            break  # no halving reduced |P|
-    if err < 1e3 * floor:  # stagnated at the float floor
-        return rt, it
-    raise BTError(f"Backlund Newton did not converge (residual {err:.3e})")
+    if np.any(np.abs(rt) < 1e-12):
+        raise BTError("vanishing r~ denominator during Newton")
+    try:
+        cand = rt - np.linalg.solve(_poly_jacobian(q, rt, mu), F)
+    except np.linalg.LinAlgError as exc:
+        raise BTError("singular Jacobian in Backlund Newton") from exc
+    with np.errstate(all="ignore"):
+        errc = np.abs(_poly_residual(q, r, cand, mu)).max()
+    return cand if errc < err else rt
 
 
 def bt_apply(state, mu, opts=None):
     """Apply the Backlund map at parameter mu.
 
-    One damped Newton solve of the first line at mu from `_backward_start`,
-    ended by a polish step (`_newton`); q~ is read off the second line, and
+    The first line is solved at mu by `_backward_start` and polished by one
+    Newton step (`_polish`); q~ is read off the second line, and
     gamma_k and its collinearity defect (`_gamma_least_squares`) are kept
     for `spectrality`.  With no warm start and no continuation in |mu|, the
     map is a function of (state, mu, opts.tol) alone, so the last
@@ -208,7 +185,7 @@ def bt_apply(state, mu, opts=None):
     if np.any(np.abs(r) < 1e-12):
         raise BTError("state has r_k ~ 0; Backlund denominators vanish")
 
-    rt, iters = _newton(q, r, _backward_start(q, r, mu), mu)
+    rt = _polish(q, r, _backward_start(q, r, mu), mu)
     qt, rhs2 = _line2_qtilde(r, rt, mu)
     res1 = float(np.abs(_line1_residual(q, r, rt, mu)).max())
     res2 = float(np.abs((1.0 - qt * rt) - rhs2).max())
@@ -223,21 +200,10 @@ def bt_apply(state, mu, opts=None):
         arr.setflags(write=False)
     bt = _solved[key] = BTResult(
         mu=complex(mu), source=state, target=target, gamma_site=gam,
-        collinearity=coll, newton_iters=iters, residual=max(res1, res2))
+        collinearity=coll, newton_iters=1, residual=max(res1, res2))
     if len(_solved) > BT_CACHE_SIZE:
         _solved.popitem(last=False)
     return bt
-
-
-def dressing_matrix(bt, k, lam):
-    """Dressing matrix D_k(lam) for a converged map, sites 1-based."""
-    if not 1 <= k <= bt.source.N:
-        raise IndexError(f"site {k} out of range")
-    b = bt.source.q[k - 1]
-    c = bt.target.r[k - 2]  # r~_{k-1}, periodic
-    mu = bt.mu
-    return np.array([[lam**2 - mu**2 * (1.0 - b * c), lam * b],
-                     [lam * c, 1.0]], dtype=complex)
 
 
 def intertwining_residual(bt, lam):
@@ -299,7 +265,6 @@ def _log_det_gamma(bt):
 
 @dataclass(frozen=True)
 class SpectralityReport:
-    gamma_site: np.ndarray
     collinearity: np.ndarray
     gamma: complex
     det_over_gamma: complex
@@ -307,7 +272,7 @@ class SpectralityReport:
 
 
 def spectrality(bt):
-    """Per-site proportionality factors and the trace formula residual.
+    """The collinearity defect of gamma_k and the trace formula residual.
 
     gamma_k, by least squares over the two components of L_k(mu)|w_k>
     against |w_{k+1}>, and its collinearity defect come with the map from
@@ -319,8 +284,7 @@ def spectrality(bt):
     M = monodromy_matrix(bt.source, bt.mu)
     tr = M[0, 0] + M[1, 1]
     trace_residual = float(abs(tr - (det_over_gamma + bt.gamma)))
-    return SpectralityReport(gamma_site=bt.gamma_site,
-                             collinearity=bt.collinearity, gamma=bt.gamma,
+    return SpectralityReport(collinearity=bt.collinearity, gamma=bt.gamma,
                              det_over_gamma=det_over_gamma,
                              trace_residual=trace_residual)
 
@@ -463,7 +427,7 @@ def map_jacobian(bt):
     Returns (A, B, C, D) = (dq~/dq, dq~/dr, dr~/dq, dr~/dr), each N x N,
     by the implicit function theorem on the denominator-cleared first
     line P_k = mu^2 r~_k (1 - q_k r~_{k-1}) - r~_{k-1} + r_k = 0.  With
-    J = dP/dr~ (the matrix Newton solves with), dP/dr = I and
+    J = dP/dr~ (the matrix of the polish step), dP/dr = I and
     dP_k/dq_k = -mu^2 r~_k r~_{k-1}:
 
         D = -J^{-1},    C = D diag(-mu^2 r~_k r~_{k-1}).

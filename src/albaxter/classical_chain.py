@@ -436,15 +436,6 @@ def _brackets_of(dq, dr, w):
     return as4x4(br), as4x4(scale)
 
 
-def entry_brackets(state, lam, nu):
-    """The 4x4 {L(lam) (x) L(nu)} of Poisson brackets between monodromy
-    entries, from exact prefix/suffix gradients; Kronecker indexing follows
-    T_{ab,gd} = {L(lam)_ab, L(nu)_gd}.
-    """
-    dq, dr, _ = _entry_gradients(state.q[None], state.r[None], [[lam, nu]])
-    return _brackets_of(dq[0], dr[0], 1.0 - state.q * state.r)[0]
-
-
 def rmatrix_relation_residuals(states, lams, nus):
     """Residuals of {L(lam) (x) L(nu)} = [r, L(lam) (x) L(nu)], one per draw
     (states[i], lams[i], nus[i]); the states share one N.  A draw's largest
@@ -469,8 +460,3 @@ def rmatrix_relation_residuals(states, lams, nus):
     ra, ka = np.abs(rmat), np.abs(K)
     scale = np.maximum(per_draw(lhs_scale), per_draw(ra @ ka + ka @ ra))
     return _relative(per_draw(np.abs(lhs - (rmat @ K - K @ rmat))), scale)
-
-
-def rmatrix_relation_residual(state, lam, nu):
-    """`rmatrix_relation_residuals` for one draw."""
-    return float(rmatrix_relation_residuals([state], [lam], [nu])[0])

@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -114,10 +115,10 @@ def cmd_verify(args):
 
 def _write_roots_csv(cfg):
     """Roots and residuals of the configured Bethe system (columns: k,
-    Re lam_k, Im lam_k, residual)."""
-    out = (cfg.output_path or "bethe_roots.csv")
-    if out.endswith(".json"):
-        out = out[:-5] + "_roots.csv"
+    Re lam_k, Im lam_k, residual), in <stem>_roots.csv next to the report,
+    or in bethe_roots.csv with no report path."""
+    report = Path(cfg.output_path or "bethe")
+    out = report.with_name(report.stem + "_roots.csv")
     bcfg = bethe.solve_bethe(cfg.N, max(cfg.m, 1), qcalc.QParam(cfg.alpha))
     per_root = bethe.bethe_residuals_roots(bcfg.roots, bcfg.N, bcfg.qp)
     with open(out, "w", newline="", encoding="utf-8") as fh:

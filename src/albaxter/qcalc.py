@@ -12,8 +12,8 @@ i.e. (1 - alpha) times the Jackson derivative
 
 Functions are passed in as callables on a coordinate array (see
 funspace.rho_product for the product kernels of the Baxter equation).
-jackson_op and jackson_derivative also take stacked points, a
-(len(point), n) array whose columns are n points; f then returns n values.
+jackson_op also takes stacked points, a (len(point), n) array whose
+columns are n points; f then returns n values.
 jackson_integral evaluates its integrand this way, once per block of nodes
 alpha^n w for all its bounds w instead of once per node: f takes a
 (len(point), B) array and returns B values, or a scalar (lambda r: 1.0)
@@ -218,12 +218,6 @@ def jackson_op(f, k, qp, point):
     scaled = point.copy()
     scaled[k - 1] = qp.alpha * rk
     return (f(point) - f(scaled)) / rk
-
-
-def jackson_derivative(f, k, qp, point):
-    """Jackson derivative D_k f = q_k f / (1 - alpha) in direction r_k
-    (1-based), at a point or at stacked points as jackson_op."""
-    return jackson_op(f, k, qp, point) / (1.0 - qp.alpha)
 
 
 def _mul_unfused(x, y):
@@ -460,16 +454,6 @@ def kernel_G(c, cp, mu, qp):
         raise ValueError("kernel_G branch error: c/c' on the closed negative axis")
     return ((1.0 / cp) * z ** (2.0 * np.log(complex(mu)) / qp.log_alpha)
             * ghat(z, qp))
-
-
-def kernel_F(c_k, c_k1, r_k, mu, qp):
-    """Closed-form site kernel F_k(alpha c_k, c_{k+1}, r_k).
-
-    In slot form F(u, v, w) = G(u, v) / ((-w/(mu^2 v); a)_inf (a w/u; a)_inf)
-    evaluated at u = alpha c_k, v = c_{k+1}, w = r_k.  Every relation it is
-    checked by is linear in F, so a constant factor would be immaterial.
-    """
-    return _kernel_F_slots(qp.alpha * c_k, c_k1, r_k, mu, qp)
 
 
 def _kernel_F_slots(u, v, w, mu, qp):

@@ -20,6 +20,13 @@ _CONFIG_FIELDS = {"N", "m", "alpha", "eta", "mu", "n_max", "tolerances",
                   "seed", "sample_counts", "output_path", "format"}
 
 
+def _number(raw, name):
+    try:
+        return float(raw[name])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number") from exc
+
+
 @dataclass
 class RunConfig:
     N: int = 2
@@ -42,10 +49,17 @@ class RunConfig:
             raise ConfigError("alpha must lie in (0, 1)")
         if self.mu == 0:
             raise ConfigError("mu must be nonzero")
-        if self.n_max < 1:
-            raise ConfigError("n_max must be >= 1")
+        if not (isinstance(self.n_max, int) and self.n_max >= 1):
+            raise ConfigError("n_max must be an integer >= 1")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ConfigError("seed must be an integer >= 0")
+        if not (isinstance(self.sample_counts, int)
+                and self.sample_counts >= 1):
+            raise ConfigError("sample_counts must be an integer >= 1")
         if self.newton_tol <= 0:
             raise ConfigError("tolerances.newton must be positive")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise ConfigError("output_path must be a string")
         if self.format not in ("json", "csv"):
             raise ConfigError("format must be 'json' or 'csv'")
 
@@ -63,11 +77,14 @@ class RunConfig:
         if "alpha" in raw and "eta" in raw:
             raise ConfigError("give alpha or eta, not both")
         if "alpha" in raw:
-            kw["alpha"] = float(raw["alpha"])
+            kw["alpha"] = _number(raw, "alpha")
         elif "eta" in raw:
-            kw["alpha"] = 1.0 / (1.0 + float(raw["eta"]))
+            eta = _number(raw, "eta")
+            if not eta > 0:
+                raise ConfigError("eta must be positive")
+            kw["alpha"] = 1.0 / (1.0 + eta)
         if "mu" in raw:
-            kw["mu"] = float(raw["mu"])
+            kw["mu"] = _number(raw, "mu")
         tol = raw.get("tolerances", {})
         if tol:
             if not isinstance(tol, dict):
@@ -76,15 +93,12 @@ class RunConfig:
             if unknown:
                 raise ConfigError(f"unknown config fields: {unknown}")
             if "newton" in tol:
-                kw["newton_tol"] = float(tol["newton"])
+                kw["newton_tol"] = _number(tol, "newton")
         if "output_path" in raw:
             kw["output_path"] = raw["output_path"]
         if "format" in raw:
             kw["format"] = raw["format"]
-        try:
-            return cls(**kw)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**kw)
 
     @classmethod
     def from_file(cls, path):

@@ -7,7 +7,7 @@ import numpy as np
 
 from albaxter import classical_chain as chain, fock
 from albaxter.algebra import LaurentPoly, MultiDual
-from albaxter.backlund import bt_apply, dressing_matrix
+from albaxter.backlund import bt_apply
 from albaxter.classical_chain import ChainState
 from albaxter.qcalc import (JACKSON_MAX_NODES, JACKSON_TAIL, MAX_FACTORS,
                             POLE_TOL, THETA, QPochhammerPoleError,
@@ -198,6 +198,17 @@ def prefix_products_loop(q, r, lams):
     return pre, suf
 
 
+def dressing_matrix(bt, k, lam):
+    """Dressing matrix D_k(lam) of a solved map, sites 1-based."""
+    if not 1 <= k <= bt.source.N:
+        raise IndexError(f"site {k} out of range")
+    b = bt.source.q[k - 1]
+    c = bt.target.r[k - 2]  # r~_{k-1}, periodic
+    mu = bt.mu
+    return np.array([[lam**2 - mu**2 * (1.0 - b * c), lam * b],
+                     [lam * c, 1.0]], dtype=complex)
+
+
 def intertwining_loop(bt, lam):
     """Max-entry residual of L~_k(lam) D_k(lam) - D_{k+1}(lam) L_k(lam) by
     the per-site loop of single 2x2 products that
@@ -315,6 +326,12 @@ def qpochhammer_log_mp(x, alpha, dps=50):
                 return -total
 
 
+def jackson_derivative(f, k, qp, point):
+    """Jackson derivative D_k f = q_k f / (1 - alpha) in direction r_k
+    (1-based), at a point or at stacked points as qcalc.jackson_op."""
+    return jackson_op(f, k, qp, point) / (1.0 - qp.alpha)
+
+
 def _jackson_loop(f, k, qp, b, a, point, stop):
     """Node-by-node Jackson integral: one integrand call on a
     (len(point),) point per node alpha^n b, the terms summed in node
@@ -421,6 +438,21 @@ def ybe_residual_loop(lams, nus, etas):
     return np.array(res), np.array(scale)
 
 
+def entry_brackets(state, lam, nu):
+    """The 4x4 {L(lam) (x) L(nu)} of Poisson brackets between monodromy
+    entries, from exact prefix/suffix gradients; Kronecker indexing follows
+    T_{ab,gd} = {L(lam)_ab, L(nu)_gd}.
+    """
+    dq, dr, _ = chain._entry_gradients(state.q[None], state.r[None],
+                                       [[lam, nu]])
+    return chain._brackets_of(dq[0], dr[0], 1.0 - state.q * state.r)[0]
+
+
+def rmatrix_relation_residual(state, lam, nu):
+    """`classical_chain.rmatrix_relation_residuals` for one draw."""
+    return float(chain.rmatrix_relation_residuals([state], [lam], [nu])[0])
+
+
 def rmatrix_relation_residuals_loop(states, lams, nus):
     """classical_chain.rmatrix_relation_residuals with the per-draw tail it
     replaced: per draw, the 4x4 brackets, np.kron of the two monodromies
@@ -490,6 +522,16 @@ def poch_guarded_two_pass(x, qp):
                 raise QPochhammerPoleError(
                     f"vanishing Pochhammer factor 1 - x alpha^{p} at x={x}")
     return v
+
+
+def kernel_F(c_k, c_k1, r_k, mu, qp):
+    """Closed-form site kernel F_k(alpha c_k, c_{k+1}, r_k).
+
+    In slot form F(u, v, w) = G(u, v) / ((-w/(mu^2 v); a)_inf (a w/u; a)_inf)
+    evaluated at u = alpha c_k, v = c_{k+1}, w = r_k.  Every relation it is
+    checked by is linear in F, so a constant factor would be immaterial.
+    """
+    return _kernel_F_slots(qp.alpha * c_k, c_k1, r_k, mu, qp)
 
 
 def feq_residuals_loop(c_k, c_k1, r_k, mu, qp):

@@ -9,14 +9,14 @@ from albaxter.backlund import (BT_CACHE_SIZE, BTError, BTResult, SolverOptions,
                                _bracket_deviation, _li2, bt_apply,
                                canonicity_check,
                                classical_baxter_check,
-                               conjugate_flow_variable, dressing_matrix,
-                               generating_function, generating_function_check,
+                               conjugate_flow_variable, generating_function,
+                               generating_function_check,
                                intertwining_residual, map_jacobian,
                                spectrality)
 from albaxter.classical_chain import ChainState, conserved_quantities
 
-from oracles import (central_difference_map_jacobian, generating_function_mp,
-                     intertwining_loop)
+from oracles import (central_difference_map_jacobian, dressing_matrix,
+                     generating_function_mp, intertwining_loop)
 
 
 @pytest.fixture(scope="module")
@@ -334,9 +334,9 @@ def cold_cache():
 
 @pytest.fixture
 def solver_calls(monkeypatch, cold_cache):
-    """Counts of the calls of `_newton` and `_gamma_least_squares`."""
+    """Counts of the calls of `_polish` and `_gamma_least_squares`."""
     calls = Counter()
-    for name in ("_newton", "_gamma_least_squares"):
+    for name in ("_polish", "_gamma_least_squares"):
         def counted(*args, _fn=getattr(backlund, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -354,7 +354,7 @@ class TestSolvedMapMemo:
         bt = bt_apply(st, 0.3)
         spectrality(bt)
         canonicity_check(st, 0.3)
-        assert solver_calls == {"_newton": 1, "_gamma_least_squares": 1}
+        assert solver_calls == {"_polish": 1, "_gamma_least_squares": 1}
 
     def test_bt_suite_canonicity_reuses_its_map(self, solver_calls):
         # bt_apply at mu, the three solves of commuting_parameters, then
@@ -364,14 +364,14 @@ class TestSolvedMapMemo:
         bt_apply(bt.target, 0.17, opts)
         bt_apply(bt_apply(st, 0.17, opts).target, 0.3, opts)
         canonicity_check(st, 0.3, opts=opts)
-        assert solver_calls["_newton"] == 4
+        assert solver_calls["_polish"] == 4
 
     def test_failure_raises_on_every_call(self, solver_calls, cold_cache):
         st, opts = self._state(), SolverOptions(tol=1e-30)
         for _ in range(3):
             with pytest.raises(BTError):
                 bt_apply(st, 0.3, opts)
-        assert solver_calls["_newton"] == 3 and not cold_cache
+        assert solver_calls["_polish"] == 3 and not cold_cache
 
     def test_key_is_bits_of_state_type_of_mu_and_tol(self, cold_cache):
         st = self._state()
@@ -407,6 +407,59 @@ class TestSolvedMapMemo:
 
 
 class TestDirectSolve:
+    MUS = (-0.4, -0.1, 0.05, 0.17, 0.3, 0.7, 1.0, 1.3, 0.3 + 0.2j, 0.8j, 3.0)
+
+    def test_backward_solve_lands_below_polish_floor(self):
+        # 1,056 starts: every one with |mu| <= 1.3 meets the first line
+        # below the roundoff floor 64 eps (1 + max|r| + max|r~|).  At
+        # mu = 3 and N = 512, two of the 16 states start above it, at up to
+        # 2.2 times it; the one polish step takes every start below it.
+        start, polished = [], []
+        for N in (1, 2, 3, 16, 64, 512):
+            for seed in range(8):
+                for draw in (ChainState.random,
+                             ChainState.random_real_positive):
+                    st = draw(N, np.random.default_rng(seed))
+                    q, r = st.q, st.r
+                    for mu in self.MUS:
+                        rt = backlund._backward_start(q, r, mu)
+                        floor = 64 * np.finfo(float).eps * (
+                            1.0 + np.abs(r).max() + np.abs(rt).max())
+                        P = lambda x: np.abs(
+                            backlund._poly_residual(q, r, x, mu)).max()
+                        start.append((abs(mu), P(rt) / floor))
+                        polished.append(
+                            P(backlund._polish(q, r, rt, mu)) / floor)
+        assert len(start) == 1056
+        assert max(ratio for size, ratio in start if size <= 1.3) < 1.0
+        assert max(polished) < 1.0
+
+    def test_start_off_the_floor_raises(self, monkeypatch, cold_cache):
+        # one Newton step from a start 1e-3 off the solution leaves the
+        # line near 1e-6: the acceptance test refuses it, and nothing is kept
+        start = backlund._backward_start
+        monkeypatch.setattr(backlund, "_backward_start",
+                            lambda q, r, mu: start(q, r, mu) * (1.0 + 1e-3))
+        st = ChainState.random(16, np.random.default_rng(3))
+        with pytest.raises(BTError, match="above tolerance"):
+            bt_apply(st, 0.3)
+        assert not cold_cache
+
+    @pytest.mark.parametrize("q, start, mu, message", [
+        ((0.1, 0.2), (np.nan, 0.5), 0.3, "non-finite residual"),
+        ((0.1, 0.2), (1e-13, 0.5), 0.3, "vanishing r~"),
+        # q = 0 and mu = 1 make dP/dr~ = [[1, -1], [-1, 1]] exactly singular
+        ((0.0, 0.0), (0.5, 0.6), 1.0, "singular Jacobian"),
+    ])
+    def test_polish_refuses_a_bad_start(self, monkeypatch, cold_cache, q,
+                                        start, mu, message):
+        monkeypatch.setattr(backlund, "_backward_start",
+                            lambda *args: np.array(start, dtype=complex))
+        st = ChainState(np.array(q), np.array([0.3, 0.4]))
+        with pytest.raises(BTError, match=message):
+            bt_apply(st, mu)
+        assert not cold_cache
+
     @pytest.mark.parametrize("N, seed, mu", [
         # a point of `albaxter bt --N 16 --sweep 0.1 0.45 40` that ended at
         # 1.3e-12 after a continuation in |mu|

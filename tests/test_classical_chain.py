@@ -7,17 +7,18 @@ from hypothesis import assume, given, strategies as hst
 from albaxter import classical_chain as chain
 from albaxter.classical_chain import (ChainState, DegenerateStateError,
                                       classical_rmatrix, conserved_quantities,
-                                      dense_monodromy, entry_brackets,
-                                      eom_rhs, monodromy_det_residuals,
+                                      dense_monodromy, eom_rhs,
+                                      monodromy_det_residuals,
                                       monodromy_matrix, rk4_step,
-                                      rmatrix_relation_residual,
                                       trace_bracket, trace_det_bracket,
                                       trace_difference)
 
-from oracles import (dense_monodromy_loop, lax_left_zeros, local_lax,
-                     monodromy, observable_conserved, observable_det,
-                     observable_entry, observable_trace, poisson_bracket,
-                     prefix_products_loop, rmatrix_relation_residuals_loop)
+from oracles import (dense_monodromy_loop, entry_brackets, lax_left_zeros,
+                     local_lax, monodromy, observable_conserved,
+                     observable_det, observable_entry, observable_trace,
+                     poisson_bracket, prefix_products_loop,
+                     rmatrix_relation_residual,
+                     rmatrix_relation_residuals_loop)
 
 N2_STATE = ChainState(np.array([0.2, 0.1]), np.array([0.3, -0.4]))
 

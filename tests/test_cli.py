@@ -192,6 +192,42 @@ def test_bt_n512_small_mu_writes_a_record(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("raw, message", [
+    ([1, 2], "config must be a JSON object"),
+    ({"seeds": 3}, "unknown config fields"),
+    ({"alpha": 0.5, "eta": 1.0}, "give alpha or eta"),
+    ({"alpha": "half"}, "alpha must be a number"),
+    ({"eta": -1}, "eta must be positive"),
+    ({"tolerances": [1e-12]}, "tolerances must be {newton}"),
+    ({"tolerances": {"newton": None}}, "newton must be a number"),
+    ({"N": 2.0}, "N must be an integer"),
+    ({"m": -1}, "m must be a nonnegative integer"),
+    ({"alpha": 1.5}, "alpha must lie in (0, 1)"),
+    ({"mu": 0}, "mu must be nonzero"),
+    ({"n_max": 2.5}, "n_max must be an integer"),
+    ({"n_max": 0}, "n_max must be an integer"),
+    ({"tolerances": {"newton": 0}}, "tolerances.newton must be positive"),
+    ({"output_path": 7}, "output_path must be a string"),
+    ({"format": "xml"}, "format must be"),
+    ({"seed": -3}, "seed must be an integer"),
+    ({"seed": "7"}, "seed must be an integer"),
+    ({"sample_counts": 0}, "sample_counts must be an integer"),
+    ("{", "cannot read config"),
+])
+def test_malformed_config_exits_2(tmp_path, capsys, raw, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(raw if isinstance(raw, str) else json.dumps(raw),
+                   encoding="utf-8")
+    assert cli.main(["verify", "quantum", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
+def test_negative_seed_flag_exits_2(capsys):
+    assert cli.main(["verify", "quantum", "--seed", "-3"]) == 2
+    assert "seed must be an integer" in capsys.readouterr().err
+
+
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh))
@@ -218,9 +254,13 @@ def test_kernel_writes_finite_grid(tmp_path):
 
 
 def test_verify_bethe_csv_writes_roots(tmp_path):
-    out = tmp_path / "b.json"
-    assert cli.main(["verify", "bethe", "--N", "4", "--m", "2",
-                     "--format", "csv", "--out", str(out)]) == 0
-    header, rows = _read_csv(tmp_path / "b_roots.csv")
-    assert header == ["k", "re_lambda", "im_lambda", "residual"]
-    assert rows.shape == (2, 4) and rows[:, 3].max() < 1e-12
+    # the roots go next to the JSON report, whatever its suffix
+    for report, roots in (("b.json", "b_roots.csv"),
+                          ("rep.txt", "rep_roots.csv")):
+        out = tmp_path / report
+        assert cli.main(["verify", "bethe", "--N", "4", "--m", "2",
+                         "--format", "csv", "--out", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["checks"]
+        header, rows = _read_csv(tmp_path / roots)
+        assert header == ["k", "re_lambda", "im_lambda", "residual"]
+        assert rows.shape == (2, 4) and rows[:, 3].max() < 1e-12

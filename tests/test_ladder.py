@@ -33,6 +33,28 @@ def test_ladder_writes_rungs_and_exponents(tmp_path):
         assert 0 <= rung["passed"] <= 7
     assert math.isfinite(layer["exponent"])
     assert len(layer["local_exponents"]) == 2
+    layer = data["layers"]["bt"]
+    assert layer["call"] == "suites.suite_bt"
+    assert [r["N"] for r in layer["rungs"]] == [8, 16, 32]
+    for rung in layer["rungs"]:
+        assert rung["seconds"] > 0 and rung["checks"] == 10
+        assert 0 <= rung["passed"] <= 10
+    assert math.isfinite(layer["exponent"])
+    assert len(layer["local_exponents"]) == 2
+
+
+def test_bt_calls_solve_anew(monkeypatch):
+    # a timed call that found its maps in the memo would time no solve
+    tool = _tool()
+    solves = []
+    polish = tool.backlund._polish
+    monkeypatch.setattr(tool.backlund, "_polish",
+                        lambda *args: solves.append(1) or polish(*args))
+    call = tool.bt_call(8)
+    call()
+    first = len(solves)
+    call()
+    assert first > 0 and len(solves) == 2 * first
 
 
 def test_raising_and_capped_rungs_are_reported():

@@ -12,14 +12,14 @@ from albaxter.qcalc import (JACKSON_TAIL, POCH_CACHE_SIZE, THETA,
                             KernelSite, QParam, QPochhammerPoleError,
                             _poch_guarded, _qpochhammer_parts,
                             _series_table, feq_residuals, ghat,
-                            jackson_derivative, jackson_integral, jackson_op,
-                            kernel_F, kernel_G, qexp, qhat_kernel,
-                            qpochhammer_inf, rho_functional_residual,
-                            rho_site)
-from oracles import (feq_residuals_loop, jackson_integral_absolute_loop,
-                     jackson_integral_loop, leibniz_parts_loop,
-                     poch_guarded_two_pass, qpochhammer_log_mp,
-                     qpochhammer_mp, qpochhammer_parts_loop)
+                            jackson_integral, jackson_op, kernel_G, qexp,
+                            qhat_kernel, qpochhammer_inf,
+                            rho_functional_residual, rho_site)
+from oracles import (feq_residuals_loop, jackson_derivative,
+                     jackson_integral_absolute_loop, jackson_integral_loop,
+                     kernel_F, leibniz_parts_loop, poch_guarded_two_pass,
+                     qpochhammer_log_mp, qpochhammer_mp,
+                     qpochhammer_parts_loop)
 
 QP = QParam(0.5)
 

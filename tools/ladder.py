@@ -4,11 +4,13 @@ fit its log-log scaling exponent, and write the result as JSON.
     python3 tools/ladder.py --out ladder.json
     python3 tools/ladder.py --N 8,16,32 --k 1 --out small.json
 
-The classical layer is the only one so far: `suites.suite_classical` at
-`RunConfig(N=N, seed=0)`, with a generator seeded by 0, as `albaxter verify
-classical --N N` runs it.  Each rung takes the min of k calls after one
-untimed call, whose records give the rung's pass count; BLAS is pinned to
-one thread before numpy loads.  The exponent is the least-squares slope of
+Two layers run: the classical layer, `suites.suite_classical`, and the
+Backlund layer, `suites.suite_bt`, each at `RunConfig(N=N, seed=0)` with a
+generator seeded by 0, as `albaxter verify classical --N N` and `albaxter
+verify bt --N N` run them.  Every bt call starts from an empty memo of
+solved maps, so each one solves its maps anew.  Each rung takes the min of
+k calls after one untimed call, whose records give the rung's pass count;
+BLAS is pinned to one thread before numpy loads.  The exponent is the least-squares slope of
 log(seconds) against log(N) over the rungs that ran, and `local_exponents`
 are the slopes between neighbouring ones: their spread shows how far the
 layer is from a single power law.  A rung that raises is reported with its
@@ -34,7 +36,7 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from albaxter import suites  # noqa: E402
+from albaxter import backlund, suites  # noqa: E402
 from albaxter.report import RunConfig  # noqa: E402
 
 SEED = 0
@@ -46,8 +48,18 @@ def classical_call(N):
     return lambda: suites.suite_classical(cfg, np.random.default_rng(SEED))
 
 
+def bt_call(N):
+    cfg = RunConfig(N=N, seed=SEED)
+
+    def call():
+        backlund._solved.clear()
+        return suites.suite_bt(cfg, np.random.default_rng(SEED))
+    return call
+
+
 # layer -> (the call it times, size -> that call)
-LAYERS = {"classical": ("suites.suite_classical", classical_call)}
+LAYERS = {"classical": ("suites.suite_classical", classical_call),
+          "bt": ("suites.suite_bt", bt_call)}
 
 
 def time_rung(call, k):
