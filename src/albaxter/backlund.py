@@ -9,9 +9,14 @@ relations (periodic in k):
 The first line is solved for r~ backward around the ring, from the
 attracting fixed point of a product of Moebius maps (the shift guess
 r~_k = r_{k+1} at mu -> 0), and polished by one Newton step; there is no
-continuation in |mu| and no warm start.  q~ is then read off the second
-line.  The map is generated by the intertwining relation
-L~_k D_k = D_{k+1} L_k with the dressing matrix
+continuation in |mu| and no warm start.  The step's matrix J = dP/dr~ of
+the denominator-cleared first line P is cyclic lower-bidiagonal, so the
+step is a two-term recurrence around the ring, solved backward in O(N)
+(`_polish_step`).  Backward is the stable direction for the same reason
+the start is: its multipliers are the derivatives dr~_{k-1}/dr~_k of the
+Moebius maps, whose product at the attracting fixed point has modulus
+below 1.  q~ is then read off the second line.  The map is generated by
+the intertwining relation L~_k D_k = D_{k+1} L_k with the dressing matrix
 
     D_k(lam) = [[lam^2 - mu^2 (1 - b_k c_k), lam b_k], [lam c_k, 1]],
 
@@ -21,7 +26,7 @@ b_k = q_k, c_k = r~_{k-1}, which is singular at lam = mu with kernel
 
 The Jacobian of the map comes from the implicit function theorem on the
 denominator-cleared first line P(q, r, r~) = 0: with J = dP/dr~, the
-cyclic lower-bidiagonal matrix of the polish step, dr~/dr = -J^{-1} and
+matrix of the polish step, dr~/dr = -J^{-1} and
 dr~/dq = J^{-1} diag(mu^2 r~_k r~_{k-1}); the q~ blocks follow by the
 chain rule through the second line (`map_jacobian`).  Canonicity is
 checked on that exact Jacobian, after one solve of the map: `bt_apply`
@@ -67,20 +72,6 @@ class BTResult:
     @property
     def gamma(self):
         return complex(np.prod(self.gamma_site))
-
-
-def _line1_residual(q, r, rt, mu):
-    u = _roll(rt, 1)  # r~_{k-1}
-    return (1.0 - q * r) - (u - r) * (mu**2 * rt + r) / (mu**2 * rt * u)
-
-
-def _line2_qtilde(r, rt, mu):
-    """q~ from the second line, with that line's right-hand side."""
-    u = _roll(rt, 1)        # r~_{k-1}
-    rtp = _roll(rt, -1)     # r~_{k+1}
-    rp = _roll(r, -1)       # r_{k+1}
-    rhs = (rt - rp) * (mu**2 * rt + r) / (mu**2 * rtp * u)
-    return (1.0 - rhs) / rt, rhs
 
 
 def _poly_residual(q, r, rt, mu):
@@ -136,9 +127,42 @@ def _backward_start(q, r, mu):
     return np.array(rt[::-1], dtype=complex)
 
 
+def _polish_step(q, rt, mu, F):
+    """The Newton step J^{-1} F, with J = dP/dr~ (`_poly_jacobian`), in O(N)
+    by the ring's two-term recurrence.
+
+    Row k of J delta = F reads d_k delta_k + e_k delta_{k-1} = F_k, with
+    d_k = mu^2 (1 - q_k r~_{k-1}) and e_k = -(mu^2 r~_k q_k + 1).  Taken
+    backward from k = N - 1, each delta_k = a_k + b_k delta_{N-1} is affine
+    in the one unknown delta_{N-1}, and row 0 closes the ring:
+    (d_0 b_0 + e_0) delta_{N-1} = F_0 - d_0 a_0.  At N = 1 that pivot is
+    d_0 + e_0, both terms folded.  Backward is the stable direction: the
+    multiplier -d_k/e_k is dr~_{k-1}/dr~_k of the Moebius map of
+    `_backward_start`, whose start is the attracting fixed point, so
+    pi = prod_k (-d_k/e_k) has |pi| < 1 and the closing pivot
+    e_0 (1 - pi) stays clear of zero.  The recurrence is sequential, so it
+    runs on Python complex scalars, as `_backward_start` does.
+    """
+    m2 = mu**2
+    d = (m2 * (1.0 - q * _roll(rt, 1))).tolist()
+    e = (-(m2 * rt * q + 1.0)).tolist()
+    f = F.tolist()
+    ak, bk = 0.0, 1.0  # delta_{N-1} = 0 + 1 delta_{N-1}
+    a, b = [ak], [bk]
+    try:
+        for k in range(len(f) - 1, 0, -1):
+            ak, bk = (f[k] - d[k] * ak) / e[k], -d[k] * bk / e[k]
+            a.append(ak)
+            b.append(bk)
+        x = (f[0] - d[0] * ak) / (d[0] * bk + e[0])
+    except ZeroDivisionError as exc:
+        raise BTError("singular Jacobian in Backlund Newton") from exc
+    return np.array(a[::-1], dtype=complex) + np.array(b[::-1]) * x
+
+
 def _polish(q, r, rt, mu):
-    """One Newton step on the denominator-cleared first line from the
-    backward start, kept if it lowers max |P|.
+    """One Newton step (`_polish_step`) on the denominator-cleared first
+    line from the backward start, kept if it lowers max |P|.
 
     The start already meets P near its roundoff floor; q~ is read off r~
     with an amplification of ~100 at mu = 0.3, so what r~ keeps of the
@@ -151,10 +175,7 @@ def _polish(q, r, rt, mu):
         raise BTError("non-finite residual at Newton start")
     if np.any(np.abs(rt) < 1e-12):
         raise BTError("vanishing r~ denominator during Newton")
-    try:
-        cand = rt - np.linalg.solve(_poly_jacobian(q, rt, mu), F)
-    except np.linalg.LinAlgError as exc:
-        raise BTError("singular Jacobian in Backlund Newton") from exc
+    cand = rt - _polish_step(q, rt, mu, F)
     with np.errstate(all="ignore"):
         errc = np.abs(_poly_residual(q, r, cand, mu)).max()
     return cand if errc < err else rt
@@ -164,14 +185,18 @@ def bt_apply(state, mu, opts=None):
     """Apply the Backlund map at parameter mu.
 
     The first line is solved at mu by `_backward_start` and polished by one
-    Newton step (`_polish`); q~ is read off the second line, and
-    gamma_k and its collinearity defect (`_gamma_least_squares`) are kept
-    for `spectrality`.  With no warm start and no continuation in |mu|, the
-    map is a function of (state, mu, opts.tol) alone, so the last
-    BT_CACHE_SIZE results, whose arrays are read-only, are returned again
-    for the same bits of q and r, type and bits of mu (0.3 and 0.3+0j stay
-    apart) and tol.  BTError is raised, on every call, when the as-printed
-    residual of either line is not below opts.tol.
+    Newton step (`_polish`), whose ring recurrence is solved backward, the
+    direction in which the start attracts; the whole map is O(N).  The
+    neighbours r~_{k-1}, r~_{k+1}, r_{k+1} and mu^2 r~_k + r_k are formed
+    once, and q~ (off the second line), both lines' as-printed residuals
+    and gamma_k with its collinearity defect (`_gamma_least_squares`, kept
+    for `spectrality`) are read from them.  With no warm start and no
+    continuation in |mu|, the map is a function of (state, mu, opts.tol)
+    alone, so the last BT_CACHE_SIZE results, whose arrays are read-only,
+    are returned again for the same bits of q and r, type and bits of mu
+    (0.3 and 0.3+0j stay apart) and tol.  BTError is raised, on every
+    call, when the as-printed residual of either line is not below
+    opts.tol.
     """
     if mu == 0:
         raise BTError("Backlund parameter mu must be nonzero")
@@ -186,14 +211,19 @@ def bt_apply(state, mu, opts=None):
         raise BTError("state has r_k ~ 0; Backlund denominators vanish")
 
     rt = _polish(q, r, _backward_start(q, r, mu), mu)
-    qt, rhs2 = _line2_qtilde(r, rt, mu)
-    res1 = float(np.abs(_line1_residual(q, r, rt, mu)).max())
+    u, rtp, rp = _roll(rt, 1), _roll(rt, -1), _roll(r, -1)
+    m2 = mu**2
+    m2rt = m2 * rt
+    b = m2rt + r
+    rhs2 = (rt - rp) * b / (m2 * rtp * u)
+    qt = (1.0 - rhs2) / rt
+    res1 = float(np.abs((1.0 - q * r) - (u - r) * b / (m2rt * u)).max())
     res2 = float(np.abs((1.0 - qt * rt) - rhs2).max())
     if max(res1, res2) >= opts.tol:
         raise BTError(f"transformation residual {max(res1, res2):.3e} "
                       f"above tolerance {opts.tol:.1e} at mu={mu}")
     target = ChainState(qt, rt)
-    gam, coll = _gamma_least_squares(q, r, rt, mu)
+    gam, coll = _gamma_least_squares(q, r, rt, u, mu)
     if np.any(gam == 0):  # each factor: their product underflows at large N
         raise BTError("vanishing spectrality factor gamma")
     for arr in (gam, coll):
@@ -233,7 +263,7 @@ def intertwining_residual(bt, lam):
     return float(res[0]) if lam.ndim == 0 else res.reshape(lam.shape)
 
 
-def _gamma_least_squares(q, r, rt, mu):
+def _gamma_least_squares(q, r, rt, u, mu):
     """Least-squares gamma_k from L_k(mu)|w_k> = gamma_k |w_{k+1}>,
     with the per-site collinearity defect.
 
@@ -241,7 +271,7 @@ def _gamma_least_squares(q, r, rt, mu):
     closed form gamma_k = (v0 + conj(w1) v1) / (1 + |w1|^2), where
     (v0, v1) = L_k(mu)|w_k>.
     """
-    w0 = -mu * _roll(rt, 1)  # -mu r~_{k-1}
+    w0 = -mu * u  # -mu r~_{k-1}
     w1 = -mu * rt
     v0 = mu + q * w0
     v1 = r + (1.0 / mu) * w0
@@ -369,12 +399,26 @@ def conjugate_flow_variable(bt):
     return (2.0 / mu) * np.sum(np.log((mu**2 * rt + r) / (mu**2 * rt)))
 
 
+def _site_partials(a, b, x, y, mu):
+    """Partials of `_site_terms` in its five slots (a, b, x, y, mu), one
+    (N,) array each, by the complex step in one stacked call.
+
+    Row j of a (5, N) stack carries the imaginary step 1j*h (h = 1e-30) in
+    slot j alone, mu becomes a (5, 1) column, and Im f / h of row j is the
+    partial in slot j: exact to roundoff, with no step to tune.  Every
+    slot is complex, stepped or not.
+    """
+    h = 1e-30
+    step = 1j * h * np.eye(5)
+    stacked = np.array([a, b, x, y])[:, None, :] + step[:4, :, None]
+    return _site_terms(*stacked, mu + step[4][:, None]).imag / h
+
+
 def generating_function_check(bt):
     """Verify that F generates the map, with complex-step gradients.
 
-    A step i*h (h = 1e-30) in one argument slot of `_site_terms`, for all
-    sites at once, gives that slot's partials as Im f / h: exact to
-    roundoff, with no step to tune.  Five O(N) evaluations assemble
+    The partials of the site terms f_k in all five slots come from one
+    O(N) evaluation (`_site_partials`), which assembles
 
         dF/dr~_k = df_k/dx + df_{k+1}/dy,   dF/dr_k = df_k/db + df_{k-1}/da,
         dF/dmu = sum_k df_k/dmu,
@@ -383,15 +427,8 @@ def generating_function_check(bt):
     explicit flow variable Phi.
     """
     q, r, qt, rt, mu = _require_real_positive(bt)
-    slots = [_roll(r, -1), r, rt, _roll(rt, 1), mu]
-    h = 1e-30
-
-    def partial(i):
-        stepped = list(slots)
-        stepped[i] = stepped[i] + 1j * h
-        return _site_terms(*stepped).imag / h
-
-    da, db, dx, dy, dmu = (partial(i) for i in range(5))
+    da, db, dx, dy, dmu = _site_partials(_roll(r, -1), r, rt, _roll(rt, 1),
+                                         mu)
     res_rt = np.abs(dx + _roll(dy, -1) - np.log(1.0 - qt * rt) / rt)
     res_r = np.abs(db + _roll(da, 1) + np.log(1.0 - q * r) / r)
     res_phi = abs(np.sum(dmu) - conjugate_flow_variable(bt).real)
@@ -431,6 +468,12 @@ def map_jacobian(bt):
     dP_k/dq_k = -mu^2 r~_k r~_{k-1}:
 
         D = -J^{-1},    C = D diag(-mu^2 r~_k r~_{k-1}).
+
+    J is the cyclic lower-bidiagonal matrix whose ring recurrence
+    `_polish_step` solves backward in O(N) for one right-hand side, stably
+    because the map's start is the attracting fixed point of the backward
+    Moebius maps.  All N columns of J^{-1} are wanted here, and the dense
+    inverse of `_poly_jacobian` gives them in one call.
 
     q~ = (1 - rhs)/r~ from the second line reads r~_{k-1}, r~_k, r~_{k+1}
     and r_k, r_{k+1}, so A = G C and B = G D + E with G = dq~/dr~ and

@@ -153,6 +153,8 @@ def suite_bt(cfg, rng):
 
     def eigen_pair():
         M = chain.monodromy_matrix(state, mu)
+        if not np.all(np.isfinite(M)):  # overflowed at large N: a FAIL
+            return np.nan
         eigs = np.linalg.eigvals(M)
         g, other = spec.gamma, spec.det_over_gamma
         d1 = min(abs(eigs[0] - g) + abs(eigs[1] - other),

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 
-from albaxter import classical_chain as chain, fock
+from albaxter import backlund, classical_chain as chain, fock
 from albaxter.algebra import LaurentPoly, MultiDual
 from albaxter.backlund import bt_apply
 from albaxter.classical_chain import ChainState
@@ -248,6 +248,29 @@ def central_difference_map_jacobian(state, mu, opts=None, step=1e-4):
             dqt[:, n] = (hi.q - lo.q) / (2 * step)
             drt[:, n] = (hi.r - lo.r) / (2 * step)
     return A, B, C, D
+
+
+def dense_polish_step(q, r, rt, mu):
+    """The Newton step J^{-1} P of the Backlund polish by one dense solve of
+    the N x N cyclic lower-bidiagonal J = dP/dr~, as backlund._polish took
+    it before the ring recurrence of backlund._polish_step."""
+    return np.linalg.solve(backlund._poly_jacobian(q, rt, mu),
+                           backlund._poly_residual(q, r, rt, mu))
+
+
+def site_partials_loop(a, b, x, y, mu):
+    """The five complex-step partials of backlund._site_terms in its slots
+    (a, b, x, y, mu), one call per slot with the step in that slot alone and
+    the other slots real, as generating_function_check took them before the
+    stacked call of backlund._site_partials."""
+    h = 1e-30
+    slots = [a, b, x, y, mu]
+    out = []
+    for i in range(5):
+        stepped = list(slots)
+        stepped[i] = stepped[i] + 1j * h
+        out.append(backlund._site_terms(*stepped).imag / h)
+    return np.array(out)
 
 
 def generating_function_mp(bt, dps=30):

@@ -15,8 +15,9 @@ from albaxter.backlund import (BT_CACHE_SIZE, BTError, BTResult, SolverOptions,
                                spectrality)
 from albaxter.classical_chain import ChainState, conserved_quantities
 
-from oracles import (central_difference_map_jacobian, dressing_matrix,
-                     generating_function_mp, intertwining_loop)
+from oracles import (central_difference_map_jacobian, dense_polish_step,
+                     dressing_matrix, generating_function_mp,
+                     intertwining_loop, site_partials_loop)
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +195,17 @@ class TestGeneratingFunction:
     def test_residuals_across_sizes(self, N):
         out = generating_function_check(_real_bt(N, 90 + N))
         assert max(out.values()) <= 1e-10
+
+    @pytest.mark.parametrize("N", [1, 2, 16, 256])
+    def test_stacked_partials_match_per_slot_loop(self, N):
+        # within 4 ulps of each slot's largest partial: the stacked call
+        # makes the unstepped slots complex, the loop keeps them real
+        _, r, _, rt, mu = backlund._require_real_positive(_real_bt(N, 90 + N))
+        slots = (np.roll(r, -1), r, rt, np.roll(rt, 1), mu)
+        got = backlund._site_partials(*slots)
+        assert got.shape == (5, N)
+        for g, w in zip(got, site_partials_loop(*slots)):
+            assert np.abs(g - w).max() <= 4 * np.spacing(np.abs(w).max())
 
     @pytest.mark.parametrize("x", [-3.7382627542514157, -0.27007002334111263,
                                    0.3, 0.95])
@@ -409,30 +421,44 @@ class TestSolvedMapMemo:
 class TestDirectSolve:
     MUS = (-0.4, -0.1, 0.05, 0.17, 0.3, 0.7, 1.0, 1.3, 0.3 + 0.2j, 0.8j, 3.0)
 
-    def test_backward_solve_lands_below_polish_floor(self):
-        # 1,056 starts: every one with |mu| <= 1.3 meets the first line
-        # below the roundoff floor 64 eps (1 + max|r| + max|r~|).  At
-        # mu = 3 and N = 512, two of the 16 states start above it, at up to
-        # 2.2 times it; the one polish step takes every start below it.
-        start, polished = [], []
+    def _starts(self):
+        """(q, r, backward start, mu) over N in {1, 2, 3, 16, 64, 512},
+        8 seeds, random and real-positive states and MUS: 1,056 starts."""
         for N in (1, 2, 3, 16, 64, 512):
             for seed in range(8):
                 for draw in (ChainState.random,
                              ChainState.random_real_positive):
                     st = draw(N, np.random.default_rng(seed))
-                    q, r = st.q, st.r
                     for mu in self.MUS:
-                        rt = backlund._backward_start(q, r, mu)
-                        floor = 64 * np.finfo(float).eps * (
-                            1.0 + np.abs(r).max() + np.abs(rt).max())
-                        P = lambda x: np.abs(
-                            backlund._poly_residual(q, r, x, mu)).max()
-                        start.append((abs(mu), P(rt) / floor))
-                        polished.append(
-                            P(backlund._polish(q, r, rt, mu)) / floor)
+                        yield (st.q, st.r,
+                               backlund._backward_start(st.q, st.r, mu), mu)
+
+    def test_backward_solve_lands_below_polish_floor(self):
+        # every start with |mu| <= 1.3 meets the first line below the
+        # roundoff floor 64 eps (1 + max|r| + max|r~|).  At mu = 3 and
+        # N = 512, two of the 16 states start above it, at up to 2.2 times
+        # it; the one polish step takes every start below it.
+        start, polished = [], []
+        for q, r, rt, mu in self._starts():
+            floor = 64 * np.finfo(float).eps * (
+                1.0 + np.abs(r).max() + np.abs(rt).max())
+            P = lambda x: np.abs(backlund._poly_residual(q, r, x, mu)).max()
+            start.append((abs(mu), P(rt) / floor))
+            polished.append(P(backlund._polish(q, r, rt, mu)) / floor)
         assert len(start) == 1056
         assert max(ratio for size, ratio in start if size <= 1.3) < 1.0
         assert max(polished) < 1.0
+
+    def test_ring_recurrence_matches_dense_solve(self):
+        # the O(N) step against one LU solve of the N x N J, on every start
+        steps = 0
+        for q, r, rt, mu in self._starts():
+            got = backlund._polish_step(
+                q, rt, mu, backlund._poly_residual(q, r, rt, mu))
+            want = dense_polish_step(q, r, rt, mu)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            steps += 1
+        assert steps == 1056
 
     def test_start_off_the_floor_raises(self, monkeypatch, cold_cache):
         # one Newton step from a start 1e-3 off the solution leaves the

@@ -41,6 +41,14 @@ def test_ladder_writes_rungs_and_exponents(tmp_path):
         assert 0 <= rung["passed"] <= 10
     assert math.isfinite(layer["exponent"])
     assert len(layer["local_exponents"]) == 2
+    layer = data["layers"]["bt_map"]
+    assert layer["call"] == "backlund.bt_apply"
+    assert [r["N"] for r in layer["rungs"]] == [8, 16, 32]
+    for rung in layer["rungs"]:
+        assert rung["seconds"] > 0
+        assert rung["checks"] == 1 and rung["passed"] == 1
+    assert math.isfinite(layer["exponent"])
+    assert len(layer["local_exponents"]) == 2
 
 
 def test_bt_calls_solve_anew(monkeypatch):
@@ -50,11 +58,12 @@ def test_bt_calls_solve_anew(monkeypatch):
     polish = tool.backlund._polish
     monkeypatch.setattr(tool.backlund, "_polish",
                         lambda *args: solves.append(1) or polish(*args))
-    call = tool.bt_call(8)
-    call()
-    first = len(solves)
-    call()
-    assert first > 0 and len(solves) == 2 * first
+    for layer, maps in (("bt", 5), ("bt_map", 1)):
+        solves.clear()
+        call = tool.LAYERS[layer][1](8)
+        call()
+        call()
+        assert len(solves) == 2 * maps, layer
 
 
 def test_raising_and_capped_rungs_are_reported():

@@ -85,6 +85,18 @@ def test_bt_suite_passes_at_default_config(seed):
     assert all(r.passed for r in records)
 
 
+def test_bt_overflowed_monodromy_reads_nan(monkeypatch):
+    # from N = 1024 the monodromy at mu overflows: the eigenvalue check
+    # reads NaN, a FAIL, and no LinAlgError from eigvals escapes
+    monkeypatch.setattr(chain, "monodromy_matrix",
+                        lambda state, lam: np.full((2, 2), np.nan + 0j))
+    records = suites.suite_bt(RunConfig(N=2, seed=0),
+                              np.random.default_rng(0))
+    assert len(records) == 10
+    rec = next(r for r in records if r.check_id == "bt.gamma_eigenvalues")
+    assert np.isnan(rec.residual) and not rec.passed
+
+
 def _classical_points(seed):
     """The suite's three points of |lam| = 1, from its own stream."""
     rng = np.random.default_rng([seed, zlib.crc32(b"classical.points")])

@@ -4,13 +4,15 @@ fit its log-log scaling exponent, and write the result as JSON.
     python3 tools/ladder.py --out ladder.json
     python3 tools/ladder.py --N 8,16,32 --k 1 --out small.json
 
-Two layers run: the classical layer, `suites.suite_classical`, and the
+Three layers run: the classical layer, `suites.suite_classical`, and the
 Backlund layer, `suites.suite_bt`, each at `RunConfig(N=N, seed=0)` with a
 generator seeded by 0, as `albaxter verify classical --N N` and `albaxter
-verify bt --N N` run them.  Every bt call starts from an empty memo of
-solved maps, so each one solves its maps anew.  Each rung takes the min of
-k calls after one untimed call, whose records give the rung's pass count;
-BLAS is pinned to one thread before numpy loads.  The exponent is the least-squares slope of
+verify bt --N N` run them, and the Backlund map alone, `backlund.bt_apply`
+at mu = 0.3 on `ChainState.random(N, default_rng(0))`.  Every bt and
+bt_map call starts from an empty memo of solved maps, so each one solves
+its maps anew.  Each rung takes the min of k calls after one untimed call,
+whose pass flags give the rung's pass count; BLAS is pinned to one thread
+before numpy loads.  The exponent is the least-squares slope of
 log(seconds) against log(N) over the rungs that ran, and `local_exponents`
 are the slopes between neighbouring ones: their spread shows how far the
 layer is from a single power law.  A rung that raises is reported with its
@@ -37,6 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from albaxter import backlund, suites  # noqa: E402
+from albaxter.classical_chain import ChainState  # noqa: E402
 from albaxter.report import RunConfig  # noqa: E402
 
 SEED = 0
@@ -45,7 +48,8 @@ CAP_S = 60.0  # seconds per call past which larger rungs are skipped
 
 def classical_call(N):
     cfg = RunConfig(N=N, seed=SEED)
-    return lambda: suites.suite_classical(cfg, np.random.default_rng(SEED))
+    return lambda: [r.passed for r in suites.suite_classical(
+        cfg, np.random.default_rng(SEED))]
 
 
 def bt_call(N):
@@ -53,24 +57,37 @@ def bt_call(N):
 
     def call():
         backlund._solved.clear()
-        return suites.suite_bt(cfg, np.random.default_rng(SEED))
+        return [r.passed for r in suites.suite_bt(
+            cfg, np.random.default_rng(SEED))]
     return call
 
 
-# layer -> (the call it times, size -> that call)
+def bt_map_call(N):
+    state = ChainState.random(N, np.random.default_rng(SEED))
+
+    def call():
+        backlund._solved.clear()
+        backlund.bt_apply(state, 0.3)  # raises BTError unless it passes
+        return [True]
+    return call
+
+
+# layer -> (the call it times, size -> that call, which returns the pass
+# flags of its checks)
 LAYERS = {"classical": ("suites.suite_classical", classical_call),
-          "bt": ("suites.suite_bt", bt_call)}
+          "bt": ("suites.suite_bt", bt_call),
+          "bt_map": ("backlund.bt_apply", bt_map_call)}
 
 
 def time_rung(call, k):
-    """(min seconds of k calls, the records of a first untimed call)."""
-    records = call()
+    """(min seconds of k calls, the pass flags of a first untimed call)."""
+    flags = call()
     best = math.inf
     for _ in range(k):
         t0 = time.perf_counter()
         call()
         best = min(best, time.perf_counter() - t0)
-    return best, records
+    return best, flags
 
 
 def slope(points):
@@ -93,12 +110,12 @@ def ladder(layer, sizes, k, cap=CAP_S):
         else:
             try:
                 with np.errstate(all="ignore"):
-                    seconds, records = time_rung(make(N), k)
+                    seconds, flags = time_rung(make(N), k)
             except Exception as exc:  # a raising rung is a result too
                 rung["error"] = f"{type(exc).__name__}: {exc}"
             else:
-                rung.update(seconds=seconds, checks=len(records),
-                            passed=sum(r.passed for r in records))
+                rung.update(seconds=seconds, checks=len(flags),
+                            passed=sum(flags))
                 capped = seconds > cap
         rungs.append(rung)
     timed = [(r["N"], r["seconds"]) for r in rungs if "seconds" in r]
@@ -110,7 +127,7 @@ def ladder(layer, sizes, k, cap=CAP_S):
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--N", default="64,256,1024,4096",
+    p.add_argument("--N", default="64,256,1024,2048",
                    help="comma-separated sizes (default: %(default)s)")
     p.add_argument("--k", type=int, default=5,
                    help="timed calls per rung (default: %(default)s)")
