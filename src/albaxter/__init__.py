@@ -35,7 +35,6 @@ from .backlund import (
     generating_function,
     generating_function_check,
     intertwining_residual,
-    map_jacobian,
     spectrality,
 )
 from .qcalc import (

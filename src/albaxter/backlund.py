@@ -25,12 +25,15 @@ b_k = q_k, c_k = r~_{k-1}, which is singular at lam = mu with kernel
 |w_{k+1}> and the trace formula Tr L(mu) = det L(mu)/gamma + gamma.
 
 The Jacobian of the map comes from the implicit function theorem on the
-denominator-cleared first line P(q, r, r~) = 0: with J = dP/dr~, the
-matrix of the polish step, dr~/dr = -J^{-1} and
-dr~/dq = J^{-1} diag(mu^2 r~_k r~_{k-1}); the q~ blocks follow by the
-chain rule through the second line (`map_jacobian`).  Canonicity is
-checked on that exact Jacobian, after one solve of the map: `bt_apply`
-keeps its last solved maps, so a sweep point's checks share its solve.
+denominator-cleared first line P(q, r, r~) = 0.  With J = dP/dr~, the
+matrix of the polish step, D = dr~/dr = -J^{-1} and C = dr~/dq = D Lam,
+Lam = diag(-mu^2 r~_k r~_{k-1}); the q~ blocks are A = G C and
+B = G D + E, with G = dq~/dr~ tridiagonal and E = dq~/dr|_r~ two bands,
+by the chain rule through the second line.  Every bracket of the dense
+blocks reduces, in exact algebra, to identities between bands, so
+canonicity is checked in O(N) with no inverse of J (`canonicity_check`),
+after one solve of the map: `bt_apply` keeps its last solved maps, so a
+sweep point's checks share its solve.
 """
 
 import cmath
@@ -81,17 +84,13 @@ def _poly_residual(q, r, rt, mu):
     return mu**2 * rt * (1.0 - q * u) - u + r
 
 
-def _poly_jacobian(q, rt, mu):
-    """J = dP/dr~ of the denominator-cleared first line P: cyclic
-    lower-bidiagonal, J_kk = mu^2 (1 - q_k r~_{k-1}) and
-    J_{k,k-1} = -(mu^2 r~_k q_k + 1) (added, so N = 1 folds both in)."""
-    N = len(q)
-    u = _roll(rt, 1)
-    J = np.zeros((N, N), dtype=complex)
-    idx = np.arange(N)
-    J[idx, idx] = mu**2 * (1.0 - q * u)
-    J[idx, (idx - 1) % N] += -(mu**2 * rt * q + 1.0)
-    return J
+def _jacobian_bands(q, rt, mu):
+    """The two bands of J = dP/dr~ of the denominator-cleared first line P,
+    which is cyclic lower-bidiagonal: d_k = J_kk = mu^2 (1 - q_k r~_{k-1})
+    and e_k = J_{k,k-1} = -(mu^2 r~_k q_k + 1); at N = 1 both sit on J_00.
+    """
+    m2 = mu**2
+    return m2 * (1.0 - q * _roll(rt, 1)), -(m2 * rt * q + 1.0)
 
 
 def _backward_start(q, r, mu):
@@ -128,13 +127,13 @@ def _backward_start(q, r, mu):
 
 
 def _polish_step(q, rt, mu, F):
-    """The Newton step J^{-1} F, with J = dP/dr~ (`_poly_jacobian`), in O(N)
-    by the ring's two-term recurrence.
+    """The Newton step J^{-1} F, with J = dP/dr~, in O(N) by the ring's
+    two-term recurrence.
 
     Row k of J delta = F reads d_k delta_k + e_k delta_{k-1} = F_k, with
-    d_k = mu^2 (1 - q_k r~_{k-1}) and e_k = -(mu^2 r~_k q_k + 1).  Taken
-    backward from k = N - 1, each delta_k = a_k + b_k delta_{N-1} is affine
-    in the one unknown delta_{N-1}, and row 0 closes the ring:
+    the bands d_k and e_k of `_jacobian_bands`.  Taken backward from
+    k = N - 1, each delta_k = a_k + b_k delta_{N-1} is affine in the one
+    unknown delta_{N-1}, and row 0 closes the ring:
     (d_0 b_0 + e_0) delta_{N-1} = F_0 - d_0 a_0.  At N = 1 that pivot is
     d_0 + e_0, both terms folded.  Backward is the stable direction: the
     multiplier -d_k/e_k is dr~_{k-1}/dr~_k of the Moebius map of
@@ -143,9 +142,7 @@ def _polish_step(q, rt, mu, F):
     e_0 (1 - pi) stays clear of zero.  The recurrence is sequential, so it
     runs on Python complex scalars, as `_backward_start` does.
     """
-    m2 = mu**2
-    d = (m2 * (1.0 - q * _roll(rt, 1))).tolist()
-    e = (-(m2 * rt * q + 1.0)).tolist()
+    d, e = (band.tolist() for band in _jacobian_bands(q, rt, mu))
     f = F.tolist()
     ak, bk = 0.0, 1.0  # delta_{N-1} = 0 + 1 delta_{N-1}
     a, b = [ak], [bk]
@@ -458,90 +455,56 @@ def classical_baxter_check(bt):
     return float(abs(tr - lhs))
 
 
-def map_jacobian(bt):
-    """Exact Jacobian of the converged map (q, r) -> (q~, r~).
+def _relative_gap(x, y):
+    """max |x - y| over max(max |x|, max |y|); a NaN is returned."""
+    return np.abs(x - y).max() / np.maximum(np.abs(x).max(), np.abs(y).max())
 
-    Returns (A, B, C, D) = (dq~/dq, dq~/dr, dr~/dq, dr~/dr), each N x N,
-    by the implicit function theorem on the denominator-cleared first
-    line P_k = mu^2 r~_k (1 - q_k r~_{k-1}) - r~_{k-1} + r_k = 0.  With
-    J = dP/dr~ (the matrix of the polish step), dP/dr = I and
-    dP_k/dq_k = -mu^2 r~_k r~_{k-1}:
 
-        D = -J^{-1},    C = D diag(-mu^2 r~_k r~_{k-1}).
-
-    J is the cyclic lower-bidiagonal matrix whose ring recurrence
-    `_polish_step` solves backward in O(N) for one right-hand side, stably
-    because the map's start is the attracting fixed point of the backward
-    Moebius maps.  All N columns of J^{-1} are wanted here, and the dense
-    inverse of `_poly_jacobian` gives them in one call.
-
-    q~ = (1 - rhs)/r~ from the second line reads r~_{k-1}, r~_k, r~_{k+1}
-    and r_k, r_{k+1}, so A = G C and B = G D + E with G = dq~/dr~ and
-    E = dq~/dr|_r~ banded; G is applied by row shifts, and at N <= 2 the
-    coinciding neighbours add up.
-    """
+def _bracket_bands(bt):
+    """Worst relative residual of the three band identities that the
+    brackets of the map reduce to; see `canonicity_check`."""
     q, r = bt.source.q, bt.source.r
-    rt, mu = bt.target.r, bt.mu
-    try:
-        D = -np.linalg.inv(_poly_jacobian(q, rt, mu))
-    except np.linalg.LinAlgError as exc:
-        raise BTError("singular Jacobian in the Backlund map") from exc
-    u = _roll(rt, 1)     # r~_{k-1}
-    rtp = _roll(rt, -1)  # r~_{k+1}
-    C = D * (-mu**2 * rt * u)
-
+    qt, rt, mu = bt.target.q, bt.target.r, bt.mu
+    m2 = mu**2
+    u, rtp = _roll(rt, 1), _roll(rt, -1)  # r~_{k-1}, r~_{k+1}
     a = rt - _roll(r, -1)  # r~_k - r_{k+1}
-    b = mu**2 * rt + r
-    den = mu**2 * rtp * u
+    b = m2 * rt + r
+    den = m2 * rtp * u
     rhs = a * b / den
-    g0 = (-(1.0 - rhs) / rt - (b + mu**2 * a) / den) / rt
-    gm = rhs / (rt * u)
-    gp = rhs / (rt * rtp)
-
-    def apply_g(X):  # (G X)_k = g0_k X_k + gm_k X_{k-1} + gp_k X_{k+1}
-        return (g0[:, None] * X + gm[:, None] * _roll(X, 1)
-                + gp[:, None] * _roll(X, -1))
-
-    A = apply_g(C)
-    B = apply_g(D)
-    idx = np.arange(len(q))
-    # the indices of each statement are distinct; at N = 1 both hit B_00
-    B[idx, idx] += -a / (den * rt)
-    B[idx, (idx + 1) % len(q)] += b / (den * rt)
-    return A, B, C, D
-
-
-def _bracket_deviation(jac, w, wt):
-    """Max deviation of the transformed brackets from the canonical ones.
-
-    jac = (A, B, C, D) as from map_jacobian; w = 1 - q r is the source
-    bracket weight, applied as a column scaling, and wt = 1 - q~ r~ the
-    required {q~_k, r~_k}.  Blocks: A W D^T - B W C^T - diag(wt) and the
-    antisymmetric A W B^T - B W A^T and C W D^T - D W C^T.  A NaN in any
-    block is returned, never skipped.
-    """
-    A, B, C, D = jac
-    Aw, Cw = A * w, C * w
-    qr = Aw @ D.T - (B * w) @ C.T
-    qr[np.diag_indices_from(qr)] -= wt
-    X = Aw @ B.T
-    Y = Cw @ D.T
-    return float(np.max([np.abs(qr).max(), np.abs(X - X.T).max(),
-                         np.abs(Y - Y.T).max()]))
+    d, e = _jacobian_bands(q, rt, mu)
+    E_diag, E_sup = -a / (den * rt), b / (den * rt)  # E_kk, E_{k,k+1}
+    gm, gp = rhs / (rt * u), rhs / (rt * rtp)  # G_{k,k-1}, G_{k,k+1}
+    wlam = (1.0 - q * r) * (-m2 * rt * u)  # W Lam
+    wt = 1.0 - qt * rt
+    return float(np.max([
+        _relative_gap(E_diag * wlam, wt * d),
+        _relative_gap(E_sup * _roll(wlam, -1), wt * _roll(e, -1)),
+        _relative_gap(gm * _roll(wt, 1), _roll(gp, 1) * wt)]))
 
 
 def canonicity_check(state, mu, opts=None):
-    """Check that the map preserves the bracket, with the exact Jacobian.
+    """Check that the map preserves the bracket, in O(N) on the bands of its
+    exact Jacobian.
 
     Takes the map from `bt_apply` (the kept one, after a call at the same
-    arguments), (A, B, C, D) from map_jacobian, and requires the
-    transformed brackets under the source bracket {q_k, r_j} =
-    (1 - q_k r_k) delta_kj to satisfy {q~_k, r~_j} = (1 - q~_k r~_k)
-    delta_kj and {q~, q~} = {r~, r~} = 0.  Returns the max
-    deviation over the three blocks.  No finite-difference truncation
-    enters: the deviation is limited by how closely the solved r~ meets
-    the first line, as amplified through the second.
+    arguments).  Under the source bracket {q_k, r_j} = w_k delta_kj,
+    W = diag(1 - q r), the map is canonical when {q~_k, r~_j} = w~_k
+    delta_kj, W~ = diag(1 - q~ r~), and {q~, q~} = {r~, r~} = 0.  On the
+    blocks of the module docstring these reduce, in exact algebra, to:
+
+      {r~, r~} = C W D^T - D W C^T = D (Lam W - W Lam) D^T, zero for every
+        D, so the block measures only roundoff and is not checked;
+      {q~, r~} - W~ = A W D^T - B W C^T - W~ = (E W Lam - W~ J^T) J^{-T},
+        whose first factor has two bands: E_kk w_k Lam_k = w~_k d_k and
+        E_{k,k+1} w_{k+1} Lam_{k+1} = w~_k e_{k+1}, true where P = 0;
+      {q~, q~} = A W B^T - B W A^T = QR G^T - G QR^T + (W~ G^T - G W~),
+        with QR the {q~, r~} residual, so its own content is the band
+        gm_k w~_{k-1} = gp_{k-1} w~_k, true where the second line holds.
+
+    Each identity holds entry by entry, so also at N <= 2, where the dense
+    blocks add coinciding bands.  Returns the worst of the three band
+    residuals, each max |x - y| over max(max |x|, max |y|) of its band; a
+    NaN is returned, never skipped.  No inverse of J is formed, so no
+    ||J^{-1}|| multiplies the roundoff of the solved map.
     """
-    base = bt_apply(state, mu, opts)
-    return _bracket_deviation(map_jacobian(base), 1.0 - state.q * state.r,
-                              1.0 - base.target.q * base.target.r)
+    return _bracket_bands(bt_apply(state, mu, opts))

@@ -7,6 +7,7 @@ numbers are serialized as [re, im] pairs.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 SCHEMA = "albaxter-report/1"
@@ -41,23 +42,23 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        if not (isinstance(self.N, int) and self.N >= 1):
+        # type, not isinstance: JSON true is a bool, which subclasses int
+        if not (type(self.N) is int and self.N >= 1):
             raise ConfigError("N must be an integer >= 1")
-        if not (isinstance(self.m, int) and 0 <= self.m):
+        if not (type(self.m) is int and 0 <= self.m):
             raise ConfigError("m must be a nonnegative integer")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
-        if self.mu == 0:
-            raise ConfigError("mu must be nonzero")
-        if not (isinstance(self.n_max, int) and self.n_max >= 1):
+        if not (math.isfinite(self.mu) and self.mu != 0):
+            raise ConfigError("mu must be nonzero and finite")
+        if not (type(self.n_max) is int and self.n_max >= 1):
             raise ConfigError("n_max must be an integer >= 1")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (type(self.seed) is int and self.seed >= 0):
             raise ConfigError("seed must be an integer >= 0")
-        if not (isinstance(self.sample_counts, int)
-                and self.sample_counts >= 1):
+        if not (type(self.sample_counts) is int and self.sample_counts >= 1):
             raise ConfigError("sample_counts must be an integer >= 1")
-        if self.newton_tol <= 0:
-            raise ConfigError("tolerances.newton must be positive")
+        if not 0 < self.newton_tol < math.inf:
+            raise ConfigError("tolerances.newton must be positive and finite")
         if not isinstance(self.output_path, (str, type(None))):
             raise ConfigError("output_path must be a string")
         if self.format not in ("json", "csv"):

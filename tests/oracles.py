@@ -250,12 +250,102 @@ def central_difference_map_jacobian(state, mu, opts=None, step=1e-4):
     return A, B, C, D
 
 
+def poly_jacobian(q, rt, mu):
+    """J = dP/dr~ of the denominator-cleared first line P as a dense N x N
+    array: cyclic lower-bidiagonal, J_kk = mu^2 (1 - q_k r~_{k-1}) and
+    J_{k,k-1} = -(mu^2 r~_k q_k + 1) (added, so N = 1 folds both in)."""
+    N = len(q)
+    u = np.roll(rt, 1)
+    J = np.zeros((N, N), dtype=complex)
+    idx = np.arange(N)
+    J[idx, idx] = mu**2 * (1.0 - q * u)
+    J[idx, (idx - 1) % N] += -(mu**2 * rt * q + 1.0)
+    return J
+
+
 def dense_polish_step(q, r, rt, mu):
     """The Newton step J^{-1} P of the Backlund polish by one dense solve of
     the N x N cyclic lower-bidiagonal J = dP/dr~, as backlund._polish took
     it before the ring recurrence of backlund._polish_step."""
-    return np.linalg.solve(backlund._poly_jacobian(q, rt, mu),
+    return np.linalg.solve(poly_jacobian(q, rt, mu),
                            backlund._poly_residual(q, r, rt, mu))
+
+
+def map_jacobian(bt):
+    """Exact Jacobian of the solved map (q, r) -> (q~, r~) as dense blocks.
+
+    Returns (A, B, C, D) = (dq~/dq, dq~/dr, dr~/dq, dr~/dr), each N x N,
+    by the implicit function theorem on the denominator-cleared first
+    line P_k = mu^2 r~_k (1 - q_k r~_{k-1}) - r~_{k-1} + r_k = 0.  With
+    J = dP/dr~, dP/dr = I and dP_k/dq_k = -mu^2 r~_k r~_{k-1}:
+
+        D = -J^{-1},    C = D diag(-mu^2 r~_k r~_{k-1}),
+
+    from the dense inverse of `poly_jacobian`.  q~ = (1 - rhs)/r~ from the
+    second line reads r~_{k-1}, r~_k, r~_{k+1} and r_k, r_{k+1}, so
+    A = G C and B = G D + E with G = dq~/dr~ and E = dq~/dr|_r~ banded;
+    G is applied by row shifts, and at N <= 2 the coinciding neighbours
+    add up.  This is the dense form that backlund.canonicity_check
+    reduces to band identities.
+    """
+    q, r = bt.source.q, bt.source.r
+    rt, mu = bt.target.r, bt.mu
+    try:
+        D = -np.linalg.inv(poly_jacobian(q, rt, mu))
+    except np.linalg.LinAlgError as exc:
+        raise backlund.BTError("singular Jacobian in the Backlund map") \
+            from exc
+    u = np.roll(rt, 1)     # r~_{k-1}
+    rtp = np.roll(rt, -1)  # r~_{k+1}
+    C = D * (-mu**2 * rt * u)
+
+    a = rt - np.roll(r, -1)  # r~_k - r_{k+1}
+    b = mu**2 * rt + r
+    den = mu**2 * rtp * u
+    rhs = a * b / den
+    g0 = (-(1.0 - rhs) / rt - (b + mu**2 * a) / den) / rt
+    gm = rhs / (rt * u)
+    gp = rhs / (rt * rtp)
+
+    def apply_g(X):  # (G X)_k = g0_k X_k + gm_k X_{k-1} + gp_k X_{k+1}
+        return (g0[:, None] * X + gm[:, None] * np.roll(X, 1, axis=0)
+                + gp[:, None] * np.roll(X, -1, axis=0))
+
+    A = apply_g(C)
+    B = apply_g(D)
+    idx = np.arange(len(q))
+    # the indices of each statement are distinct; at N = 1 both hit B_00
+    B[idx, idx] += -a / (den * rt)
+    B[idx, (idx + 1) % len(q)] += b / (den * rt)
+    return A, B, C, D
+
+
+def bracket_deviation(jac, w, wt):
+    """Max deviation of the transformed brackets from the canonical ones,
+    on the dense blocks.
+
+    jac = (A, B, C, D) as from `map_jacobian`; w = 1 - q r is the source
+    bracket weight, applied as a column scaling, and wt = 1 - q~ r~ the
+    required {q~_k, r~_k}.  Blocks: A W D^T - B W C^T - diag(wt) and the
+    antisymmetric A W B^T - B W A^T and C W D^T - D W C^T.  A NaN in any
+    block is returned, never skipped.
+    """
+    A, B, C, D = jac
+    Aw, Cw = A * w, C * w
+    qr = Aw @ D.T - (B * w) @ C.T
+    qr[np.diag_indices_from(qr)] -= wt
+    X = Aw @ B.T
+    Y = Cw @ D.T
+    return float(np.max([np.abs(qr).max(), np.abs(X - X.T).max(),
+                         np.abs(Y - Y.T).max()]))
+
+
+def dense_canonicity(bt):
+    """`bracket_deviation` of a solved map on its dense Jacobian: the check
+    that backlund.canonicity_check took before its band identities."""
+    w = 1.0 - bt.source.q * bt.source.r
+    return bracket_deviation(map_jacobian(bt), w,
+                             1.0 - bt.target.q * bt.target.r)
 
 
 def site_partials_loop(a, b, x, y, mu):

@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -6,18 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from albaxter import backlund, classical_chain as chain
 from albaxter.backlund import (BT_CACHE_SIZE, BTError, BTResult, SolverOptions,
-                               _bracket_deviation, _li2, bt_apply,
+                               _bracket_bands, _li2, bt_apply,
                                canonicity_check,
                                classical_baxter_check,
                                conjugate_flow_variable, generating_function,
                                generating_function_check,
-                               intertwining_residual, map_jacobian,
-                               spectrality)
+                               intertwining_residual, spectrality)
 from albaxter.classical_chain import ChainState, conserved_quantities
 
-from oracles import (central_difference_map_jacobian, dense_polish_step,
-                     dressing_matrix, generating_function_mp,
-                     intertwining_loop, site_partials_loop)
+from oracles import (bracket_deviation, central_difference_map_jacobian,
+                     dense_canonicity, dense_polish_step, dressing_matrix,
+                     generating_function_mp, intertwining_loop, map_jacobian,
+                     site_partials_loop)
 
 
 @pytest.fixture(scope="module")
@@ -289,20 +291,73 @@ class TestCanonicity:
     def test_swapped_blocks_fail(self):
         _, bt, w, wt = self._base()
         A, B, C, D = map_jacobian(bt)
-        assert _bracket_deviation((A, B, C, D), w, wt) <= 1e-12
-        assert _bracket_deviation((A, B, D, C), w, wt) >= 1e-3
+        assert bracket_deviation((A, B, C, D), w, wt) <= 1e-12
+        assert bracket_deviation((A, B, D, C), w, wt) >= 1e-3
 
     def test_jacobian_at_wrong_mu_fails(self):
         st, _, w, wt = self._base()
         wrong = map_jacobian(bt_apply(st, 0.35))
-        assert _bracket_deviation(wrong, w, wt) >= 1e-3
+        assert bracket_deviation(wrong, w, wt) >= 1e-3
 
     def test_nan_in_one_block_is_returned(self):
         _, bt, w, wt = self._base()
         jac = map_jacobian(bt)
         wt = wt.copy()
         wt[1] = np.nan  # enters the {q~, r~} block only
-        assert np.isnan(_bracket_deviation(jac, w, wt))
+        assert np.isnan(bracket_deviation(jac, w, wt))
+
+    GRID = [(N, mu) for N in (1, 2, 3, 16, 64)
+            for mu in (0.3, 1.1, 0.3 + 0.2j)]
+
+    @staticmethod
+    def _mutants(bt):
+        """The solved map with r~ and q~ moved by 1e-9 relative noise, and
+        checked at mu + 1e-5: maps the check must flag."""
+        g = np.random.default_rng(80).standard_normal(bt.source.N)
+        t = bt.target
+        return {"rt": dataclasses.replace(
+                    bt, target=ChainState(t.q, t.r * (1 + 1e-9 * g))),
+                "qt": dataclasses.replace(
+                    bt, target=ChainState(t.q * (1 + 1e-9 * g), t.r)),
+                "mu": dataclasses.replace(bt, mu=bt.mu + 1e-5)}
+
+    @pytest.mark.parametrize("N, mu", GRID)
+    def test_band_and_dense_forms_flag_the_same_maps(self, N, mu):
+        # N <= 2 aliases the bands of the dense blocks.  Exact maps read
+        # <= 7e-15 banded and <= 2e-12 dense here; the dense floor grows
+        # with ||J^{-1}||.  The mutants read >= 1.4e-10 in both forms.
+        bt = bt_apply(ChainState.random(N, np.random.default_rng(N)), mu)
+        assert _bracket_bands(bt) <= 1e-13
+        assert dense_canonicity(bt) <= 1e-11
+        for name, mutant in self._mutants(bt).items():
+            assert _bracket_bands(mutant) > 1e-11, name
+            assert dense_canonicity(mutant) > 1e-11, name
+
+    def test_nan_in_wtilde_is_returned(self):
+        _, bt, _, _ = self._base()
+        qt = bt.target.q.copy()
+        qt[1] = np.nan  # w~_1 = 1 - q~_1 r~_1
+        nan_map = dataclasses.replace(bt, target=ChainState(qt, bt.target.r))
+        assert np.isnan(_bracket_bands(nan_map))
+
+    def test_no_inverse_amplifies_the_roundoff(self):
+        # the dense blocks multiply the map's roundoff by ||J^{-1}||: 3.1e-8
+        # on this state; the band identities read 4.4e-15
+        st = ChainState.random(64, np.random.default_rng(8))
+        assert dense_canonicity(bt_apply(st, 1.1)) > 1e-9
+        assert canonicity_check(st, 1.1) <= 1e-11
+
+    def test_memory_is_linear_in_N(self, cold_cache):
+        # no N x N array: a dense block at N = 4096 alone takes 256 MB
+        st = ChainState.random(4096, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            deviation = canonicity_check(st, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert deviation <= 1e-11
+        assert peak < 10 * 2**20
 
     def test_singular_jacobian_is_bterror(self):
         # q = 0 and mu = 1 make dP/dr~ = [[1, -1], [-1, 1]] exactly singular

@@ -76,7 +76,7 @@ def test_bt_sweep_output_equals_per_mu_records(tmp_path):
 
 
 def test_bt_sweep_canonicity_at_roundoff(tmp_path):
-    # exact-Jacobian deviations on this sweep: 9e-15 to 1.8e-13 (at mu=0.1)
+    # band residuals on this sweep: 8e-16 to 1.5e-14 (at mu=0.1)
     out = tmp_path / "sweep.json"
     assert cli.main(["bt", "--N", "16", "--sweep", "0.1", "0.45", "4",
                      "--out", str(out)]) == 0
@@ -212,6 +212,19 @@ def test_bt_n512_small_mu_writes_a_record(tmp_path, capsys):
     ({"seed": -3}, "seed must be an integer"),
     ({"seed": "7"}, "seed must be an integer"),
     ({"sample_counts": 0}, "sample_counts must be an integer"),
+    # JSON true is a Python bool, a subclass of int
+    ({"N": True}, "N must be an integer"),
+    ({"m": False}, "m must be a nonnegative integer"),
+    ({"n_max": True}, "n_max must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"sample_counts": True}, "sample_counts must be an integer"),
+    # json writes these as NaN and Infinity, and reads them back
+    ({"mu": float("nan")}, "mu must be nonzero and finite"),
+    ({"mu": float("-inf")}, "mu must be nonzero and finite"),
+    ({"tolerances": {"newton": float("inf")}},
+     "tolerances.newton must be positive and finite"),
+    ({"tolerances": {"newton": float("nan")}},
+     "tolerances.newton must be positive and finite"),
     ("{", "cannot read config"),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, raw, message):
@@ -226,6 +239,14 @@ def test_malformed_config_exits_2(tmp_path, capsys, raw, message):
 def test_negative_seed_flag_exits_2(capsys):
     assert cli.main(["verify", "quantum", "--seed", "-3"]) == 2
     assert "seed must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    # an infinite tolerance turned off bt_apply's acceptance gate
+    ("--tol", "inf"), ("--tol", "nan"), ("--mu", "nan")])
+def test_non_finite_flag_exits_2(capsys, flag, value):
+    assert cli.main(["verify", "bt", flag, value]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def _read_csv(path):

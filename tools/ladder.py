@@ -127,7 +127,7 @@ def ladder(layer, sizes, k, cap=CAP_S):
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--N", default="64,256,1024,2048",
+    p.add_argument("--N", default="64,256,1024,4096",
                    help="comma-separated sizes (default: %(default)s)")
     p.add_argument("--k", type=int, default=5,
                    help="timed calls per rung (default: %(default)s)")
