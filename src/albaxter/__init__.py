@@ -15,7 +15,6 @@ from .classical_chain import (
     DegenerateStateError,
     classical_rmatrix,
     conserved_quantities,
-    dense_monodromy,
     eom_rhs,
     monodromy_det_residuals,
     monodromy_matrix,
@@ -23,7 +22,6 @@ from .classical_chain import (
     rmatrix_relation_residuals,
     trace_bracket,
     trace_det_bracket,
-    trace_difference,
 )
 from .backlund import (
     BTError,

@@ -45,15 +45,15 @@ tests {H_i, det L} = 0 for every i at once, and one point of the trace of a
 cyclically shifted state tests every H_i.  The points lie on |lam| = 1,
 where the monodromy grows least with N.
 
-The coefficients themselves come from one dense kernel: the monodromy as a
-(2, 2, 2N+1) complex array of Laurent coefficients (index e + N holds the
-coefficient of lam^e), built in N steps L_k M where multiplying by
-lam^(+-1) is an index shift.  It costs O(N^2) time and memory and serves
-only where the H_i are read one by one: `conserved_quantities`, for the
-CLI's records and the drift of the H_i under a Backlund map.  The tests
-check both kernels against the same objects built over generic
-LaurentPoly/MultiDual arithmetic, and the scan against a sequential loop of
-stacked 2x2 products (`tests/oracles.py`).
+The conserved quantities are held the same way, as point values:
+`conserved_quantities` returns Tr L at each of its points (by default the
+three fixed points TRACE_POINTS), the largest diagonal entry of the
+monodromy there, on which a change of the trace is judged, and det L.  The
+coefficients H_i themselves are never formed: beyond N ~ 100 they span
+hundreds of orders of magnitude, and a drift of the small ones drowns in
+the roundoff of the large.  The tests check the point values against the
+trace of the LaurentPoly monodromy and the scan against a sequential loop
+of stacked 2x2 products (`tests/oracles.py`).
 """
 
 from dataclasses import dataclass
@@ -133,17 +133,35 @@ class ChainState:
         return f"ChainState(N={self.N})"
 
 
+# three golden-angle points of |lam| = 1, none a root of unity of low order
+TRACE_POINTS = np.exp(2j * np.pi * (np.arange(1, 4) * (np.sqrt(5) - 1) / 2
+                                    % 1.0))
+TRACE_POINTS.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class ConservedSet:
-    """Trace coefficients H_0..H_N and the determinant product."""
-    H: np.ndarray
+    """Tr L at the points, the largest |M_aa| of the monodromy at each,
+    and det L = prod_k (1 - q_k r_k)."""
+    points: np.ndarray
+    trace: np.ndarray
+    scale: np.ndarray
     det: complex
 
+    def trace_drift(self, other):
+        """|Tr_a - Tr_b| at each point, relative to the larger of the two
+        sets' scales there; NaN where a trace or scale is not finite."""
+        if not np.array_equal(self.points, other.points):
+            raise ValueError("conserved sets taken at different points")
+        return _relative(np.abs(self.trace - other.trace),
+                         np.maximum(self.scale, other.scale))
+
     def max_relative_drift(self, other):
-        scale = np.maximum(np.abs(self.H), 1.0)
-        dh = float((np.abs(self.H - other.H) / scale).max())
-        dd = abs(self.det - other.det) / max(abs(self.det), 1.0)
-        return max(dh, dd)
+        """The largest trace drift or relative change of det L; NaN if any
+        of them is."""
+        det = _relative(abs(self.det - other.det),
+                        max(abs(self.det), abs(other.det)))
+        return float(np.max(np.append(self.trace_drift(other), det)))
 
 
 def monodromy_matrix(state, lam):
@@ -169,30 +187,6 @@ def _roll(a, k):
     return np.concatenate((a[-k:], a[:-k]))
 
 
-def dense_monodromy(state):
-    """Monodromy L_N ... L_1 as a (2, 2, 2N+1) complex array of Laurent
-    coefficients; index e + N holds the coefficient of lam^e.
-
-    Row 1 is kept with its exponent axis reversed, so the lam of L_k and
-    its 1/lam both shift a row up one index.  A step L_k M is then the
-    products c_k S[::-1, :, ::-1], c_k = (q_k, r_k) down the rows, into the
-    other of two buffers, plus S shifted onto its [..., 1:]: the two-term
-    sums of the plain layout, so the same bits.  Row 1 is un-reversed last.
-    """
-    N = state.N
-    S, T = np.zeros((2, 2, 2, 2 * N + 1), dtype=complex)
-    S[0, 0, N] = S[1, 1, N] = 1.0
-    steps = ((S[::-1, :, ::-1], T, T[..., 1:], S[..., :-1]),
-             (T[::-1, :, ::-1], S, S[..., 1:], T[..., :-1]))
-    c = np.stack((state.q, state.r), axis=-1)[:, :, None, None]
-    for k, ck in enumerate(c):
-        swapped, out, tail, head = steps[k % 2]
-        np.multiply(ck, swapped, out=out)
-        np.add(tail, head, out=tail)
-    out[1] = out[1, :, ::-1].copy()
-    return out
-
-
 def lax_det(state):
     """det L(lam) = prod_k (1 - q_k r_k), the same at every lam.  Taking it
     from the monodromy entries as M11 M22 - M12 M21 cancels
@@ -200,13 +194,15 @@ def lax_det(state):
     return complex(np.prod(1.0 - state.q * state.r))
 
 
-def conserved_quantities(state):
-    """H_0..H_N, the coefficients of lam^(N-2i) in the trace of the dense
-    monodromy, and det L = prod_k (1 - q_k r_k)."""
-    N = state.N
-    M = dense_monodromy(state)
-    tr = M[0, 0] + M[1, 1]
-    return ConservedSet(H=tr[2 * N::-2], det=lax_det(state))
+def conserved_quantities(state, lams=TRACE_POINTS):
+    """Tr L(lam) at each point of lams, the largest diagonal entry of the
+    monodromy there and det L, from one `_monodromies` call."""
+    lams = np.asarray(lams, dtype=complex)
+    M = _monodromies(state.q[None], state.r[None], lams[None])[0]
+    a, d = M[:, 0, 0], M[:, 1, 1]
+    return ConservedSet(points=lams, trace=a + d,
+                        scale=np.maximum(np.abs(a), np.abs(d)),
+                        det=lax_det(state))
 
 
 def _bracket(fq, fr, gq, gr, w):
@@ -354,17 +350,6 @@ def trace_det_bracket(state, lams):
     after = np.concatenate((np.cumprod(w[:0:-1])[::-1], [1.0]))
     excl = before * after
     return _bracket(fq, fr, -state.r * excl, -state.q * excl, w)
-
-
-def trace_difference(a, b, lams):
-    """|Tr L_a(lam) - Tr L_b(lam)| of two states of one size at each point
-    of lams, relative to the largest diagonal entry of their two
-    monodromies there; shape (n,)."""
-    M = _monodromies(np.stack((a.q, b.q)), np.stack((a.r, b.r)),
-                    np.stack((lams, lams)))
-    diag = np.abs(np.diagonal(M, axis1=-2, axis2=-1))
-    tr = M[..., 0, 0] + M[..., 1, 1]
-    return np.abs(tr[0] - tr[1]) / diag.max(axis=(0, 2))
 
 
 def monodromy_det_residuals(state, lams):

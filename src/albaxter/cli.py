@@ -8,6 +8,8 @@ Subcommands:
 
 Exit status: 0 all checks pass, 1 check failure, 2 configuration error.
 Reports are JSON with a versioned schema; numeric tables are CSV.
+`bt` writes schema albaxter-bt/2 and `evolve` one tr{j} column pair per
+point of classical_chain.TRACE_POINTS; their --help lists the fields.
 """
 
 import argparse
@@ -48,7 +50,11 @@ def _build_parser():
     v.add_argument("suite", choices=sorted(SUITES) + ["all"])
     add_common(v)
 
-    b = sub.add_parser("bt", help="Backlund transformation report")
+    b = sub.add_parser(
+        "bt", help="Backlund transformation report",
+        description="JSON schema albaxter-bt/2: source, the points of the "
+        "traces, and per mu: residuals, trace_before/trace_after (Tr L at "
+        "each point), det_before/det_after, gamma, target.")
     add_common(b)
     b.add_argument("--state", metavar="PATH",
                    help=f"input state JSON {STATE_SCHEMA_NOTE}")
@@ -56,7 +62,11 @@ def _build_parser():
                    metavar=("LO", "HI", "STEPS"),
                    help="sweep mu over STEPS values in [LO, HI]")
 
-    e = sub.add_parser("evolve", help="integrate the equations of motion")
+    e = sub.add_parser(
+        "evolve", help="integrate the equations of motion",
+        description="RK4 trajectory CSV: t, q_k, r_k, Tr L at the bt report's "
+        "points (tr{j}), det L, each as (re, im), and the largest relative "
+        "drift of a trace or of det L from t = 0.")
     add_common(e)
     e.add_argument("--dt", type=float, default=1e-3)
     e.add_argument("--steps", type=int, default=100)
@@ -129,7 +139,7 @@ def _write_roots_csv(cfg):
     print(f"wrote {out}")
 
 
-def _bt_record(state, before, mu, cfg):  # before: the state's H and det
+def _bt_record(state, before, mu, cfg):  # before: the state's traces, det
     opts = backlund.SolverOptions(tol=cfg.newton_tol)
     bt = backlund.bt_apply(state, mu, opts)
     spec = backlund.spectrality(bt)
@@ -144,8 +154,8 @@ def _bt_record(state, before, mu, cfg):  # before: the state's H and det
             "trace": spec.trace_residual,
             "canonicity": backlund.canonicity_check(state, mu, opts=opts),
         },
-        "H_before": [_complex_pair(h) for h in before.H],
-        "H_after": [_complex_pair(h) for h in after.H],
+        "trace_before": [_complex_pair(t) for t in before.trace],
+        "trace_after": [_complex_pair(t) for t in after.trace],
         "det_before": _complex_pair(before.det),
         "det_after": _complex_pair(after.det),
         "gamma": [_complex_pair(g) for g in bt.gamma_site],
@@ -179,7 +189,8 @@ def cmd_bt(args):
         print(f"error: Backlund solve failed: {exc}", file=sys.stderr)
         return 1
 
-    payload = {"schema": "albaxter-bt/1", "source": state.to_json_dict(),
+    payload = {"schema": "albaxter-bt/2", "source": state.to_json_dict(),
+               "points": [_complex_pair(p) for p in before.points],
                "records": recs}
     text = json.dumps(payload, sort_keys=True, indent=2)
     if cfg.output_path:
@@ -200,7 +211,7 @@ def cmd_evolve(args):
 
     sites = range(1, cfg.N + 1)
     names = ([f"q{k}" for k in sites] + [f"r{k}" for k in sites]
-             + [f"H{i}" for i in range(cfg.N + 1)] + ["det"])
+             + [f"tr{j}" for j in range(len(base.points))] + ["det"])
     header = ["t"] + [f"{v}_{p}" for v in names for p in ("re", "im")]
     header.append("drift")
 
@@ -208,10 +219,10 @@ def cmd_evolve(args):
     t = 0.0
     for step in range(args.steps + 1):
         cons = chain.conserved_quantities(state)
-        drift = max(float(np.abs(cons.H - base.H).max()),
-                    abs(cons.det - base.det))
-        rows.append([t] + [x for z in (*state.q, *state.r, *cons.H, cons.det)
-                           for x in _complex_pair(z)] + [drift])
+        rows.append([t] + [x for z in (*state.q, *state.r, *cons.trace,
+                                       cons.det)
+                           for x in _complex_pair(z)]
+                    + [base.max_relative_drift(cons)])
         if step < args.steps:
             state = chain.rk4_step(state, args.dt)
             t += args.dt

@@ -22,6 +22,9 @@ _CONFIG_FIELDS = {"N", "m", "alpha", "eta", "mu", "n_max", "tolerances",
 
 
 def _number(raw, name):
+    # JSON true would read as 1.0: a bool is no number here
+    if isinstance(raw[name], bool):
+        raise ConfigError(f"{name} must be a number")
     try:
         return float(raw[name])
     except (TypeError, ValueError) as exc:

@@ -97,7 +97,8 @@ def suite_classical(cfg, rng):
     def cyclic():
         rolled = chain.ChainState(chain._roll(state.q, 1),
                                   chain._roll(state.r, 1))
-        return _worst(chain.trace_difference(state, rolled, points))
+        return _worst(chain.conserved_quantities(state, points).trace_drift(
+            chain.conserved_quantities(rolled, points)))
 
     _timed(records, "classical.cyclic_trace", {"N": N}, 1e-12, cyclic)
 

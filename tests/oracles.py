@@ -17,8 +17,9 @@ from albaxter.qcalc import (JACKSON_MAX_NODES, JACKSON_TAIL, MAX_FACTORS,
 
 # ---------------------------------------------------------------------------
 # Generic-ring classical chain: the Lax matrices, monodromy and brackets
-# over LaurentPoly and MultiDual arithmetic that the dense transfer kernel
-# of classical_chain is tested against.
+# over LaurentPoly and MultiDual arithmetic that the point kernels of
+# classical_chain are tested against, and the dense Laurent coefficients of
+# the monodromy.
 
 
 class Mat2:
@@ -140,7 +141,7 @@ def observable_det(q, r):
 
 def lax_left(M, qk, rk):
     """L_k M for a dense (2, 2, 2N+1) monodromy factor, one site of the
-    loop that classical_chain.dense_monodromy replaced: the lam and 1/lam
+    coefficient loop `dense_monodromy_loop`: the lam and 1/lam
     diagonal of L_k shift row 0 up and row 1 down one power.  The
     off-diagonal products q_k M_1 and r_k M_0 fill an empty buffer and the
     shifted rows are added to them in place; the lowest power of row 0 and
@@ -167,7 +168,8 @@ def lax_left_zeros(M, qk, rk):
 
 def dense_monodromy_loop(state, step=lax_left):
     """The dense (2, 2, 2N+1) monodromy L_N ... L_1 by one `step`
-    (lax_left or lax_left_zeros) per site, in the plain layout."""
+    (lax_left or lax_left_zeros) per site; index e + N holds the
+    coefficient of lam^e."""
     N = state.N
     M = np.zeros((2, 2, 2 * N + 1), dtype=complex)
     M[0, 0, N] = M[1, 1, N] = 1.0

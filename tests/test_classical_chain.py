@@ -5,13 +5,12 @@ import pytest
 from hypothesis import assume, given, strategies as hst
 
 from albaxter import classical_chain as chain
-from albaxter.classical_chain import (ChainState, DegenerateStateError,
+from albaxter.classical_chain import (TRACE_POINTS, ChainState,
+                                      DegenerateStateError,
                                       classical_rmatrix, conserved_quantities,
-                                      dense_monodromy, eom_rhs,
-                                      monodromy_det_residuals,
+                                      eom_rhs, monodromy_det_residuals,
                                       monodromy_matrix, rk4_step,
-                                      trace_bracket, trace_det_bracket,
-                                      trace_difference)
+                                      trace_bracket, trace_det_bracket)
 
 from oracles import (dense_monodromy_loop, entry_brackets, lax_left_zeros,
                      local_lax, monodromy, observable_conserved,
@@ -70,29 +69,79 @@ class TestLaxAndMonodromy:
         assert set(tr.support) <= {3, 1, -1, -3}
 
 
+def _coefficients(state):
+    """H_0..H_N read off the point traces at the N + 1 points
+    lam_j = exp(i pi j/(N+1)), on which the powers lam^(N-2i) are
+    orthogonal: H_i = sum_j lam_j^-(N-2i) Tr L(lam_j) / (N + 1).  Also the
+    largest |Tr L(lam_j)|, the size the sum's roundoff is measured on."""
+    N = state.N
+    lams = np.exp(1j * np.pi * np.arange(N + 1) / (N + 1))
+    tr = conserved_quantities(state, lams).trace
+    powers = lams[None, :] ** -(N - 2.0 * np.arange(N + 1))[:, None]
+    return powers @ tr / (N + 1), np.abs(tr).max()
+
+
 class TestConserved:
     def test_boundary_coefficients(self):
         rng = np.random.default_rng(1)
         for N in (1, 2, 4):
-            cons = conserved_quantities(ChainState.random(N, rng))
-            assert cons.H[0] == pytest.approx(1.0)
-            assert cons.H[N] == pytest.approx(1.0)
+            H, _ = _coefficients(ChainState.random(N, rng))
+            assert H[0] == pytest.approx(1.0)
+            assert H[N] == pytest.approx(1.0)
 
     def test_frozen_h1(self):
-        assert conserved_quantities(N2_STATE).H[1] == pytest.approx(-0.05)
+        assert _coefficients(N2_STATE)[0][1] == pytest.approx(-0.05)
 
     def test_zero_state_interior(self):
-        cons = conserved_quantities(ChainState.zeros(5))
-        assert np.allclose(cons.H[1:5], 0.0)
-        assert cons.det == pytest.approx(1.0)
+        H, _ = _coefficients(ChainState.zeros(5))
+        assert np.allclose(H[1:5], 0.0)
+        assert conserved_quantities(ChainState.zeros(5)).det == 1.0
 
     def test_cyclic_invariance(self):
         rng = np.random.default_rng(2)
         st = ChainState.random(5, rng)
-        H = conserved_quantities(st).H
+        cons = conserved_quantities(st)
         for shift in range(1, 5):
             rolled = ChainState(np.roll(st.q, shift), np.roll(st.r, shift))
-            assert np.abs(conserved_quantities(rolled).H - H).max() < 1e-12
+            assert cons.max_relative_drift(conserved_quantities(rolled)) \
+                < 1e-14
+
+    def test_default_points_on_the_unit_circle(self):
+        cons = conserved_quantities(N2_STATE)
+        assert cons.points is TRACE_POINTS and len(TRACE_POINTS) == 3
+        assert np.allclose(np.abs(TRACE_POINTS), 1.0, rtol=0, atol=1e-15)
+        assert not TRACE_POINTS.flags.writeable
+
+    def test_drift_across_different_points_raises(self):
+        a = conserved_quantities(N2_STATE)
+        b = conserved_quantities(N2_STATE, TRACE_POINTS[:2])
+        c = conserved_quantities(N2_STATE, TRACE_POINTS[::-1])
+        for other in (b, c):
+            with pytest.raises(ValueError, match="different points"):
+                a.max_relative_drift(other)
+
+    def test_overflowed_monodromy_drift_reads_nan(self):
+        # |L_k| ~ 4 on every site: the monodromy overflows at two of the
+        # three points by N = 2000, while det L = (-1)^N stays finite
+        st = ChainState(np.full(2000, 4.0), np.full(2000, 0.5))
+        with np.errstate(all="ignore"):
+            cons = conserved_quantities(st)
+            drift = cons.trace_drift(cons)
+            assert not np.isfinite(cons.trace).all() and cons.det == 1.0
+            assert np.isnan(drift[~np.isfinite(cons.trace)]).all()
+            assert np.isnan(cons.max_relative_drift(cons))
+
+    def test_drift_reads_a_relative_change(self):
+        # a change of one trace or of det L reads its size relative to the
+        # larger scale, never 0
+        a = conserved_quantities(ChainState.random(8, np.random.default_rng(3)))
+        bumped = a.trace.copy()
+        bumped[1] += 1e-9 * a.scale[1]
+        b = type(a)(points=a.points, trace=bumped, scale=a.scale, det=a.det)
+        assert a.max_relative_drift(b) == pytest.approx(1e-9, rel=1e-6)
+        c = type(a)(points=a.points, trace=a.trace, scale=a.scale,
+                    det=a.det * (1 + 1e-9))
+        assert a.max_relative_drift(c) == pytest.approx(1e-9, rel=1e-6)
 
 
 def _relative(got, want):
@@ -107,13 +156,13 @@ POINTS = np.array([np.exp(0.7j), np.exp(-2.1j), 1.3 + 0.2j, 0.7 - 0.5j])
 
 
 class TestDenseKernel:
-    """The dense and the point kernels against the LaurentPoly/MultiDual
-    oracles."""
+    """The point kernels against the LaurentPoly/MultiDual oracles, and the
+    oracles' dense Laurent coefficients against LaurentPoly."""
 
     @pytest.mark.parametrize("N", KERNEL_SIZES)
     def test_monodromy_coefficients(self, N):
         st = ChainState.random(N, np.random.default_rng(60 + N))
-        dense = dense_monodromy(st)
+        dense = dense_monodromy_loop(st)
         oracle = monodromy(st)
         for (i, j), poly in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
                                 (oracle.a11, oracle.a12, oracle.a21,
@@ -124,27 +173,40 @@ class TestDenseKernel:
             assert np.abs(dense[i, j] - want).max() < 1e-14 * max(
                 np.abs(want).max(), 1.0)
 
-    @pytest.mark.parametrize("N", KERNEL_SIZES)
+    @pytest.mark.parametrize("N", KERNEL_SIZES + (16,))
     def test_conserved_against_laurent_trace(self, N):
+        # Tr L at each point is sum_i H_i lam^(N-2i) of the oracle's H_i,
+        # to roundoff of the sum of |H_i|, at the default points and off
+        # the unit circle
         st = ChainState.random(N, np.random.default_rng(70 + N))
         tr = monodromy(st).trace()
-        want = np.array([tr.coeff(N - 2 * i) for i in range(N + 1)])
-        H = conserved_quantities(st).H
-        assert H.shape == (N + 1,)
-        assert np.abs(H - want).max() < 1e-14 * max(np.abs(want).max(), 1.0)
+        H = np.array([tr.coeff(N - 2 * i) for i in range(N + 1)])
+        for lams in (TRACE_POINTS, POINTS):
+            cons = conserved_quantities(st, lams)
+            powers = lams[:, None] ** (N - 2.0 * np.arange(N + 1))
+            assert cons.trace.shape == cons.scale.shape == (len(lams),)
+            assert (np.abs(cons.trace - powers @ H)
+                    <= 1e-14 * (np.abs(powers) @ np.abs(H))).all()
+            assert cons.det == chain.lax_det(st)
 
     def test_conserved_zero_state(self):
-        H = conserved_quantities(ChainState.zeros(6)).H
-        assert np.array_equal(H, [1, 0, 0, 0, 0, 0, 1])
+        # M = diag(lam^6, lam^-6): trace lam^6 + lam^-6 and scale 1
+        cons = conserved_quantities(ChainState.zeros(6))
+        want = TRACE_POINTS**6 + TRACE_POINTS**-6
+        assert np.abs(cons.trace - want).max() < 1e-14
+        assert np.abs(cons.scale - 1.0).max() < 1e-14
+        assert cons.det == 1.0
 
     def test_h1_closed_form_large_chain(self):
-        # H_1 = sum_k r_k q_{k+1} (cyclic), at a size the LaurentPoly
-        # path could not reach in reasonable time
-        st = ChainState.random(512, np.random.default_rng(80))
-        cons = conserved_quantities(st)
+        # H_1 = sum_k r_k q_{k+1} (cyclic) read off the point traces, at a
+        # size the LaurentPoly path is slow at; the read-off is ill-posed
+        # past N ~ 100, where max |Tr L| on |lam| = 1 passes 1e6
+        st = ChainState.random(64, np.random.default_rng(80))
+        H, size = _coefficients(st)
         want = np.sum(st.r * np.roll(st.q, -1))
-        assert _relative(cons.H[1], want) < 1e-12
-        assert cons.H[0] == 1.0 and cons.H[512] == 1.0
+        assert abs(H[1] - want) < 1e-14 * size
+        assert abs(H[0] - 1.0) < 1e-14 * size
+        assert abs(H[64] - 1.0) < 1e-14 * size
 
     def test_det_eval_against_laurent_det(self):
         # M11 M22 - M12 M21 of the numeric monodromy at a point is the
@@ -231,12 +293,13 @@ class TestDenseKernel:
         # each trace against the Laurent oracle's
         st = ChainState.random(N, np.random.default_rng(230 + N))
         tr = monodromy(st).trace()
-        M = chain._monodromies(st.q[None], st.r[None], POINTS[None])[0]
-        for lam, m in zip(POINTS, M):
-            assert _relative(np.trace(m), tr.eval(lam)) < 1e-14
+        cons = conserved_quantities(st, POINTS)
+        for lam, got in zip(POINTS, cons.trace):
+            assert _relative(got, tr.eval(lam)) < 1e-14
         for shift in range(N):
             rolled = ChainState(np.roll(st.q, shift), np.roll(st.r, shift))
-            assert (trace_difference(st, rolled, POINTS) < 1e-14).all()
+            drift = cons.trace_drift(conserved_quantities(rolled, POINTS))
+            assert drift.shape == (len(POINTS),) and (drift < 1e-14).all()
 
     @pytest.mark.parametrize("N", (1, 2, 3, 4, 6))
     def test_entry_brackets_against_multidual(self, N):
@@ -358,13 +421,11 @@ class TestBatchedKernels:
 
     @staticmethod
     def _assert_dense_matches_loops(state):
-        # bit for bit, signed zeros and NaNs included; the zeroed-buffer
-        # form adds +0 where the products stand alone, so -0 reads +0 there
+        # the oracles' own check: the dense coefficient loop in its two
+        # forms, bit for bit, NaNs included; the zeroed-buffer form adds +0
+        # where the products stand alone, so -0 reads +0 there
         want = dense_monodromy_loop(state)
-        tr = want[0, 0] + want[1, 1]
-        assert dense_monodromy(state).tobytes() == want.tobytes()
-        assert (conserved_quantities(state).H.tobytes()
-                == tr[2 * state.N::-2].tobytes())
+        assert want.shape == (2, 2, 2 * state.N + 1)
         assert np.array_equal(dense_monodromy_loop(state, lax_left_zeros),
                               want, equal_nan=True)
 
@@ -437,10 +498,11 @@ class TestRK4:
     def test_single_step_drift_order(self):
         rng = np.random.default_rng(6)
         st = ChainState.random(4, rng)
-        h1 = conserved_quantities(st).H[1]
+        # H_1, the coefficient of lam^(N-2) of the oracle's Laurent trace
+        h1 = lambda s: monodromy(s).trace().coeff(s.N - 2)
         drifts = []
         for dt in (1e-2, 5e-3):
-            drift = abs(conserved_quantities(rk4_step(st, dt)).H[1] - h1)
+            drift = abs(h1(rk4_step(st, dt)) - h1(st))
             drifts.append(drift)
         ratio = drifts[0] / drifts[1]
         assert 24 < ratio < 44  # local error O(dt^5): halving ~ 32x

@@ -18,15 +18,17 @@ def test_bt_sweep_writes_conserving_records(tmp_path, capsys):
                      "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text(encoding="utf-8"))
-    assert payload["schema"] == "albaxter-bt/1"
+    assert payload["schema"] == "albaxter-bt/2"
+    points = np.array([complex(*p) for p in payload["points"]])
+    assert np.array_equal(points, chain.TRACE_POINTS)
     recs = payload["records"]
     assert [rec["mu"][0] for rec in recs] == [0.1, 0.275, 0.45]
     for rec in recs:
-        before = np.array([complex(*h) for h in rec["H_before"]])
-        after = np.array([complex(*h) for h in rec["H_after"]])
-        assert before.shape == (9,)
-        assert before[0] == 1.0 and before[8] == 1.0
-        drift = np.abs(after - before) / np.maximum(np.abs(before), 1.0)
+        before = np.array([complex(*t) for t in rec["trace_before"]])
+        after = np.array([complex(*t) for t in rec["trace_after"]])
+        assert before.shape == after.shape == (3,)
+        assert not {"H_before", "H_after"} & set(rec)
+        drift = np.abs(after - before) / np.abs(before)
         assert drift.max() < 1e-10
     assert f"wrote {out}" in capsys.readouterr().out
 
@@ -50,8 +52,8 @@ def _bt_record_per_mu(state, mu, tol):
             "trace": spec.trace_residual,
             "canonicity": backlund.canonicity_check(state, mu, opts=opts),
         },
-        "H_before": [pair(h) for h in before.H],
-        "H_after": [pair(h) for h in after.H],
+        "trace_before": [pair(t) for t in before.trace],
+        "trace_after": [pair(t) for t in after.trace],
         "det_before": pair(before.det),
         "det_after": pair(after.det),
         "gamma": [pair(g) for g in bt.gamma_site],
@@ -69,8 +71,11 @@ def test_bt_sweep_output_equals_per_mu_records(tmp_path):
     state = chain.ChainState.random(8, np.random.default_rng(cfg.seed))
     recs = [_bt_record_per_mu(state, mu, cfg.newton_tol)
             for mu in np.linspace(0.1, 0.45, 3)]
-    want = json.dumps({"schema": "albaxter-bt/1",
-                       "source": state.to_json_dict(), "records": recs},
+    want = json.dumps({"schema": "albaxter-bt/2",
+                       "source": state.to_json_dict(),
+                       "points": [[p.real, p.imag]
+                                  for p in chain.TRACE_POINTS],
+                       "records": recs},
                       sort_keys=True, indent=2)
     assert out.read_text(encoding="utf-8") == want
 
@@ -225,6 +230,12 @@ def test_bt_n512_small_mu_writes_a_record(tmp_path, capsys):
      "tolerances.newton must be positive and finite"),
     ({"tolerances": {"newton": float("nan")}},
      "tolerances.newton must be positive and finite"),
+    # nor is a bool a float: true would read as 1.0
+    ({"alpha": True}, "alpha must be a number"),
+    ({"eta": True}, "eta must be a number"),
+    ({"mu": True}, "mu must be a number"),
+    ({"mu": False}, "mu must be a number"),
+    ({"tolerances": {"newton": True}}, "newton must be a number"),
     ("{", "cannot read config"),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, raw, message):
@@ -260,9 +271,13 @@ def test_evolve_writes_conserving_trajectory(tmp_path):
     assert cli.main(["evolve", "--N", "4", "--steps", "5",
                      "--out", str(out)]) == 0
     header, rows = _read_csv(out)
-    # t, q and r as (re, im) pairs, H_0..H_4 and det as pairs, drift
-    assert len(header) == 30 and rows.shape == (6, 30)
+    # t, q and r as (re, im) pairs, the traces at three points and det as
+    # pairs, drift
+    assert len(header) == 26 and rows.shape == (6, 26)
+    assert header[17:23] == ["tr0_re", "tr0_im", "tr1_re", "tr1_im",
+                             "tr2_re", "tr2_im"]
     assert header[-1] == "drift" and rows[:, -1].max() < 1e-12
+    assert rows[0, -1] == 0.0 and rows[-1, -1] > 0.0
 
 
 def test_kernel_writes_finite_grid(tmp_path):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from albaxter.report import Report, RunConfig
+from albaxter.report import ConfigError, Report, RunConfig
 from albaxter.suites import SUITES, run_suites
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_all_default.json"
@@ -36,3 +36,18 @@ def test_verify_all_matches_golden(default_report):
 def test_canonical_json_is_byte_identical_across_runs(default_report):
     again = _verify_all(RunConfig())
     assert again.canonical_json() == default_report.canonical_json()
+
+
+@pytest.mark.parametrize("raw", [
+    {"alpha": True}, {"alpha": False}, {"eta": True}, {"mu": True},
+    {"mu": False}, {"tolerances": {"newton": True}}])
+def test_bool_in_a_float_field_is_rejected(raw):
+    # JSON true is a Python bool, which float() reads as 1.0
+    with pytest.raises(ConfigError, match="must be a number"):
+        RunConfig.from_dict(raw)
+
+
+def test_numbers_in_float_fields_are_read():
+    cfg = RunConfig.from_dict({"eta": 1, "mu": -2,
+                               "tolerances": {"newton": 1e-10}})
+    assert (cfg.alpha, cfg.mu, cfg.newton_tol) == (0.5, -2.0, 1e-10)

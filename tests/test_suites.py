@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 import warnings
@@ -97,6 +98,52 @@ def test_bt_overflowed_monodromy_reads_nan(monkeypatch):
     assert np.isnan(rec.residual) and not rec.passed
 
 
+def _perturbed_maps(monkeypatch, perturb):
+    """Patch backlund.bt_apply so that the maps for which perturb(state,
+    mu) is true return q~ (1 + 1e-8) as their target."""
+    solve = backlund.bt_apply
+
+    def patched(state, mu, opts=None):
+        bt = solve(state, mu, opts)
+        if not perturb(state, mu):
+            return bt
+        bad = chain.ChainState(bt.target.q * (1 + 1e-8), bt.target.r)
+        return dataclasses.replace(bt, target=bad)
+
+    monkeypatch.setattr(backlund, "bt_apply", patched)
+
+
+def _bt_record(N, check_id):
+    records = suites.suite_bt(RunConfig(N=N, seed=0),
+                              np.random.default_rng(0))
+    return next(r for r in records if r.check_id == check_id)
+
+
+# the mutants below read, at seed 0 and N = 2, 16 and 512: 1.2e-9, 2.3e-8
+# and 3.3e-7 (bt.conservation, bound 1e-10), and 1.2e-9, 2.4e-8 and 3.3e-7
+# (bt.commuting_parameters, bound 1e-9)
+
+
+@pytest.mark.parametrize("N", (2, 16, 512))
+def test_bt_conservation_fails_under_a_scaled_target(N, monkeypatch):
+    assert _bt_record(N, "bt.conservation").passed
+    _perturbed_maps(monkeypatch, lambda state, mu: True)
+    rec = _bt_record(N, "bt.conservation")
+    assert rec.residual >= 1e-9 and not rec.passed
+
+
+@pytest.mark.parametrize("N", (2, 16, 512))
+def test_bt_commuting_parameters_fail_under_one_scaled_map(N, monkeypatch):
+    assert _bt_record(N, "bt.commuting_parameters").passed
+    # only the first map at mu = 0.17, the second of the composition ab
+    first = []
+    _perturbed_maps(monkeypatch, lambda state, mu: mu == 0.17
+                    and not first and not first.append(mu))
+    rec = _bt_record(N, "bt.commuting_parameters")
+    assert len(first) == 1
+    assert rec.residual > 1e-9 and not rec.passed
+
+
 def _classical_points(seed):
     """The suite's three points of |lam| = 1, from its own stream."""
     rng = np.random.default_rng([seed, zlib.crc32(b"classical.points")])
@@ -123,9 +170,16 @@ def test_classical_suite_matches_direct_calls(N):
     bracket, scale = chain.trace_det_bracket(state, points)
     assert records["classical.conserved_involution"] == max(
         np.abs(bracket) / scale)
+    # the trace drift of the shifted state, as one stacked monodromy call
+    # takes it: the same bits as two conserved sets
     rolled = chain.ChainState(np.roll(state.q, 1), np.roll(state.r, 1))
+    M = chain._monodromies(np.stack((state.q, rolled.q)),
+                           np.stack((state.r, rolled.r)),
+                           np.stack((points, points)))
+    tr = M[..., 0, 0] + M[..., 1, 1]
+    diag = np.abs(np.diagonal(M, axis1=-2, axis2=-1)).max(axis=(0, 2))
     assert records["classical.cyclic_trace"] == max(
-        chain.trace_difference(state, rolled, points))
+        np.abs(tr[0] - tr[1]) / diag)
     assert records["classical.monodromy_det"] == max(
         chain.monodromy_det_residuals(state, points))
     h1 = [np.sum(s.r * np.roll(s.q, -1))
@@ -161,8 +215,10 @@ def test_classical_point_checks_fail_under_small_defects(N, monkeypatch):
         q = np.roll(state.q, 1)
         q[N // 2] *= 1 + 1e-9
         bad = chain.ChainState(q, np.roll(state.r, 1))
-        assert suites._worst(chain.trace_difference(
-            state, bad, _classical_points(seed))) >= 2e-11
+        points = _classical_points(seed)
+        assert suites._worst(chain.conserved_quantities(
+            state, points).trace_drift(chain.conserved_quantities(
+                bad, points))) >= 2e-11
     lax_det = chain.lax_det
     monkeypatch.setattr(chain, "lax_det", lambda s: lax_det(s) * (1 + 1e-9))
     monkeypatch.setattr(chain, "_bracket", _one_weight_off(chain._bracket))
