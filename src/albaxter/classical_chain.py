@@ -51,9 +51,10 @@ three fixed points TRACE_POINTS), the largest diagonal entry of the
 monodromy there, on which a change of the trace is judged, and det L.  The
 coefficients H_i themselves are never formed: beyond N ~ 100 they span
 hundreds of orders of magnitude, and a drift of the small ones drowns in
-the roundoff of the large.  The tests check the point values against the
-trace of the LaurentPoly monodromy and the scan against a sequential loop
-of stacked 2x2 products (`tests/oracles.py`).
+the roundoff of the large.  (`conserved_quantities` is public: the
+benchmark's sweep task calls it.)  The tests check the point values against
+the trace of the LaurentPoly monodromy and the scan against a sequential
+loop of stacked 2x2 products (`tests/oracles.py`).
 """
 
 from dataclasses import dataclass
@@ -157,8 +158,7 @@ class ConservedSet:
                          np.maximum(self.scale, other.scale))
 
     def max_relative_drift(self, other):
-        """The largest trace drift or relative change of det L; NaN if any
-        of them is."""
+        """Largest trace drift or relative change of det L; NaN if any is."""
         det = _relative(abs(self.det - other.det),
                         max(abs(self.det), abs(other.det)))
         return float(np.max(np.append(self.trace_drift(other), det)))
