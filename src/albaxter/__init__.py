@@ -44,6 +44,7 @@ from .qcalc import (
     qhat_kernel,
     qpochhammer_inf,
     rho_site,
+    rho_sites,
 )
 from .fock import (
     FockRep,
@@ -62,7 +63,6 @@ from .bethe import (
 )
 from .funspace import (
     baxter_action_residual,
-    rho_product,
     triangular_check,
 )
 

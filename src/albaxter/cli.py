@@ -15,6 +15,7 @@ point of classical_chain.TRACE_POINTS; their --help lists the fields.
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -40,7 +41,8 @@ def _build_parser():
         sp.add_argument("--alpha", type=float)
         sp.add_argument("--mu", type=float)
         sp.add_argument("--nmax", type=int,
-                        help="cap on the total Fock occupation")
+                        help="cap on the total Fock occupation of the "
+                        "quantum suite (the bethe suite takes m + 1)")
         sp.add_argument("--seed", type=int)
         sp.add_argument("--tol", type=float, help="Newton tolerance")
         sp.add_argument("--out", metavar="PATH")
@@ -178,6 +180,10 @@ def cmd_bt(args):
     mus = [cfg.mu]
     if args.sweep:
         lo, hi, steps = args.sweep
+        if not (math.isfinite(lo) and math.isfinite(hi)
+                and steps.is_integer() and steps >= 1):
+            raise ConfigError("--sweep needs finite LO and HI and an "
+                              "integer STEPS >= 1")
         mus = list(np.linspace(lo, hi, int(steps)))
 
     try:
@@ -203,9 +209,8 @@ def cmd_bt(args):
 
 def cmd_evolve(args):
     cfg = _config_from_args(args)
-    if args.dt <= 0 or args.steps < 1:
-        print("error: need dt > 0 and steps >= 1", file=sys.stderr)
-        return 2
+    if not (math.isfinite(args.dt) and args.dt > 0) or args.steps < 1:
+        raise ConfigError("evolve needs a finite dt > 0 and steps >= 1")
     state = chain.ChainState.random(cfg.N, np.random.default_rng(cfg.seed))
     base = chain.conserved_quantities(state)
 
@@ -238,6 +243,8 @@ def cmd_evolve(args):
 
 def cmd_kernel(args):
     cfg = _config_from_args(args)
+    if args.grid < 1:
+        raise ConfigError("kernel needs --grid >= 1")
     qp = qcalc.QParam(cfg.alpha)
     rng = np.random.default_rng(cfg.seed)
     rtilde = rng.uniform(1.1, 1.9, cfg.N)

@@ -10,10 +10,11 @@ i.e. (1 - alpha) times the Jackson derivative
 
     D_k f = (f(..., alpha r_k, ...) - f(r)) / (alpha r_k - r_k).
 
-Functions are passed in as callables on a coordinate array (see
-funspace.rho_product for the product kernels of the Baxter equation).
-jackson_op also takes stacked points, a (len(point), n) array whose
-columns are n points; f then returns n values.
+Functions are passed in as callables on a coordinate array; the product
+kernels of the Baxter equation are held as site values instead (rho_sites,
+on which funspace acts site by site).  jackson_op also takes stacked
+points, a (len(point), n) array whose columns are n points; f then returns
+n values.
 jackson_integral evaluates its integrand this way, once per block of nodes
 alpha^n w for all its bounds w instead of once per node: f takes a
 (len(point), B) array and returns B values, or a scalar (lambda r: 1.0)
@@ -479,6 +480,17 @@ def feq_residuals(c_k, c_k1, r_k, mu, qp):
     return np.abs([e1, e2, e3, e4]) / max(abs(F0), 1e-30)
 
 
+def rho_sites(mu, qp, rtilde, r):
+    """Site values [rho_k(mu, r_k) for k = 1..N] of the product kernel
+    rho(r) = prod_k rho_k(mu, r_k), each through rho_site, with periodic
+    site indexing (r~_0 = r~_N)."""
+    rtilde = np.asarray(rtilde, dtype=complex)
+    sites = (KernelSite(mu, rtilde[k], rtilde[k - 1])
+             for k in range(rtilde.size))
+    return np.array([rho_site(ks, qp, r_k) for ks, r_k in
+                     zip(sites, np.asarray(r, dtype=complex))], dtype=complex)
+
+
 def qhat_kernel(mu, qp, rtilde, r):
     """Full Baxter kernel
 
@@ -493,9 +505,4 @@ def qhat_kernel(mu, qp, rtilde, r):
         raise ValueError("rtilde and r must have equal length")
     if np.any(rtilde == 0):
         raise ValueError("all rtilde_k must be nonzero")
-    acc = 1.0 + 0.0j
-    N = r.size
-    for k in range(N):
-        ks = KernelSite(mu=mu, rtilde_k=rtilde[k], rtilde_km1=rtilde[k - 1])
-        acc *= rho_site(ks, qp, r[k]) / rtilde[k]
-    return acc
+    return complex(np.prod(rho_sites(mu, qp, rtilde, r) / rtilde))

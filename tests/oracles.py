@@ -10,9 +10,9 @@ from albaxter.algebra import LaurentPoly, MultiDual
 from albaxter.backlund import bt_apply
 from albaxter.classical_chain import ChainState
 from albaxter.qcalc import (JACKSON_MAX_NODES, JACKSON_TAIL, MAX_FACTORS,
-                            POLE_TOL, THETA, QPochhammerPoleError,
+                            POLE_TOL, THETA, KernelSite, QPochhammerPoleError,
                             _kernel_F_slots, jackson_integral, jackson_op,
-                            qpochhammer_inf)
+                            qpochhammer_inf, rho_site)
 
 
 # ---------------------------------------------------------------------------
@@ -665,17 +665,41 @@ def feq_residuals_loop(c_k, c_k1, r_k, mu, qp):
     return np.abs([e1, e2, e3, e4]) / max(scale, 1e-30)
 
 
-def delta_action_residual_loop(f, qp, N, point):
-    """funspace.delta_action_residual as it was: the nested factors
-    1 - r_k q_k call f 3^N times, plus once for f(alpha point)."""
+def rho_product_loop(mu, qp, rtilde):
+    """The product kernel rho(r) = prod_k rho_k(mu, r_k) as a callable on
+    points, one qcalc.rho_site call per site, periodic in r~ (the closure
+    funspace held before it took the kernel as site values)."""
+    rtilde = np.asarray(rtilde, dtype=complex)
+    sites = [KernelSite(mu, rtilde[k], rtilde[k - 1])
+             for k in range(rtilde.size)]
+
+    def rho(point):
+        val = 1.0
+        for ks, r_k in zip(sites, point):
+            val *= rho_site(ks, qp, r_k)
+        return val
+
+    return rho
+
+
+def delta_action_loop(f, qp, N, point):
+    """(prod_k (1 - r_k q_k) f)(point) for any callable f: the nested
+    factors, k = N innermost, call f 3^N times."""
     def factor(g, k):
         return lambda p: g(p) - p[k - 1] * jackson_op(g, k, qp, p)
 
     g = f
     for k in range(N, 0, -1):
         g = factor(g, k)
+    return g(np.asarray(point, dtype=complex))
+
+
+def delta_action_residual_loop(f, qp, N, point):
+    """The quantum-determinant identity by the 2^N operator tree:
+    |delta_action_loop(f) - f(alpha point)|."""
     point = np.asarray(point, dtype=complex)
-    return float(abs(g(point) - f(qp.alpha * point)))
+    return float(abs(delta_action_loop(f, qp, N, point)
+                     - f(qp.alpha * point)))
 
 
 def qboson_residual_loop(rep):

@@ -160,7 +160,7 @@ def test_verify_bethe_n16_m3_completes(tmp_path):
     checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
     assert len(checks) == 7
     [rec] = [c for c in checks if c["check_id"] == "bethe.fock_eigen_residual"]
-    assert rec["pass"] and rec["params"] == {"N": 16, "m": 3, "n_max": 5}
+    assert rec["pass"] and rec["params"] == {"N": 16, "m": 3, "n_max": 4}
 
 
 def test_cli_import_loads_no_scipy_and_no_algebra():
@@ -258,6 +258,29 @@ def test_negative_seed_flag_exits_2(capsys):
 def test_non_finite_flag_exits_2(capsys, flag, value):
     assert cli.main(["verify", "bt", flag, value]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    # np.linspace raised on these; 2.5 was cut to 2 values
+    ["bt", "--sweep", "0.1", "0.9", "-1"],
+    ["bt", "--sweep", "0.1", "0.9", "nan"],
+    ["bt", "--sweep", "0.1", "0.9", "inf"],
+    ["bt", "--sweep", "0.1", "0.9", "2.5"],
+    ["bt", "--sweep", "0.1", "0.9", "0"],
+    ["bt", "--sweep", "nan", "0.9", "3"],
+    ["kernel", "--grid", "-1"],
+    ["kernel", "--grid", "0"],
+    # these wrote a NaN trajectory and exited 0
+    ["evolve", "--dt", "nan"],
+    ["evolve", "--dt", "inf"],
+    ["evolve", "--dt", "0"],
+    ["evolve", "--steps", "0"],
+])
+def test_bad_command_input_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--N", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 def _read_csv(path):

@@ -7,7 +7,8 @@ from albaxter import funspace, qcalc
 from albaxter.qcalc import QParam, jackson_op
 from albaxter.report import RunConfig
 from albaxter.suites import suite_baxter
-from oracles import delta_action_residual_loop
+from oracles import (delta_action_loop, delta_action_residual_loop,
+                     rho_product_loop)
 
 QP = QParam(0.5)
 MU = 1.3
@@ -23,7 +24,8 @@ def _word_expansion(mu, qp, rtilde, point):
 
     The word (s_0, .., s_{N-1}) takes the entry (L_k)_{s_k, s_{k-1}} at
     site k (s_N = s_0); each entry acts on a generic callable, q_k through
-    qcalc.jackson_op, so nothing assumes the product structure of rho.
+    qcalc.jackson_op, so nothing assumes the product structure of rho.  The
+    kernel is a callable built from qcalc.rho_site, not from site values.
     """
     N = len(rtilde)
 
@@ -38,7 +40,7 @@ def _word_expansion(mu, qp, rtilde, point):
 
     total = 0.0
     for s in itertools.product((0, 1), repeat=N):
-        g = funspace.rho_product(mu, qp, rtilde)
+        g = rho_product_loop(mu, qp, rtilde)
         for k in range(1, N + 1):
             g = entry(s[k % N], s[k - 1], k, g)
         total += g(np.asarray(point, dtype=complex))
@@ -80,7 +82,9 @@ class TestTraceAction:
 
     def test_rejects_zero_parameters(self):
         with pytest.raises(ValueError):
-            funspace.rho_product(MU, QP, np.array([1.2, 0.0]))
+            qcalc.rho_sites(MU, QP, np.array([1.2, 0.0]), [0.3, 0.4])
+        with pytest.raises(ValueError):
+            funspace.trace_action(MU, QP, np.array([1.2, 0.0]), [0.3, 0.4])
         with pytest.raises(ValueError):
             funspace.trace_action(0.0, QP, np.array([1.2, 1.5]), [0.3, 0.4])
 
@@ -93,44 +97,56 @@ class TestTriangularization:
     @pytest.mark.parametrize("N", [2, 3, 5])
     def test_every_site_is_lower_triangular(self, N):
         rtilde, pts = _inputs(N, 20 + N)
-        for k in range(1, N + 1):
-            res = funspace.triangular_check(MU, QP, rtilde, k, pts[k % 4])
-            assert res.shape == (4,)
-            assert res.max() < 1e-11
+        sites = np.arange(1, N + 1)
+        res = funspace.triangular_check(MU, QP, rtilde,
+                                        pts[sites % 4, sites - 1])
+        assert res.shape == (N, 4)
+        assert res.max() < 1e-11
+
+    def test_a_wrong_site_value_is_seen(self, monkeypatch):
+        # rho_k(mu, r_k) off by 1e-8 at site 2 breaks that site's defining
+        # condition e12, and only that site's row
+        rtilde, pts = _inputs(3, 23)
+        sites = funspace.rho_sites
+
+        def off(mu, qp, rt, r):
+            v = sites(mu, qp, rt, r)
+            if mu == MU and np.array_equal(r, pts[0]):
+                v[1] *= 1 + 1e-8
+            return v
+
+        monkeypatch.setattr(funspace, "rho_sites", off)
+        res = funspace.triangular_check(MU, QP, rtilde, pts[0])
+        assert res[[0, 2]].max() < 1e-11 < res[1, 1]
 
 
 class TestDeltaAction:
-    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
     def test_product_kernel(self, N):
+        # the site form against the 2^N operator tree of the oracle, which
+        # acts on the kernel as a generic callable; at alpha = 0.9 the
+        # kernel reaches 2e5, so the residuals are taken relative to it
         rtilde, pts = _inputs(N, 30 + N)
-        rho = funspace.rho_product(MU, QP, rtilde)
-        for pt in pts:
-            assert funspace.delta_action_residual(rho, QP, N, pt) < 1e-12
-
-    def test_non_product_polynomial(self):
-        f = lambda r: 1.0 + r[0] * r[1] + 0.5 * r[0] ** 2 * r[1] ** 3 - r[1]
-        for pt in _inputs(2, 40)[1]:
-            assert funspace.delta_action_residual(f, QP, 2, pt) < 1e-12
-
-    @pytest.mark.parametrize("N", [1, 2, 3])
-    def test_one_evaluation_per_distinct_point(self, N):
-        # the nested factors reach f at 2^N distinct points; each is
-        # evaluated once, and the residual keeps the bits of the 3^N + 1
-        # calls of oracles.delta_action_residual_loop
-        rtilde, pts = _inputs(N, 50 + N)
-        poly = lambda r: 1.0 + r[0] * r[-1] + 0.5 * r[0] ** 2 - r[-1] ** 3
         for qp in (QP, QParam(0.9)):
-            for f in (funspace.rho_product(MU, qp, rtilde), poly):
-                calls = []
+            rho = rho_product_loop(MU, qp, rtilde)
+            for pt in pts:
+                delta, shifted = funspace.delta_action(MU, qp, rtilde, pt)
+                scale = max(1.0, abs(shifted))
+                assert abs(delta - shifted) <= 1e-12 * scale
+                assert (delta_action_residual_loop(rho, qp, N, pt)
+                        <= 1e-12 * scale)
+                tree = delta_action_loop(rho, qp, N, pt)
+                assert abs(delta - tree) <= 1e-14 * abs(tree)
+                assert shifted == pytest.approx(rho(qp.alpha * pt),
+                                                rel=1e-14)
 
-                def counted(p):
-                    calls.append(p.tobytes())
-                    return f(p)
-                for pt in pts:
-                    calls.clear()
-                    got = funspace.delta_action_residual(counted, qp, N, pt)
-                    assert len(calls) == len(set(calls)) == 2**N
-                    assert got == delta_action_residual_loop(f, qp, N, pt)
+    def test_overflow_reads_nan(self):
+        # at N = 4096 the site products overflow; the residual the suite
+        # takes reads NaN, a FAIL, and nothing raises
+        rtilde, pts = _inputs(4096, 4096)
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta, shifted = funspace.delta_action(MU, QP, rtilde, pts[0])
+        assert not abs(delta - shifted) < 1e-12
 
 
 @pytest.mark.parametrize("mu", [0.55, 0.6, 0.7])
@@ -151,8 +167,8 @@ def test_baxter_suite_pochhammer_calls(monkeypatch):
     # each Pochhammer the suite needs is evaluated once: 120 evaluations at
     # the default config (111 distinct guarded arguments and 9 qexp), from
     # 269 when every guarded call evaluated its argument, and 437 when
-    # feq_residuals evaluated F 11 times per draw and delta_action_residual
-    # f 3^N + 1 times per point
+    # feq_residuals evaluated F 11 times per draw and the Delta check
+    # evaluated its kernel 3^N + 1 times per point
     kernel = qcalc._qpochhammer_parts
     calls = []
 

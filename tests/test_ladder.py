@@ -49,6 +49,16 @@ def test_ladder_writes_rungs_and_exponents(tmp_path):
         assert rung["checks"] == 1 and rung["passed"] == 1
     assert math.isfinite(layer["exponent"])
     assert len(layer["local_exponents"]) == 2
+    layer = data["layers"]["funspace"]
+    assert layer["call"].startswith("funspace.baxter_action_residual")
+    assert [r["N"] for r in layer["rungs"]] == [8, 16, 32]
+    for rung in layer["rungs"]:
+        assert rung["seconds"] > 0 and rung["checks"] == 3
+    # the absolute trace identity passes at N = 8 only; triangularization
+    # and Delta pass at every rung
+    assert [r["passed"] for r in layer["rungs"]] == [3, 2, 2]
+    assert math.isfinite(layer["exponent"])
+    assert len(layer["local_exponents"]) == 2
 
 
 def test_bt_calls_solve_anew(monkeypatch):

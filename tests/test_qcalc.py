@@ -884,15 +884,19 @@ class TestQhatKernel:
         assert got == pytest.approx(1.0 / np.prod(rt))
 
     def test_matches_rho_product(self):
+        # the product of the site values against the site loop qhat_kernel
+        # ran before it took them from rho_sites
         rng = np.random.default_rng(35)
-        rt = rng.uniform(1.1, 1.9, 3)
-        r = rng.uniform(0.1, 0.9, 3)
-        want = 1.0
-        for k in range(3):
-            ks = KernelSite(mu=self.MU, rtilde_k=rt[k], rtilde_km1=rt[k - 1])
-            want *= rho_site(ks, QP, r[k]) / rt[k]
-        assert qhat_kernel(self.MU, QP, rt, r) == pytest.approx(want,
-                                                                rel=1e-13)
+        for N in (1, 3, 8, 32):
+            rt = rng.uniform(1.1, 1.9, N)
+            r = rng.uniform(0.1, 0.9, N)
+            want = 1.0
+            for k in range(N):
+                ks = KernelSite(mu=self.MU, rtilde_k=rt[k],
+                                rtilde_km1=rt[k - 1])
+                want *= rho_site(ks, QP, r[k]) / rt[k]
+            assert qhat_kernel(self.MU, QP, rt, r) == pytest.approx(
+                want, rel=1e-14)
 
     def test_rejects_zero_rtilde(self):
         with pytest.raises(ValueError):

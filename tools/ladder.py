@@ -4,13 +4,18 @@ fit its log-log scaling exponent, and write the result as JSON.
     python3 tools/ladder.py --out ladder.json
     python3 tools/ladder.py --N 8,16,32 --k 1 --out small.json
 
-Three layers run: the classical layer, `suites.suite_classical`, and the
+Four layers run: the classical layer, `suites.suite_classical`, and the
 Backlund layer, `suites.suite_bt`, each at `RunConfig(N=N, seed=0)` with a
 generator seeded by 0, as `albaxter verify classical --N N` and `albaxter
-verify bt --N N` run them, and the Backlund map alone, `backlund.bt_apply`
-at mu = 0.3 on `ChainState.random(N, default_rng(0))`.  Every bt and
-bt_map call starts from an empty memo of solved maps, so each one solves
-its maps anew.  Each rung takes the min of k calls after one untimed call,
+verify bt --N N` run them; the Backlund map alone, `backlund.bt_apply`
+at mu = 0.3 on `ChainState.random(N, default_rng(0))`; and the
+function-space layer, the three product-kernel identities of the baxter
+suite (`funspace.baxter_action_residual`, `funspace.triangular_check` over
+every site and `funspace.delta_action`) at one point, at the default mu and
+alpha and under the suite's bounds, without the suite's N <= 3 clamp.
+Every bt and bt_map call starts from an empty memo of solved maps, so each
+one solves its maps anew, and every funspace call from an empty memo of
+q-Pochhammer values.  Each rung takes the min of k calls after one untimed call,
 whose pass flags give the rung's pass count; BLAS is pinned to one thread
 before numpy loads.  The exponent is the least-squares slope of
 log(seconds) against log(N) over the rungs that ran, and `local_exponents`
@@ -38,7 +43,7 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from albaxter import backlund, suites  # noqa: E402
+from albaxter import backlund, funspace, qcalc, suites  # noqa: E402
 from albaxter.classical_chain import ChainState  # noqa: E402
 from albaxter.report import RunConfig  # noqa: E402
 
@@ -72,11 +77,31 @@ def bt_map_call(N):
     return call
 
 
+def funspace_call(N):
+    cfg = RunConfig(seed=SEED)
+    qp = qcalc.QParam(cfg.alpha)
+    rng = np.random.default_rng(SEED)
+    rtilde = rng.uniform(1.1, 1.9, N) + 0j
+    point = rng.uniform(0.1, 0.9, N)
+
+    def call():
+        qcalc._guarded_memo.cache_clear()
+        delta, shifted = funspace.delta_action(cfg.mu, qp, rtilde, point)
+        return [funspace.baxter_action_residual(cfg.mu, qp, rtilde, point)
+                < 1e-10,
+                float(funspace.triangular_check(cfg.mu, qp, rtilde,
+                                                point).max()) < 1e-11,
+                abs(delta - shifted) < 1e-12]
+    return call
+
+
 # layer -> (the call it times, size -> that call, which returns the pass
 # flags of its checks)
 LAYERS = {"classical": ("suites.suite_classical", classical_call),
           "bt": ("suites.suite_bt", bt_call),
-          "bt_map": ("backlund.bt_apply", bt_map_call)}
+          "bt_map": ("backlund.bt_apply", bt_map_call),
+          "funspace": ("funspace.baxter_action_residual, triangular_check, "
+                       "delta_action", funspace_call)}
 
 
 def time_rung(call, k):
