@@ -121,9 +121,6 @@ def suite_classical(cfg, rng):
 
 
 def suite_bt(cfg, rng):
-    # generating_function_check loads scipy.special on first use; load it
-    # before any timer starts, so that no record's wall_time carries it
-    import scipy.special  # noqa: F401
     records = []
     N = cfg.N
     # |mu| > 0.5 runs at 0.3; the golden report's params record this clamp

@@ -365,6 +365,15 @@ def site_partials_loop(a, b, x, y, mu):
     return np.array(out)
 
 
+def li2_mp(x, dps=40):
+    """Li2(x) and its derivative -ln(1 - x)/x for real x < 1, by mpmath's
+    polylog at `dps` digits; two mpf."""
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(float(x))
+        d = -mpmath.log1p(-t) / t if t else mpmath.mpf(1)
+        return +mpmath.polylog(2, t), +d
+
+
 def generating_function_mp(bt, dps=30):
     """F(r, r~) from its defining integrals by mpmath.quad at `dps` digits:
 

@@ -1,7 +1,10 @@
 import dataclasses
+import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +21,8 @@ from albaxter.classical_chain import ChainState, conserved_quantities
 
 from oracles import (bracket_deviation, central_difference_map_jacobian,
                      dense_canonicity, dense_polish_step, dressing_matrix,
-                     generating_function_mp, intertwining_loop, map_jacobian,
-                     site_partials_loop)
+                     generating_function_mp, intertwining_loop, li2_mp,
+                     map_jacobian, site_partials_loop)
 
 
 @pytest.fixture(scope="module")
@@ -212,8 +215,8 @@ class TestGeneratingFunction:
     @pytest.mark.parametrize("x", [-3.7382627542514157, -0.27007002334111263,
                                    0.3, 0.95])
     def test_li2_complex_step_derivative(self, x):
-        # scipy's complex spence alone is off by 1.1e-11 and 3.8e-12
-        # relative at the two negative points
+        # one point on each of the four paths through _li2: Landen map with
+        # and without the reflection, the series with and without it
         got = _li2(np.array(x + 1e-30j)).imag / 1e-30
         want = -np.log1p(-x) / x
         assert abs(got - want) <= 1e-14 * abs(want)
@@ -241,6 +244,68 @@ class TestGeneratingFunction:
         mu, r, rt = bt_real.mu, bt_real.source.r, bt_real.target.r
         want = (2.0 / mu) * np.sum(np.log((mu**2 * rt + r) / (mu**2 * rt)))
         assert conjugate_flow_variable(bt_real) == pytest.approx(want)
+
+
+# x in [-1e3, 1 - 1e-12]: the Landen map (reflected below x = -1), the
+# series, and the reflection up to 1 - 1e-12, plus uniform draws
+LI2_GRID = np.concatenate([
+    -np.logspace(3, -12, 300), np.logspace(-12, np.log10(0.5), 200),
+    1.0 - np.logspace(np.log10(0.5), -12, 300),
+    np.random.default_rng(7).uniform(-10.0, 1.0, 200)])
+
+
+def _li2_errors(xs):
+    """Relative errors of _li2 and of its complex-step derivative against
+    li2_mp, one entry per x; an exact zero reads 0."""
+    xs = np.asarray(xs, dtype=float)
+    val = _li2(xs)
+    der = _li2(xs + 1e-30j).imag / 1e-30
+    want = np.array([[float(w) for w in li2_mp(x)] for x in xs])
+    rel = lambda got, w: np.abs(got - w) / np.where(w == 0, 1.0, np.abs(w))
+    return rel(val, want[:, 0]), rel(der, want[:, 1])
+
+
+class TestLi2:
+    # measured floors over LI2_GRID and the seam points: 4.1e-16 relative
+    # in value and 6.4e-16 in the derivative, and a step of 1.23 ulps
+    # across a seam; the bounds leave a margin of 2.3x or more
+    VALUE_REL, DERIV_REL, STEP_ULPS = 1e-15, 1.5e-15, 3
+
+    def test_matches_mpmath_over_the_domain(self):
+        ev, ed = _li2_errors(LI2_GRID)
+        assert ev.max() <= self.VALUE_REL
+        assert ed.max() <= self.DERIV_REL
+
+    @pytest.mark.parametrize("seam", [-1.0, 0.0, 0.5])
+    def test_seams(self, seam):
+        # x = -1 is z = 1/2 of the Landen map, x = 0 splits Landen from the
+        # series, x = 1/2 starts the reflection: each point on either side
+        # matches mpmath, and so does the step across the seam
+        near = 1e-300 if seam == 0 else abs(np.spacing(seam))
+        d = np.array([1e-6, 1e-12, near])
+        xs = np.concatenate([seam - d, [seam], seam + d[::-1]])
+        ev, ed = _li2_errors(xs)
+        assert ev.max() <= self.VALUE_REL
+        assert ed.max() <= self.DERIV_REL
+        # no jump: the step between the nearest points on either side
+        lo, hi = xs[2], xs[4]
+        step = _li2(np.array(hi)) - _li2(np.array(lo))
+        step_want = float(li2_mp(hi)[0] - li2_mp(lo)[0])
+        ulp = np.spacing(max(abs(float(li2_mp(x)[0])) for x in (lo, hi)))
+        assert abs(step - step_want) <= self.STEP_ULPS * ulp
+
+    def test_real_input_returns_float64(self):
+        for x in (np.array([-2.0, -0.5, 0.0, 0.3, 0.9]), np.float64(-4.0),
+                  np.linspace(-3.0, 0.99, 12).reshape(3, 4)):
+            out = _li2(x)
+            assert out.dtype == np.float64 and out.shape == np.shape(x)
+        assert _li2(np.array([0.3 + 1e-30j])).dtype == np.complex128
+
+    def test_series_coefficients_are_exact(self):
+        # B_2k / (2k+1)! rounded once from mpmath's exact Bernoulli fractions
+        want = [float(Fraction(*mpmath.bernfrac(2 * k))
+                      / math.factorial(2 * k + 1)) for k in range(1, 11)]
+        assert list(backlund._LI2_SERIES) == want
 
 
 class TestClassicalBaxter:

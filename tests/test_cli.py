@@ -163,15 +163,30 @@ def test_verify_bethe_n16_m3_completes(tmp_path):
     assert rec["pass"] and rec["params"] == {"N": 16, "m": 3, "n_max": 4}
 
 
-def test_cli_import_loads_no_scipy_and_no_algebra():
-    # scipy loads on first use (FockRep, the dilogarithm); the generic-ring
-    # algebra serves the test oracles and the benchmark only
-    code = ("import sys, albaxter.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy' or m == 'albaxter.algebra'))")
+def _run_and_list_modules(code):
+    """Run `code` in a fresh interpreter on the package sources and return
+    the scipy modules and albaxter.algebra that it left in sys.modules."""
+    code += ("; import sys; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy' or m == 'albaxter.algebra'))")
     src = Path(albaxter.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={"PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy_and_no_algebra():
+    # the generic-ring algebra serves the test oracles and the benchmark only
+    assert _run_and_list_modules("import albaxter.cli") == "[]"
+
+
+def test_verify_all_loads_no_scipy(tmp_path):
+    # the package needs numpy only: every suite at the default config,
+    # the dilogarithm of the generating function included, runs without
+    # scipy
+    out = tmp_path / "all.json"
+    code = ("from albaxter import cli; "
+            f"assert cli.main(['verify', 'all', '--out', {str(out)!r}]) == 0")
+    assert _run_and_list_modules(code) == "[]"
 
 
 def test_verify_bt_n512_reports_every_check(tmp_path):
