@@ -33,13 +33,15 @@ by the chain rule through the second line.  Every bracket of the dense
 blocks reduces, in exact algebra, to identities between bands, so
 canonicity is checked in O(N) with no inverse of J (`canonicity_check`),
 after one solve of the map: `bt_apply` keeps its last solved maps, so a
-sweep point's checks share its solve.
+sweep point's checks share its solve, and they read the neighbour arrays
+that its read-off of q~ formed (`_site_table`) instead of forming them.
 """
 
 import cmath
 import math
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +65,27 @@ class SolverOptions:
     tol: float = 1e-12
 
 
+# A map's site table (`_site_table`): its neighbour arrays, read-only, and
+# the mu^2 they were formed at.  u = r~_{k-1}, m2rt = mu^2 r~_k,
+# b = m2rt + r_k, a = r~_k - r_{k+1}, den = mu^2 r~_{k+1} r~_{k-1}, rhs =
+# a b / den (the second line's right side), w = 1 - q r and wt = 1 - q~ r~
+_Sites = namedtuple("_Sites", "m2 u m2rt b a den rhs w wt")
+
+
+def _site_table(q, r, rt, mu, qt=None):
+    """(q~, the map's `_Sites`), q~ read off the second line unless given;
+    mu enters in the caller's type."""
+    u, m2 = _roll(rt, 1), mu**2
+    m2rt = m2 * rt
+    b, a, den = m2rt + r, rt - _roll(r, -1), m2 * _roll(rt, -1) * u
+    rhs = a * b / den
+    qt = (1.0 - rhs) / rt if qt is None else qt
+    sites = _Sites(m2, u, m2rt, b, a, den, rhs, 1.0 - q * r, 1.0 - qt * rt)
+    for arr in sites[1:]:
+        arr.setflags(write=False)
+    return qt, sites
+
+
 @dataclass(frozen=True)
 class BTResult:
     mu: complex
@@ -72,10 +95,17 @@ class BTResult:
     collinearity: np.ndarray
     newton_iters: int  # always 1, the polish step
     residual: float
+    # |prod_k (-d_k/e_k)| of the polish step, below 1 at an attracting start
+    ring_multiplier: float = math.nan
 
     @property
     def gamma(self):
         return complex(np.prod(self.gamma_site))
+
+    @cached_property
+    def _sites(self):  # set by `bt_apply`; formed here for other results
+        s, t = self.source, self.target
+        return _site_table(s.q, s.r, t.r, self.mu, t.q)[1]
 
 
 def _poly_residual(q, r, rt, mu):
@@ -141,7 +171,8 @@ def _polish_step(q, rt, mu, F):
     `_backward_start`, whose start is the attracting fixed point, so
     pi = prod_k (-d_k/e_k) has |pi| < 1 and the closing pivot
     e_0 (1 - pi) stays clear of zero.  The recurrence is sequential, so it
-    runs on Python complex scalars, as `_backward_start` does.
+    runs on Python complex scalars, as `_backward_start` does.  Returns the
+    step and |pi|, the ring multiplier.
     """
     d, e = (band.tolist() for band in _jacobian_bands(q, rt, mu))
     f = F.tolist()
@@ -155,12 +186,14 @@ def _polish_step(q, rt, mu, F):
         x = (f[0] - d[0] * ak) / (d[0] * bk + e[0])
     except ZeroDivisionError as exc:
         raise BTError("singular Jacobian in Backlund Newton") from exc
-    return np.array(a[::-1], dtype=complex) + np.array(b[::-1]) * x
+    ring = abs(d[0] * bk / e[0]) if e[0] else math.inf
+    return np.array(a[::-1], dtype=complex) + np.array(b[::-1]) * x, ring
 
 
 def _polish(q, r, rt, mu):
     """One Newton step (`_polish_step`) on the denominator-cleared first
-    line from the backward start, kept if it lowers max |P|.
+    line from the backward start, kept if it lowers max |P|; returns it
+    with the step's ring multiplier.
 
     The start already meets P near its roundoff floor; q~ is read off r~
     with an amplification of ~100 at mu = 0.3, so what r~ keeps of the
@@ -168,15 +201,15 @@ def _polish(q, r, rt, mu):
     """
     with np.errstate(all="ignore"):
         F = _poly_residual(q, r, rt, mu)
-    err = np.abs(F).max()
-    if not np.isfinite(err):
-        raise BTError("non-finite residual at Newton start")
-    if np.any(np.abs(rt) < 1e-12):
-        raise BTError("vanishing r~ denominator during Newton")
-    cand = rt - _polish_step(q, rt, mu, F)
-    with np.errstate(all="ignore"):
+        err = np.abs(F).max()
+        if not math.isfinite(err):
+            raise BTError("non-finite residual at Newton start")
+        if (np.abs(rt) < 1e-12).any():
+            raise BTError("vanishing r~ denominator during Newton")
+        step, ring = _polish_step(q, rt, mu, F)
+        cand = rt - step
         errc = np.abs(_poly_residual(q, r, cand, mu)).max()
-    return cand if errc < err else rt
+    return (cand if errc < err else rt), ring
 
 
 def bt_apply(state, mu, opts=None):
@@ -184,11 +217,16 @@ def bt_apply(state, mu, opts=None):
 
     The first line is solved at mu by `_backward_start` and polished by one
     Newton step (`_polish`), whose ring recurrence is solved backward, the
-    direction in which the start attracts; the whole map is O(N).  The
-    neighbours r~_{k-1}, r~_{k+1}, r_{k+1} and mu^2 r~_k + r_k are formed
-    once, and q~ (off the second line), both lines' as-printed residuals
-    and gamma_k with its collinearity defect (`_gamma_least_squares`, kept
-    for `spectrality`) are read from them.  With no warm start and no
+    direction in which the start attracts; the whole map is O(N).  q~ (off
+    the second line), both lines' as-printed residuals and gamma_k with
+    its collinearity defect (`_gamma_least_squares`) are read from the
+    neighbour arrays of `_site_table`, formed once with mu in the caller's
+    type.  The result keeps gamma_k, the defect, the step's ring
+    multiplier and the site table (r~_{k-1}, mu^2 r~_k, mu^2 r~_k + r_k,
+    r~_k - r_{k+1}, the second line's denominator and right side, 1 - q r
+    and 1 - q~ r~), read-only, for the checks; a result built by hand or by
+    `dataclasses.replace` forms its own table from its own fields on first
+    use.  With no warm start and no
     continuation in |mu|, the map is a function of (state, mu, opts.tol)
     alone, so the last BT_CACHE_SIZE results, whose arrays are read-only,
     are returned again for the same bits of q and r, type and bits of mu
@@ -205,30 +243,27 @@ def bt_apply(state, mu, opts=None):
         _solved.move_to_end(key)
         return _solved[key]
     q, r = state.q, state.r
-    if np.any(np.abs(r) < 1e-12):
+    if (np.abs(r) < 1e-12).any():
         raise BTError("state has r_k ~ 0; Backlund denominators vanish")
 
-    rt = _polish(q, r, _backward_start(q, r, mu), mu)
-    u, rtp, rp = _roll(rt, 1), _roll(rt, -1), _roll(r, -1)
-    m2 = mu**2
-    m2rt = m2 * rt
-    b = m2rt + r
-    rhs2 = (rt - rp) * b / (m2 * rtp * u)
-    qt = (1.0 - rhs2) / rt
-    res1 = float(np.abs((1.0 - q * r) - (u - r) * b / (m2rt * u)).max())
-    res2 = float(np.abs((1.0 - qt * rt) - rhs2).max())
+    rt, ring = _polish(q, r, _backward_start(q, r, mu), mu)
+    qt, s = _site_table(q, r, rt, mu)
+    res1 = float(np.abs(s.w - (s.u - r) * s.b / (s.m2rt * s.u)).max())
+    res2 = float(np.abs(s.wt - s.rhs).max())
     if max(res1, res2) >= opts.tol:
         raise BTError(f"transformation residual {max(res1, res2):.3e} "
                       f"above tolerance {opts.tol:.1e} at mu={mu}")
     target = ChainState(qt, rt)
-    gam, coll = _gamma_least_squares(q, r, rt, u, mu)
-    if np.any(gam == 0):  # each factor: their product underflows at large N
+    gam, coll = _gamma_least_squares(q, r, rt, s.u, mu)
+    if (gam == 0).any():  # each factor: their product underflows at large N
         raise BTError("vanishing spectrality factor gamma")
     for arr in (gam, coll):
         arr.setflags(write=False)
     bt = _solved[key] = BTResult(
         mu=complex(mu), source=state, target=target, gamma_site=gam,
-        collinearity=coll, newton_iters=1, residual=max(res1, res2))
+        collinearity=coll, newton_iters=1, residual=max(res1, res2),
+        ring_multiplier=ring)
+    vars(bt)["_sites"] = s  # the cached_property's slot: no second table
     if len(_solved) > BT_CACHE_SIZE:
         _solved.popitem(last=False)
     return bt
@@ -240,18 +275,18 @@ def intertwining_residual(bt, lam):
 
     lam is one point, giving a float, or an array of points, giving an
     array of residuals of its shape.  Every site at every point is one
-    2x2 product in a stacked (N, points) batch.  A NaN is returned, not
-    skipped.
+    2x2 product in a stacked (N, points) batch, r~_{k-1} from the site
+    table.  A NaN is returned, not skipped.
     """
     lam = np.asarray(lam, dtype=complex)
-    if np.any(lam == 0):
+    if (lam == 0).any():
         raise ValueError("lambda must be nonzero")
     # sites down axis 0, points across axis 1
     q, r = bt.source.q[:, None], bt.source.r[:, None]
     qt, rt = bt.target.q[:, None], bt.target.r[:, None]
     x = lam.reshape(1, -1)
     inv = 1.0 / x
-    c = _roll(rt, 1)  # r~_{k-1}
+    c = bt._sites.u[:, None]  # r~_{k-1}
     L, Lt, D = np.empty((3, bt.source.N, x.size, 2, 2), dtype=complex)
     L[..., 0, 0], L[..., 0, 1], L[..., 1, 0], L[..., 1, 1] = x, q, r, inv
     Lt[..., 0, 0], Lt[..., 0, 1], Lt[..., 1, 0], Lt[..., 1, 1] = x, qt, rt, inv
@@ -274,7 +309,7 @@ def _gamma_least_squares(q, r, rt, u, mu):
     v0 = mu + q * w0
     v1 = r + (1.0 / mu) * w0
     nv = np.hypot(np.abs(v0), np.abs(v1))
-    if np.any(nv < 1e-300):
+    if (nv < 1e-300).any():
         raise BTError("degenerate kernel vector in spectrality")
     gam = (v0 + np.conj(w1) * v1) / (1.0 + np.abs(w1) ** 2)
     coll = np.hypot(np.abs(v0 - gam), np.abs(v1 - gam * w1)) / nv
@@ -286,9 +321,8 @@ def _log_det_gamma(bt):
     ln gamma_k.  The products underflow at large N (prod_k gamma_k is
     10^-397.6 on a random N = 512 state at mu = 0.17); their logs do not, and
     every caller only exponentiates them, so the branch drops out."""
-    s = bt.source
-    return (complex(np.sum(np.log(1.0 - s.q * s.r))),
-            complex(np.sum(np.log(bt.gamma_site))))
+    return (complex(np.log(bt._sites.w).sum()),
+            complex(np.log(bt.gamma_site).sum()))
 
 
 @dataclass(frozen=True)
@@ -305,14 +339,17 @@ def spectrality(bt):
     gamma_k, by least squares over the two components of L_k(mu)|w_k>
     against |w_{k+1}>, and its collinearity defect come with the map from
     `bt_apply`; |Tr L(mu) - (det L(mu)/gamma + gamma)| closes the loop,
-    with det L(mu)/gamma from the logs of `_log_det_gamma`.
+    with det L(mu)/gamma from the logs of `_log_det_gamma` (on the site
+    table).  Past overflow (large N) both read inf or NaN, with no warning.
     """
     log_det, log_gamma = _log_det_gamma(bt)
-    det_over_gamma = complex(np.exp(log_det - log_gamma))
+    with np.errstate(over="ignore"):
+        det_over_gamma = complex(np.exp(log_det - log_gamma))
     M = monodromy_matrix(bt.source, bt.mu)
     tr = M[0, 0] + M[1, 1]
-    trace_residual = float(abs(tr - (det_over_gamma + bt.gamma)))
-    return SpectralityReport(collinearity=bt.collinearity, gamma=bt.gamma,
+    gamma = bt.gamma
+    trace_residual = float(abs(tr - (det_over_gamma + gamma)))
+    return SpectralityReport(collinearity=bt.collinearity, gamma=gamma,
                              det_over_gamma=det_over_gamma,
                              trace_residual=trace_residual)
 
@@ -479,7 +516,8 @@ def classical_baxter_check(bt):
     exponentials, making this an algebraic rearrangement of the trace
     formula.  mu^N gamma underflows at large N, so the logarithm is taken
     as ln det - N ln mu - ln gamma (`_log_det_gamma`) and each term as one
-    exponential.
+    exponential; one that overflows leaves an inf or NaN residual, with no
+    warning.
     """
     mu = bt.mu
     M = monodromy_matrix(bt.source, mu)
@@ -487,36 +525,33 @@ def classical_baxter_check(bt):
     log_det, log_gamma = _log_det_gamma(bt)
     log_mu_n = bt.source.N * np.log(mu)
     phi = (2.0 / mu) * (log_det - log_mu_n - log_gamma)
-    lhs = (np.exp(log_mu_n + 0.5 * mu * phi)
-           + np.exp(log_det - log_mu_n - 0.5 * mu * phi))
+    with np.errstate(over="ignore"):
+        lhs = (np.exp(log_mu_n + 0.5 * mu * phi)
+               + np.exp(log_det - log_mu_n - 0.5 * mu * phi))
     return float(abs(tr - lhs))
 
 
 def _relative_gap(x, y):
     """max |x - y| over max(max |x|, max |y|); a NaN is returned."""
-    return np.abs(x - y).max() / np.maximum(np.abs(x).max(), np.abs(y).max())
+    return np.abs(x - y).max() / max(np.abs(x).max(), np.abs(y).max())
 
 
 def _bracket_bands(bt):
     """Worst relative residual of the three band identities that the
-    brackets of the map reduce to; see `canonicity_check`."""
-    q, r = bt.source.q, bt.source.r
-    qt, rt, mu = bt.target.q, bt.target.r, bt.mu
-    m2 = mu**2
-    u, rtp = _roll(rt, 1), _roll(rt, -1)  # r~_{k-1}, r~_{k+1}
-    a = rt - _roll(r, -1)  # r~_k - r_{k+1}
-    b = m2 * rt + r
-    den = m2 * rtp * u
-    rhs = a * b / den
-    d, e = _jacobian_bands(q, rt, mu)
-    E_diag, E_sup = -a / (den * rt), b / (den * rt)  # E_kk, E_{k,k+1}
-    gm, gp = rhs / (rt * u), rhs / (rt * rtp)  # G_{k,k-1}, G_{k,k+1}
-    wlam = (1.0 - q * r) * (-m2 * rt * u)  # W Lam
-    wt = 1.0 - qt * rt
-    return float(np.max([
-        _relative_gap(E_diag * wlam, wt * d),
-        _relative_gap(E_sup * _roll(wlam, -1), wt * _roll(e, -1)),
-        _relative_gap(gm * _roll(wt, 1), _roll(gp, 1) * wt)]))
+    brackets of the map reduce to, on its site table; see
+    `canonicity_check`."""
+    q, rt, s = bt.source.q, bt.target.r, bt._sites
+    d = s.m2 * (1.0 - q * s.u)  # the bands of J, as `_jacobian_bands`
+    e = -(s.m2rt * q + 1.0)
+    wlam = s.w * -(s.m2rt * s.u)  # W Lam
+    # E_kk = -a/(den r~), E_{k,k+1} = b/(den r~); gm_k = rhs_k/ru_k and
+    # gp_{k-1} = rhs_{k-1}/ru_k, with ru_k = r~_k r~_{k-1}
+    drt, ru = s.den * rt, rt * s.u
+    gaps = (_relative_gap(-s.a / drt * wlam, s.wt * d),
+            _relative_gap(s.b / drt * _roll(wlam, -1), s.wt * _roll(e, -1)),
+            _relative_gap(s.rhs / ru * _roll(s.wt, 1),
+                          _roll(s.rhs, 1) / ru * s.wt))
+    return math.nan if math.isnan(sum(gaps)) else float(max(gaps))
 
 
 def canonicity_check(state, mu, opts=None):
@@ -524,9 +559,10 @@ def canonicity_check(state, mu, opts=None):
     exact Jacobian.
 
     Takes the map from `bt_apply` (the kept one, after a call at the same
-    arguments).  Under the source bracket {q_k, r_j} = w_k delta_kj,
-    W = diag(1 - q r), the map is canonical when {q~_k, r~_j} = w~_k
-    delta_kj, W~ = diag(1 - q~ r~), and {q~, q~} = {r~, r~} = 0.  On the
+    arguments) and reads its site table.  Under the source bracket
+    {q_k, r_j} = w_k delta_kj, W = diag(1 - q r), the map is canonical when
+    {q~_k, r~_j} = w~_k delta_kj, W~ = diag(1 - q~ r~), and
+    {q~, q~} = {r~, r~} = 0.  On the
     blocks of the module docstring these reduce, in exact algebra, to:
 
       {r~, r~} = C W D^T - D W C^T = D (Lam W - W Lam) D^T, zero for every

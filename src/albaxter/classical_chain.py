@@ -57,6 +57,7 @@ the trace of the LaurentPoly monodromy and the scan against a sequential
 loop of stacked 2x2 products (`tests/oracles.py`).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,10 +159,13 @@ class ConservedSet:
                          np.maximum(self.scale, other.scale))
 
     def max_relative_drift(self, other):
-        """Largest trace drift or relative change of det L; NaN if any is."""
-        det = _relative(abs(self.det - other.det),
-                        max(abs(self.det), abs(other.det)))
-        return float(np.max(np.append(self.trace_drift(other), det)))
+        """Largest trace drift or relative change of det L; NaN if any is.
+        The det term is `_relative` on Python floats."""
+        diff = abs(self.det - other.det)
+        scale = max(abs(self.det), abs(other.det))
+        det = (diff / scale if scale else 0.0) if math.isfinite(diff) else \
+            math.nan
+        return float(self.trace_drift(other).max(initial=det))
 
 
 def monodromy_matrix(state, lam):

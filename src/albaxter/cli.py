@@ -149,6 +149,7 @@ def _bt_record(state, before, mu, cfg):  # before: the state's traces, det
     return {
         "mu": _complex_pair(mu),
         "iters": bt.newton_iters,
+        "ring_multiplier": bt.ring_multiplier,
         "residuals": {
             "bt": bt.residual,
             "intertwine": backlund.intertwining_residual(bt, 0.9 + 0.4j),

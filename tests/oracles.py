@@ -350,6 +350,73 @@ def dense_canonicity(bt):
                              1.0 - bt.target.q * bt.target.r)
 
 
+# The map's checks as they formed their own neighbour arrays from the
+# result's fields, before they read the site table of backlund._site_table.
+
+
+def bracket_bands_ref(bt):
+    """backlund._bracket_bands from the fields of bt alone."""
+    q, r = bt.source.q, bt.source.r
+    qt, rt, mu = bt.target.q, bt.target.r, bt.mu
+    m2 = mu**2
+    u, rtp = np.roll(rt, 1), np.roll(rt, -1)  # r~_{k-1}, r~_{k+1}
+    a = rt - np.roll(r, -1)  # r~_k - r_{k+1}
+    b = m2 * rt + r
+    den = m2 * rtp * u
+    rhs = a * b / den
+    d, e = backlund._jacobian_bands(q, rt, mu)
+    E_diag, E_sup = -a / (den * rt), b / (den * rt)  # E_kk, E_{k,k+1}
+    gm, gp = rhs / (rt * u), rhs / (rt * rtp)  # G_{k,k-1}, G_{k,k+1}
+    wlam = (1.0 - q * r) * (-m2 * rt * u)  # W Lam
+    wt = 1.0 - qt * rt
+    gap = lambda x, y: (np.abs(x - y).max()
+                        / np.maximum(np.abs(x).max(), np.abs(y).max()))
+    return float(np.max([
+        gap(E_diag * wlam, wt * d),
+        gap(E_sup * np.roll(wlam, -1), wt * np.roll(e, -1)),
+        gap(gm * np.roll(wt, 1), np.roll(gp, 1) * wt)]))
+
+
+def gamma_least_squares_ref(q, r, rt, mu):
+    """(gamma_k, collinearity defect) of backlund._gamma_least_squares,
+    with r~_{k-1} formed here."""
+    w0 = -mu * np.roll(rt, 1)  # -mu r~_{k-1}
+    w1 = -mu * rt
+    v0 = mu + q * w0
+    v1 = r + (1.0 / mu) * w0
+    nv = np.hypot(np.abs(v0), np.abs(v1))
+    gam = (v0 + np.conj(w1) * v1) / (1.0 + np.abs(w1) ** 2)
+    coll = np.hypot(np.abs(v0 - gam), np.abs(v1 - gam * w1)) / nv
+    return gam, coll
+
+
+def log_det_gamma_ref(bt):
+    """(ln det L, ln gamma) of backlund._log_det_gamma, 1 - q r formed
+    here."""
+    s = bt.source
+    return (complex(np.sum(np.log(1.0 - s.q * s.r))),
+            complex(np.sum(np.log(bt.gamma_site))))
+
+
+def intertwining_residual_ref(bt, lam):
+    """backlund.intertwining_residual, r~_{k-1} formed here: max-entry
+    residual of L~_k D_k - D_{k+1} L_k over the sites, for each point of
+    lam in one stacked (N, points) batch."""
+    lam = np.asarray(lam, dtype=complex)
+    q, r = bt.source.q[:, None], bt.source.r[:, None]
+    qt, rt = bt.target.q[:, None], bt.target.r[:, None]
+    x = lam.reshape(1, -1)
+    inv = 1.0 / x
+    c = np.roll(rt, 1, axis=0)  # r~_{k-1}
+    L, Lt, D = np.empty((3, bt.source.N, x.size, 2, 2), dtype=complex)
+    L[..., 0, 0], L[..., 0, 1], L[..., 1, 0], L[..., 1, 1] = x, q, r, inv
+    Lt[..., 0, 0], Lt[..., 0, 1], Lt[..., 1, 0], Lt[..., 1, 1] = x, qt, rt, inv
+    D[..., 0, 0] = x**2 - bt.mu**2 * (1.0 - q * c)
+    D[..., 0, 1], D[..., 1, 0], D[..., 1, 1] = x * q, x * c, 1.0
+    res = np.abs(Lt @ D - np.roll(D, -1, axis=0) @ L).max(axis=(0, 2, 3))
+    return float(res[0]) if lam.ndim == 0 else res.reshape(lam.shape)
+
+
 def site_partials_loop(a, b, x, y, mu):
     """The five complex-step partials of backlund._site_terms in its slots
     (a, b, x, y, mu), one call per slot with the step in that slot alone and

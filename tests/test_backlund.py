@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -19,10 +20,12 @@ from albaxter.backlund import (BT_CACHE_SIZE, BTError, BTResult, SolverOptions,
                                intertwining_residual, spectrality)
 from albaxter.classical_chain import ChainState, conserved_quantities
 
-from oracles import (bracket_deviation, central_difference_map_jacobian,
-                     dense_canonicity, dense_polish_step, dressing_matrix,
-                     generating_function_mp, intertwining_loop, li2_mp,
-                     map_jacobian, site_partials_loop)
+from oracles import (bracket_bands_ref, bracket_deviation,
+                     central_difference_map_jacobian, dense_canonicity,
+                     dense_polish_step, dressing_matrix,
+                     gamma_least_squares_ref, generating_function_mp,
+                     intertwining_loop, intertwining_residual_ref, li2_mp,
+                     log_det_gamma_ref, map_jacobian, site_partials_loop)
 
 
 @pytest.fixture(scope="module")
@@ -448,8 +451,9 @@ class TestResultInvariants:
         assert np.abs(bt.gamma_site).min() > 0.04
         assert bt.gamma == 0
         # det L / gamma = exp(ln det - ln gamma) overflows; the report keeps
-        # the non-finite value
-        with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+        # the non-finite value, and no warning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             spec = spectrality(bt)
         assert spec.collinearity.max() < 1e-10
         assert not np.isfinite(spec.det_over_gamma)
@@ -519,7 +523,7 @@ class TestSolvedMapMemo:
     def test_kept_arrays_are_read_only(self, cold_cache):
         bt = bt_apply(self._state(), 0.3)
         for arr in (bt.gamma_site, bt.collinearity, bt.source.q,
-                    bt.source.r, bt.target.q, bt.target.r):
+                    bt.source.r, bt.target.q, bt.target.r, *bt._sites[1:]):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             bt.gamma_site[0] = 1.0
@@ -536,6 +540,47 @@ class TestSolvedMapMemo:
         assert bt_apply(st, mus[0]) is kept[0]
         assert bt_apply(st, mus[-1]) is kept[-1]
         assert bt_apply(st, mus[1]) is not kept[1]
+
+
+class TestSiteTable:
+    """The checks on the site table against their reference forms, which
+    form the neighbour arrays from the result's own fields."""
+
+    @settings(max_examples=30)
+    @given(N=st.sampled_from([1, 2, 3, 16, 257]),
+           mu=st.sampled_from([0.3, 1.1, 0.3 + 0.2j, 0.8j]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_checks_match_their_reference_forms(self, N, mu, seed):
+        rng = np.random.default_rng(seed)
+        bt = bt_apply(ChainState.random(N, rng), mu)
+        g = rng.standard_normal(N)
+        t = bt.target
+        # a replaced result must not read the table of the map it came from
+        mutants = [dataclasses.replace(
+                       bt, target=ChainState(t.q, t.r * (1 + 1e-9 * g))),
+                   dataclasses.replace(bt, mu=bt.mu + 1e-5)]
+        lams = np.append(rng.uniform(0.5, 1.5, 3)
+                         * np.exp(2j * np.pi * rng.uniform(size=3)), bt.mu)
+        for b in [bt] + mutants:
+            q, r, rt = b.source.q, b.source.r, b.target.r
+            assert abs(_bracket_bands(b) - bracket_bands_ref(b)) <= 1e-15
+            gam, coll = backlund._gamma_least_squares(q, r, rt, b._sites.u,
+                                                      b.mu)
+            gam_ref, coll_ref = gamma_least_squares_ref(q, r, rt, b.mu)
+            assert np.abs(gam - gam_ref).max() \
+                <= 1e-15 * np.abs(gam_ref).max()
+            assert np.abs(coll - coll_ref).max() <= 1e-15
+            logs = backlund._log_det_gamma(b)
+            scale = (np.abs(np.log(1.0 - q * r)).sum()
+                     + np.abs(np.log(b.gamma_site)).sum())
+            for got, want in zip(logs, log_det_gamma_ref(b)):
+                assert abs(got - want) <= 1e-15 * scale
+            res = intertwining_residual(b, lams)
+            for lam, got, want in zip(lams, res,
+                                      intertwining_residual_ref(b, lams)):
+                assert abs(got - want) <= 1e-15 * intertwining_loop(b, lam)[1]
+        # the mutants' tables are their own: the bracket check flags them
+        assert all(_bracket_bands(m) > 1e-11 for m in mutants)
 
 
 class TestDirectSolve:
@@ -564,7 +609,7 @@ class TestDirectSolve:
                 1.0 + np.abs(r).max() + np.abs(rt).max())
             P = lambda x: np.abs(backlund._poly_residual(q, r, x, mu)).max()
             start.append((abs(mu), P(rt) / floor))
-            polished.append(P(backlund._polish(q, r, rt, mu)) / floor)
+            polished.append(P(backlund._polish(q, r, rt, mu)[0]) / floor)
         assert len(start) == 1056
         assert max(ratio for size, ratio in start if size <= 1.3) < 1.0
         assert max(polished) < 1.0
@@ -573,7 +618,7 @@ class TestDirectSolve:
         # the O(N) step against one LU solve of the N x N J, on every start
         steps = 0
         for q, r, rt, mu in self._starts():
-            got = backlund._polish_step(
+            got, _ = backlund._polish_step(
                 q, rt, mu, backlund._poly_residual(q, r, rt, mu))
             want = dense_polish_step(q, r, rt, mu)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -605,6 +650,24 @@ class TestDirectSolve:
         with pytest.raises(BTError, match=message):
             bt_apply(st, mu)
         assert not cold_cache
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 16])
+    def test_ring_multiplier_is_the_product_of_the_bands(self, N):
+        st = ChainState.random(N, np.random.default_rng(N))
+        for mu in (0.3, 1.1, 0.3 + 0.2j):
+            start = backlund._backward_start(st.q, st.r, mu)
+            d, e = backlund._jacobian_bands(st.q, start, mu)
+            want = abs(np.prod(-d / e))
+            got = bt_apply(st, mu).ring_multiplier
+            assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("N", [2, 16, 64])
+    @pytest.mark.parametrize("mu", [0.3, 1.1, 0.3 + 0.2j])
+    def test_ring_multiplier_below_one(self, N, mu):
+        # the start is the attracting fixed point: |pi| < 1
+        for seed in range(8):
+            st = ChainState.random(N, np.random.default_rng(seed))
+            assert 0 < bt_apply(st, mu).ring_multiplier < 1
 
     @pytest.mark.parametrize("N, seed, mu", [
         # a point of `albaxter bt --N 16 --sweep 0.1 0.45 40` that ended at

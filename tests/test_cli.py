@@ -28,6 +28,7 @@ def test_bt_sweep_writes_conserving_records(tmp_path, capsys):
         after = np.array([complex(*t) for t in rec["trace_after"]])
         assert before.shape == after.shape == (3,)
         assert not {"H_before", "H_after"} & set(rec)
+        assert 0 < rec["ring_multiplier"] < 1
         drift = np.abs(after - before) / np.abs(before)
         assert drift.max() < 1e-10
     assert f"wrote {out}" in capsys.readouterr().out
@@ -45,6 +46,7 @@ def _bt_record_per_mu(state, mu, tol):
     return {
         "mu": pair(mu),
         "iters": bt.newton_iters,
+        "ring_multiplier": bt.ring_multiplier,
         "residuals": {
             "bt": bt.residual,
             "intertwine": backlund.intertwining_residual(bt, 0.9 + 0.4j),

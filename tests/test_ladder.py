@@ -49,6 +49,16 @@ def test_ladder_writes_rungs_and_exponents(tmp_path):
         assert rung["checks"] == 1 and rung["passed"] == 1
     assert math.isfinite(layer["exponent"])
     assert len(layer["local_exponents"]) == 2
+    layer = data["layers"]["sweep_point"]
+    assert layer["call"].startswith("backlund.bt_apply, spectrality")
+    assert [r["N"] for r in layer["rungs"]] == [8, 16, 32]
+    for rung in layer["rungs"]:
+        assert rung["seconds"] > 0 and rung["checks"] == 6
+    # the absolute trace residual passes at N = 8 only (1.5e-11, then
+    # 8.0e-7 at N = 16); the five relative checks pass at every rung
+    assert [r["passed"] for r in layer["rungs"]] == [6, 5, 5]
+    assert math.isfinite(layer["exponent"])
+    assert len(layer["local_exponents"]) == 2
     layer = data["layers"]["funspace"]
     assert layer["call"].startswith("funspace.baxter_action_residual")
     assert [r["N"] for r in layer["rungs"]] == [8, 16, 32]
@@ -68,7 +78,7 @@ def test_bt_calls_solve_anew(monkeypatch):
     polish = tool.backlund._polish
     monkeypatch.setattr(tool.backlund, "_polish",
                         lambda *args: solves.append(1) or polish(*args))
-    for layer, maps in (("bt", 5), ("bt_map", 1)):
+    for layer, maps in (("bt", 5), ("bt_map", 1), ("sweep_point", 1)):
         solves.clear()
         call = tool.LAYERS[layer][1](8)
         call()

@@ -98,6 +98,19 @@ def test_bt_overflowed_monodromy_reads_nan(monkeypatch):
     assert np.isnan(rec.residual) and not rec.passed
 
 
+def test_bt_trace_checks_overflow_without_a_warning():
+    # at N = 1024 det L / gamma and the classical Baxter terms overflow
+    # exp: the three trace checks read inf or NaN, a FAIL, and no
+    # RuntimeWarning escapes (warnings are errors here), with no errstate
+    # around the suite
+    records = {r.check_id: r for r in suites.suite_bt(
+        RunConfig(N=1024, seed=0), np.random.default_rng(0))}
+    for check_id in ("bt.trace_formula", "bt.gamma_eigenvalues",
+                     "bt.classical_baxter"):
+        assert not records[check_id].passed, check_id
+    assert records["bt.canonicity"].passed
+
+
 def _perturbed_maps(monkeypatch, perturb):
     """Patch backlund.bt_apply so that the maps for which perturb(state,
     mu) is true return q~ (1 + 1e-8) as their target."""

@@ -4,17 +4,23 @@ fit its log-log scaling exponent, and write the result as JSON.
     python3 tools/ladder.py --out ladder.json
     python3 tools/ladder.py --N 8,16,32 --k 1 --out small.json
 
-Four layers run: the classical layer, `suites.suite_classical`, and the
+Five layers run: the classical layer, `suites.suite_classical`, and the
 Backlund layer, `suites.suite_bt`, each at `RunConfig(N=N, seed=0)` with a
 generator seeded by 0, as `albaxter verify classical --N N` and `albaxter
 verify bt --N N` run them; the Backlund map alone, `backlund.bt_apply`
-at mu = 0.3 on `ChainState.random(N, default_rng(0))`; and the
-function-space layer, the three product-kernel identities of the baxter
-suite (`funspace.baxter_action_residual`, `funspace.triangular_check` over
-every site and `funspace.delta_action`) at one point, at the default mu and
-alpha and under the suite's bounds, without the suite's N <= 3 clamp.
-Every bt and bt_map call starts from an empty memo of solved maps, so each
-one solves its maps anew, and every funspace call from an empty memo of
+at mu = 0.3 on `ChainState.random(N, default_rng(0))`; one sweep point on
+that state at mu = 0.3, the calls of the benchmark's sweep task
+(`bt_apply`, `spectrality`, `intertwining_residual` at 0.9 + 0.4i,
+`canonicity_check`, `conserved_quantities` of the target and
+`max_relative_drift` against the source's, which is taken once outside the
+timed call, as `albaxter bt --sweep` takes it), under the bt suite's
+bounds; and the function-space layer, the three product-kernel identities
+of the baxter suite (`funspace.baxter_action_residual`,
+`funspace.triangular_check` over every site and `funspace.delta_action`)
+at one point, at the default mu and alpha and under the suite's bounds,
+without the suite's N <= 3 clamp.  Every bt, bt_map and sweep_point call
+starts from an empty memo of solved maps, so each one solves its maps
+anew, and every funspace call from an empty memo of
 q-Pochhammer values.  Each rung takes the min of k calls after one untimed call,
 whose pass flags give the rung's pass count; BLAS is pinned to one thread
 before numpy loads.  The exponent is the least-squares slope of
@@ -44,7 +50,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from albaxter import backlund, funspace, qcalc, suites  # noqa: E402
-from albaxter.classical_chain import ChainState  # noqa: E402
+from albaxter.classical_chain import (ChainState,  # noqa: E402
+                                      conserved_quantities)
 from albaxter.report import RunConfig  # noqa: E402
 
 SEED = 0
@@ -77,6 +84,24 @@ def bt_map_call(N):
     return call
 
 
+def sweep_point_call(N):
+    state = ChainState.random(N, np.random.default_rng(SEED))
+    before = conserved_quantities(state)
+
+    def call():
+        backlund._solved.clear()
+        bt = backlund.bt_apply(state, 0.3)
+        spec = backlund.spectrality(bt)
+        return [bt.residual < 1e-11,
+                backlund.intertwining_residual(bt, 0.9 + 0.4j) < 1e-10,
+                float(spec.collinearity.max()) < 1e-10,
+                spec.trace_residual < 1e-10,
+                backlund.canonicity_check(state, 0.3) < 1e-11,
+                before.max_relative_drift(conserved_quantities(bt.target))
+                < 1e-10]
+    return call
+
+
 def funspace_call(N):
     cfg = RunConfig(seed=SEED)
     qp = qcalc.QParam(cfg.alpha)
@@ -100,6 +125,10 @@ def funspace_call(N):
 LAYERS = {"classical": ("suites.suite_classical", classical_call),
           "bt": ("suites.suite_bt", bt_call),
           "bt_map": ("backlund.bt_apply", bt_map_call),
+          "sweep_point": ("backlund.bt_apply, spectrality, "
+                          "intertwining_residual, canonicity_check, "
+                          "classical_chain.conserved_quantities, "
+                          "max_relative_drift", sweep_point_call),
           "funspace": ("funspace.baxter_action_residual, triangular_check, "
                        "delta_action", funspace_call)}
 
